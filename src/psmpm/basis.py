@@ -270,10 +270,6 @@ class BasisSet:
             np.array([e]), np.array([s]), eta[None, :])
         return dofs[0], vals[0], grads[0]
 
-    def dof_vertex(self, dof):
-        """Mesh vertex that owns a dof."""
-        raise NotImplementedError
-
     def constraint_rows(self, constraints):
         """Constraint rows grouped by field component.
 
@@ -308,9 +304,6 @@ class HatBasis(BasisSet):
         del sub
         dofs = self.element_dofs[elem]
         return dofs, np.asarray(eta), self.grad_const[elem]
-
-    def dof_vertex(self, dof):
-        return int(dof)
 
     def constraint_rows(self, constraints):
         rows = {0: [], 1: []}
@@ -434,9 +427,6 @@ class PSBasis(BasisSet):
                              + o[:, :, 5] * e2[:, None])
         grads = np.matmul(db, self.deta_dx[elem, sub])
         return self.element_dofs[elem], vals, grads
-
-    def dof_vertex(self, dof):
-        return int(dof) // 3
 
     def constraint_rows(self, constraints):
         rows = {0: [], 1: []}

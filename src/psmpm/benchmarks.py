@@ -11,6 +11,9 @@ empty out).
 from __future__ import annotations
 
 import io
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,9 +222,11 @@ def soil_column_spec(mass_mode, n_rows=16, dt=5e-4, t_end=2.5,
     The mesh extends one extra row of initially empty elements above the
     column so the topmost basis functions are always candidates for
     (partial) lumping.  Bottom fixed in both components, sides fixed
-    horizontally with vertical free slip, top free.  The default row count
-    makes the top column element drain completely near peak compression,
-    which is what drives the consistent mass matrix ill-conditioned.
+    horizontally with vertical free slip, top free.  With the consistent
+    mass matrix the explicit step goes unstable within the first 0.03 s:
+    the run stops at the one-step strain-increment check of
+    ``MpmSystem.step``, while the reduced diagonal ratio stays below 1e2
+    and no column element has drained.
     """
     from .cli_io import generate_mesh
     width, height = 0.1, 1.0
@@ -461,18 +466,31 @@ class ErrorReport:
         return buf.getvalue()
 
 
+def _study_row(job) -> ErrorRow:
+    basis_kind, h, ppe, seed, courant, mass_mode = job
+    spec = mms_plate_spec(basis_kind, h, ppe, seed=seed, courant=courant,
+                          mass_mode=mass_mode)
+    result = run_mms(spec)
+    return ErrorRow(benchmark="mms", basis=basis_kind, h=result.h_typical,
+                    ppe=int(ppe), dt=result.dt, rms=result.rms)
+
+
 def convergence_study(basis_kind, h_list, ppe_list, seed=7,
                       courant=None, mass_mode=None) -> ErrorReport:
     """Run the manufactured-solution sweep over mesh sizes and particle
     densities for one basis family (family-default mass mode and Courant
-    number unless overridden)."""
-    report = ErrorReport()
-    for h in h_list:
-        for ppe in ppe_list:
-            spec = mms_plate_spec(basis_kind, h, ppe, seed=seed,
-                                  courant=courant, mass_mode=mass_mode)
-            result = run_mms(spec)
-            report.add(ErrorRow(benchmark="mms", basis=basis_kind,
-                                h=result.h_typical, ppe=int(ppe),
-                                dt=result.dt, rms=result.rms))
-    return report
+    number unless overridden).
+
+    The environment variable ``PSMPM_THREADS`` (default 1) sets how many
+    worker processes run the cells; rows keep the sweep order, so the
+    report does not depend on it.
+    """
+    jobs = [(basis_kind, h, ppe, seed, courant, mass_mode)
+            for h in h_list for ppe in ppe_list]
+    workers = int(os.environ.get("PSMPM_THREADS", "1"))
+    if workers > 1:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            return ErrorReport(pool.map(_study_row, jobs))
+    return ErrorReport(map(_study_row, jobs))

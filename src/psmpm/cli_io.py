@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -582,38 +581,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _study_cell(job):
-    basis_kind, h, ppe, seed, courant = job
-    spec = benchmarks.mms_plate_spec(basis_kind, h, ppe, seed=seed,
-                                     courant=courant)
-    result = benchmarks.run_mms(spec)
-    return benchmarks.ErrorRow(benchmark="mms", basis=basis_kind,
-                               h=result.h_typical, ppe=int(ppe),
-                               dt=result.dt, rms=result.rms)
-
-
 def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
     cfg = _apply_flags(cfg, args)
     h_list = cfg.converge_h or (0.25, 0.125, 0.0625)
     ppe_list = cfg.converge_ppe or (16, 64, 256)
     families = cfg.converge_basis or (cfg.basis,)
+    mode = MassMode.parse(cfg.mass_mode) if cfg.mass_mode else None
     os.makedirs(cfg.output_dir, exist_ok=True)
 
-    jobs = [(b, h, p, cfg.seed, cfg.converge_courant)
-            for b in families for h in h_list for p in ppe_list]
-    workers = int(os.environ.get("PSMPM_THREADS", "1"))
     report = benchmarks.ErrorReport()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(_study_cell, jobs):
-                report.add(row)
-    else:
-        for job in jobs:
-            if not args.quiet:
-                print(f"running basis={job[0]} h={job[1]} ppe={job[2]}",
-                      file=sys.stderr)
-            report.add(_study_cell(job))
+    for b in families:
+        if not args.quiet:
+            print(f"running basis={b}", file=sys.stderr)
+        report.extend(benchmarks.convergence_study(
+            b, h_list, ppe_list, seed=cfg.seed,
+            courant=cfg.converge_courant, mass_mode=mode))
 
     csv_path = os.path.join(cfg.output_dir, "convergence.csv")
     with open(csv_path, "w") as fh:

@@ -379,7 +379,6 @@ class PointLocator:
             cand = np.unique(np.concatenate(
                 [tri.vertex_elements[v] for v in el[e]]))
             neigh.append(cand)
-        self.vertex_neighbors = neigh
         width = max(len(c) for c in neigh) if neigh else 0
         self.neighbor_table = np.full((tri.n_elements, width), -1, dtype=int)
         for e, cand in enumerate(neigh):

@@ -1,19 +1,28 @@
-"""Particle state, grid assembly, mass-matrix modes, and the explicit step.
+"""Particle state, particle-dof transfers, mass-matrix modes and the step.
 
-One time step projects particle mass, internal/body/traction forces onto
-the grid basis, solves for grid accelerations, increments particle
-velocities, re-projects momentum for the end-of-step velocity field
-(density-weighted L2 projection), and finally updates deformation, stress,
-volume, density and positions from that field.  Grid quantities are
-rebuilt from scratch every step.
+Each step builds one sparse particle-dof operator (``Transfer``) from the
+located basis evaluation: ``N`` holds the basis values and ``Gx``/``Gy``
+the basis gradients at the particles.  Every transfer is a product with
+these matrices: lumped mass ``N^T m``, consistent mass ``N^T diag(m) N``,
+internal force ``Gx^T (V sigma)_x + Gy^T (V sigma)_y``, body force
+``N^T (m b)`` and momentum ``N^T (m v)``; grid coefficients come back to
+the particles as ``N @ c`` and velocity gradients as ``[Gx @ v, Gy @ v]``.
 
-The mass matrix can be used consistent, fully lumped (row sums on the
-diagonal), or partially lumped: only rows whose basis function has at
-least one particle-free element in its support are replaced by their
-lumped diagonal.  The partial system is solved by eliminating the lumped
-rows into the right-hand side of the remaining consistent block, which
-keeps that block symmetric positive definite and preserves every row sum
-(hence the total mass).
+One time step projects particle mass and internal/body forces onto the
+basis, solves for grid accelerations, increments particle velocities,
+re-projects momentum for the end-of-step velocity field (density-weighted
+L2 projection), and finally updates deformation, stress, volume, density
+and positions from that field.  Grid quantities are rebuilt every step.
+
+The mass matrix is consistent, fully lumped (row sums on the diagonal),
+or partially lumped: only rows whose basis function has at least one
+particle-free element in its support are replaced by their lumped
+diagonal, which preserves every row sum (hence the total mass).  Each
+mode is one effective sparse matrix and every grid solve takes one path:
+reduce the matrix under the constraint change of unknowns, drop the
+unknowns without mass, factorise the rest once per step with a sparse LU,
+and reuse that factor for the acceleration and the velocity-projection
+solves.
 """
 
 from __future__ import annotations
@@ -32,14 +41,27 @@ from .errors import (NonPositiveJacobian, ParticleLeftDomain,
 # are excluded from solves (their coefficients are set to zero).
 ZERO_MASS_REL_TOL = 1e-12
 
-CG_RTOL = 1e-10
-CG_MAXITER_FACTOR = 10
+# Each reduced system A x = b is factorised as A + FACTOR_SHIFT * diag(A)
+# and every solve takes one step of iterative refinement against A.  On a
+# well-posed system the refined solution is exact to rounding (the shift's
+# error is squared away).  When too few particles sample a group of basis
+# functions, A is singular but a momentum projection is still consistent;
+# the shift keeps the factor defined and leaves the unsampled combination
+# at rounding size.
+FACTOR_SHIFT = 1e-10
+
+# A solve whose residual |A x - b| exceeds this fraction of |b| has no
+# solution: the right-hand side has a component along a singular direction
+# of A.  Well-posed systems measure below 1e-15.
+RESIDUAL_RTOL = 1e-10
 
 # For an SPD matrix the condition number is at least max(diag)/min(diag);
 # past this ratio a 1e-10 residual no longer bounds the error and the
-# consistent solve is declared diverged.  Well-supported systems measure
-# below 1e2, a draining support region sweeps through 1e8 on its way to
-# empty.
+# consistent solve is declared diverged.  Checked on the consistent rows
+# of the reduced matrix: every active row in consistent mode, the unmarked
+# rows in partial mode, none in lumped mode.  Well-supported systems
+# measure below 1e2, a draining support region sweeps through 1e8 on its
+# way to empty.
 ILL_CONDITION_RATIO = 1e8
 
 # A single acceleration step that kicks a particle past this multiple of the
@@ -228,138 +250,91 @@ def init_particles(locator, layout: ParticleLayout, rho0) -> Particles:
     return particles
 
 
+class Transfer:
+    """Particle-dof operator of one step.
+
+    ``N`` holds the basis values and ``Gx``/``Gy`` the x/y basis gradients
+    at the particles, each an (n_p, n_bf) CSR matrix; all three share one
+    int32 pattern, the dofs active at each particle.
+    """
+
+    def __init__(self, n_bf, dofs, vals, grads):
+        n, k = dofs.shape
+        self.shape = (n, n_bf)
+        self.indices = dofs.astype(np.int32).ravel()
+        self.indptr = np.arange(0, n * k + 1, k, dtype=np.int32)
+        self.N = self.with_values(vals)
+        self.Gx = self.with_values(grads[:, :, 0])
+        self.Gy = self.with_values(grads[:, :, 1])
+
+    def with_values(self, values):
+        """CSR matrix on the shared pattern with per-particle ``values``."""
+        return sp.csr_matrix((np.ravel(values), self.indices, self.indptr),
+                             shape=self.shape)
+
+
 class MassOperator:
     """Assembled grid mass in one of the three modes.
 
-    ``lumped`` always holds the row sums (equal to the consistent row sums
-    by partition of unity).  ``matrix`` is the consistent matrix; it is
-    None in lumped mode.  In partial mode ``marked`` flags the dofs whose
-    rows are replaced by their lumped diagonal: the effective operator is
-    the consistent matrix with those rows swapped for ``lumped[i] * e_i``,
-    which preserves every row sum and hence the total mass.
+    ``lumped`` holds the row sums (equal to the consistent row sums by
+    partition of unity) and ``matrix`` the effective operator:
+    ``diag(lumped)`` in lumped mode, the consistent matrix in consistent
+    mode and, in partial mode, the consistent matrix with the rows flagged
+    by ``marked`` replaced by ``lumped[i] * e_i``.  Every mode keeps every
+    row sum and hence the total mass.  ``factors`` memoises the factorised
+    reduced systems of ``solve_grid``, one per constraint reduction; an
+    operator lives for one step.
     """
 
-    def __init__(self, mode, lumped, matrix=None, marked=None):
+    def __init__(self, mode, lumped, matrix, marked=None):
         self.mode = mode
         self.lumped = lumped
         self.matrix = matrix
         self.marked = marked
-
-    @property
-    def n(self):
-        return len(self.lumped)
+        self.factors = {}
 
     def total_mass(self):
         return float(self.lumped.sum())
 
-    def row_sums(self):
-        """Row sums of the effective operator (identical in all modes)."""
-        if self.mode is MassMode.LUMPED or self.matrix is None:
-            return self.lumped.copy()
-        sums = np.asarray(self.matrix.sum(axis=1)).ravel()
-        if self.mode is MassMode.PARTIAL:
-            sums[self.marked] = self.lumped[self.marked]
-        return sums
-
-    def matvec(self, x):
-        if self.matrix is None:
-            return self.lumped * x
-        y = self.matrix @ x
-        if self.mode is MassMode.PARTIAL:
-            y[self.marked] = self.lumped[self.marked] * x[self.marked]
-        return y
-
 
 class GridAssembler:
-    """Scatter-add assembly of grid quantities for a fixed basis.
-
-    The sparsity pattern of the mass matrix depends only on the mesh/basis,
-    so it is built once; per step only the numeric values are accumulated
-    (a flat bincount over precomputed slot indices).
-    """
+    """Projection of particle mass, forces and momentum onto the basis,
+    each a product with the step's ``Transfer``."""
 
     def __init__(self, basis):
         self.basis = basis
         self.n_bf = basis.n_bf
-        k = basis.n_active
-        dofs = basis.element_dofs
-        rows = np.repeat(dofs, k, axis=1).ravel()
-        cols = np.tile(dofs, (1, k)).ravel()
-        order = np.lexsort((cols, rows))
-        pairs = np.column_stack([rows[order], cols[order]])
-        keep = np.ones(len(pairs), dtype=bool)
-        keep[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
-        unique = pairs[keep]
-        self._indptr = np.searchsorted(unique[:, 0], np.arange(self.n_bf + 1))
-        self._indices = unique[:, 1].copy()
-        self.nnz = len(unique)
-        slot_of_sorted = np.cumsum(keep) - 1
-        slots = np.empty(len(pairs), dtype=int)
-        slots[order] = slot_of_sorted
-        self.element_slots = slots.reshape(len(dofs), k * k)
 
-        tri = basis.tri
-        inc_rows = np.repeat(np.arange(tri.n_elements), 3)
-        inc_cols = tri.elements.ravel()
-        self.vertex_incidence = sp.csr_matrix(
-            (np.ones(inc_rows.size), (inc_cols, inc_rows)),
-            shape=(tri.n_nodes, tri.n_elements))
-
-    def mass(self, elem, dofs, vals, masses, mode: MassMode) -> MassOperator:
-        weighted = masses[:, None] * vals
-        lumped = np.bincount(dofs.ravel(), weights=weighted.ravel(),
-                             minlength=self.n_bf)
+    def mass(self, transfer: Transfer, elem, masses,
+             mode: MassMode) -> MassOperator:
+        lumped = transfer.N.T @ masses
         if mode is MassMode.LUMPED:
-            return MassOperator(mode, lumped)
-
-        outer = (weighted[:, :, None] * vals[:, None, :]).reshape(len(vals), -1)
-        data = np.bincount(self.element_slots[elem].ravel(),
-                           weights=outer.ravel(), minlength=self.nnz)
-        matrix = sp.csr_matrix((data, self._indices, self._indptr),
-                               shape=(self.n_bf, self.n_bf))
+            return MassOperator(mode, lumped, sp.diags(lumped, format="csr"))
+        vals = transfer.N.data.reshape(len(masses), -1)
+        matrix = transfer.N.T @ transfer.with_values(masses[:, None] * vals)
         if mode is MassMode.CONSISTENT:
             return MassOperator(mode, lumped, matrix)
 
-        counts = np.bincount(elem, minlength=self.basis.tri.n_elements)
-        empty = counts == 0
-        marked_vertex = np.asarray(
-            self.vertex_incidence @ empty.astype(float) > 0.0)
-        if self.basis.n_active == 9:
-            marked = np.repeat(marked_vertex, 3)
-        else:
-            marked = marked_vertex
+        empty = np.bincount(elem, minlength=self.basis.tri.n_elements) == 0
+        marked = np.zeros(self.n_bf, dtype=bool)
+        marked[self.basis.element_dofs[empty]] = True
+        matrix = (sp.diags((~marked).astype(float)) @ matrix
+                  + sp.diags(np.where(marked, lumped, 0.0)))
         return MassOperator(mode, lumped, matrix, marked)
 
-    def vector(self, dofs, contributions):
-        """Accumulate per-particle per-function 2-vectors into (n_bf, 2)."""
-        out = np.empty((self.n_bf, 2))
-        flat = dofs.ravel()
-        for kcomp in range(2):
-            out[:, kcomp] = np.bincount(
-                flat, weights=contributions[:, :, kcomp].ravel(),
-                minlength=self.n_bf)
-        return out
-
-    def forces(self, dofs, vals, grads, particles, body=None, traction=None):
-        """Traction, internal and body force vectors, each (n_bf, 2)."""
-        f_int = self.vector(dofs, np.matmul(
-            grads, particles.V[:, None, None] * particles.sigma))
+    def forces(self, transfer: Transfer, particles, body=None):
+        """Internal and body force vectors, each (n_bf, 2)."""
+        stress = particles.V[:, None, None] * particles.sigma
+        f_int = (transfer.Gx.T @ stress[:, 0, :]
+                 + transfer.Gy.T @ stress[:, 1, :])
         if body is None:
             f_body = np.zeros((self.n_bf, 2))
         else:
-            f_body = self.vector(
-                dofs, (particles.m[:, None] * vals)[:, :, None]
-                * body[:, None, :])
-        if traction is None:
-            f_trac = np.zeros((self.n_bf, 2))
-        else:
-            f_trac = self.vector(dofs,
-                                 vals[:, :, None] * traction[:, None, :])
-        return f_trac, f_int, f_body
+            f_body = transfer.N.T @ (particles.m[:, None] * body)
+        return f_int, f_body
 
-    def momentum(self, dofs, vals, particles):
-        return self.vector(dofs, (particles.m[:, None] * vals)[:, :, None]
-                           * particles.v[:, None, :])
+    def momentum(self, transfer: Transfer, particles):
+        return transfer.N.T @ (particles.m[:, None] * particles.v)
 
 
 class ConstraintReduction:
@@ -367,20 +342,20 @@ class ConstraintReduction:
 
     Constraint rows touch one vertex block each (one dof for hats, three
     for splines).  Per block, an SVD of the stacked rows yields the
-    particular (minimum-norm) solution and an orthonormal basis of the free
-    directions; the global prolongation keeps unconstrained dofs as-is, so
-    the reduced operator stays symmetric positive definite.
+    particular (minimum-norm) solution ``offset`` and an orthonormal basis
+    of the free directions; the prolongation ``P`` keeps unconstrained dofs
+    as-is, so a reduced consistent matrix stays symmetric positive
+    definite.  A reduction built with no rows is the identity.
     """
 
     def __init__(self, n_bf, rows):
-        self.n_bf = n_bf
         grouped = {}
         for dofs, coeffs, rhs in rows:
             key = tuple(int(d) for d in dofs)
             grouped.setdefault(key, []).append((np.asarray(coeffs, float), rhs))
 
         constrained = set()
-        self.blocks = []          # (dofs array, nullspace (k, m), offset (k,))
+        blocks = []               # (dofs array, nullspace (k, m))
         offset = np.zeros(n_bf)
         for key in sorted(grouped):
             a = np.array([r[0] for r in grouped[key]])
@@ -392,158 +367,102 @@ class ConstraintReduction:
             if np.linalg.norm(a @ sol - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
                 raise ValidationError(f"inconsistent constraints on dofs {key}")
             offset[list(key)] = sol
-            dof_arr = np.asarray(key, dtype=int)
-            self.blocks.append((dof_arr, vt[rank:].T.copy(), sol))
+            blocks.append((np.asarray(key, dtype=int), vt[rank:].T))
             constrained.update(key)
 
         self.free_dofs = np.asarray(
             [d for d in range(n_bf) if d not in constrained], dtype=int)
         self.offset = offset
-        self.homogeneous = not offset.any()
-        self.P = self._prolongation()
 
-    def _prolongation(self, dof_mask=None):
-        """Sparse map from reduced to full coefficients.
-
-        With ``dof_mask`` only the columns living on masked dofs are kept
-        (constraint blocks never straddle the mask because they are
-        per-vertex, as is the mask).
-        """
         free = self.free_dofs
-        if dof_mask is not None:
-            free = free[dof_mask[free]]
-        data = [np.ones(len(free))]
-        rix = [free]
-        cix = [np.arange(len(free))]
+        data, rix, cix = [np.ones(len(free))], [free], [np.arange(len(free))]
         ci = len(free)
-        for dofs, null, _ in self.blocks:
-            if dof_mask is not None and not dof_mask[dofs[0]]:
-                continue
+        for dofs, null in blocks:
             for j in range(null.shape[1]):
                 data.append(null[:, j])
                 rix.append(dofs)
                 cix.append(np.full(len(dofs), ci))
                 ci += 1
-        if not data:
-            return sp.csr_matrix((self.n_bf, 0))
-        return sp.csr_matrix(
+        self.P = sp.csr_matrix(
             (np.concatenate(data), (np.concatenate(rix), np.concatenate(cix))),
-            shape=(self.n_bf, ci))
-
-    @classmethod
-    def identity(cls, n_bf):
-        red = cls.__new__(cls)
-        red.n_bf = n_bf
-        red.blocks = []
-        red.free_dofs = np.arange(n_bf)
-        red.offset = np.zeros(n_bf)
-        red.homogeneous = True
-        red.P = sp.identity(n_bf, format="csr")
-        return red
+            shape=(n_bf, ci))
 
     @property
     def n_reduced(self):
         return self.P.shape[1]
 
 
-def _solve_diagonal(lumped, rhs, reduction, tol, dof_mask=None):
-    """Direct solve of diag(lumped) c = rhs under the reduction.
+def _factorised(mass_op: MassOperator, reduction: ConstraintReduction, tol,
+                context):
+    """Active mask, active reduced matrix and its shifted LU factor.
 
-    Unconstrained dofs divide by their mass (zero-mass dofs get zero);
-    constrained vertex blocks solve their tiny projected systems exactly.
+    Memoised on ``mass_op`` per reduction, so every solve of a step under
+    one reduction shares one factorisation.
     """
-    out = np.zeros(len(lumped))
-    free = reduction.free_dofs
-    if dof_mask is not None:
-        free = free[dof_mask[free]]
-    d = lumped[free]
-    ok = d > tol
-    out[free[ok]] = rhs[free[ok]] / d[ok]
-    for dofs, null, sol in reduction.blocks:
-        if dof_mask is not None and not dof_mask[dofs[0]]:
-            continue
-        out[dofs] = sol
-        if null.shape[1] == 0:
-            continue
-        dblock = lumped[dofs]
-        if dblock.max() <= tol:
-            continue
-        a = null.T @ (dblock[:, None] * null)
-        b = null.T @ (rhs[dofs] - dblock * sol)
-        x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        out[dofs] += null @ x
-    return out
-
-
-def _solve_spd(matrix, rhs, reduction, tol, context, dof_mask=None,
-               offset=True):
-    """Reduced conjugate-gradient solve of the consistent block.
-
-    Raises SolverDiverged either when the active diagonal spans more than
-    ILL_CONDITION_RATIO (an SPD lower bound on the condition number, the
-    signature of basis functions whose support is draining of particles)
-    or when CG fails to reach the target residual.
-    """
-    p = reduction.P if dof_mask is None else reduction._prolongation(dof_mask)
-    if reduction.homogeneous or not offset:
-        b = p.T @ rhs
-        base = np.zeros(matrix.shape[0])
-    else:
-        base = reduction.offset
-        b = p.T @ (rhs - matrix @ base)
-    a = (p.T @ matrix @ p).tocsr()
+    key = (reduction, tol)
+    if key in mass_op.factors:
+        return mass_op.factors[key]
+    p = reduction.P
+    a = (p.T @ mass_op.matrix @ p).tocsr()
     diag = a.diagonal()
     active = diag > tol
-    x = np.zeros(p.shape[1])
-    if active.any():
-        dsub = diag[active]
-        if dsub.max() > ILL_CONDITION_RATIO * dsub.min():
+    if mass_op.mode is not MassMode.LUMPED:
+        checked = active
+        if mass_op.marked is not None:
+            # reduced unknowns on unmarked dofs (constraint blocks and marks
+            # are both per vertex, so no unknown straddles the two)
+            checked = active & (abs(p).T @ mass_op.marked == 0)
+        dsub = diag[checked]
+        if dsub.size and dsub.max() > ILL_CONDITION_RATIO * dsub.min():
             raise SolverDiverged(
                 f"consistent mass matrix is ill-conditioned "
                 f"(diagonal ratio {dsub.max() / dsub.min():.1e} in "
                 f"{context or 'solve'}); a basis function has (almost) "
                 "no particle support")
-        asub = a[active][:, active]
-        bsub = b[active]
-        if np.linalg.norm(bsub) != 0.0:
-            precond = sp.diags(1.0 / dsub)
-            sol, info = spla.cg(asub, bsub, rtol=CG_RTOL, atol=0.0,
-                                maxiter=CG_MAXITER_FACTOR * asub.shape[0],
-                                M=precond)
-            if info != 0:
-                raise SolverDiverged(
-                    f"conjugate gradients stalled ({context or 'solve'}); "
-                    "the mass matrix is ill-conditioned, typically from "
-                    "basis functions with (almost) no particle support")
-            x[active] = sol
-    return p @ x + base
+    asub = a[active][:, active]
+    lu = None
+    if asub.shape[0]:
+        lu = spla.splu(sp.csc_matrix(
+            asub + FACTOR_SHIFT * sp.diags(diag[active])))
+    mass_op.factors[key] = (active, asub, lu)
+    return active, asub, lu
 
 
 def solve_grid(mass_op: MassOperator, rhs, reduction: ConstraintReduction,
                mean_particle_mass, context=""):
     """Solve the grid system M c = rhs under the constraint reduction.
 
-    Lumped mode is a direct diagonal solve.  Consistent mode runs reduced
-    Jacobi-preconditioned conjugate gradients at relative tolerance 1e-10.
-    Partial mode eliminates the marked (lumped) rows first and then solves
-    the remaining consistent block with the marked coefficients moved to
-    the right-hand side, which is exactly the row-replaced operator of the
-    partial-lumping rule.  Dofs with vanishing mass get zero coefficients.
-    """
-    tol = ZERO_MASS_REL_TOL * mean_particle_mass
-    if mass_op.mode is MassMode.LUMPED:
-        return _solve_diagonal(mass_op.lumped, rhs, reduction, tol)
-    if mass_op.mode is MassMode.CONSISTENT:
-        return _solve_spd(mass_op.matrix, rhs, reduction, tol, context)
+    ``M`` is the mass operator's effective matrix in every mode, so partial
+    mode solves exactly the row-replaced operator of the partial-lumping
+    rule.  With ``P`` the reduction's prolongation, ``A = P^T M P`` keeps
+    the unknowns whose diagonal exceeds the zero-mass tolerance (the others
+    get zero coefficients).  ``A + FACTOR_SHIFT * diag(A)`` is factorised
+    once per step with a sparse LU, and each solve refines the factor's
+    answer once against ``A``: exact to rounding on a well-posed system,
+    and still defined when too few particles leave a combination of basis
+    functions without mass.  Constraints are imposed homogeneously.
 
-    marked = mass_op.marked
-    if not marked.any():
-        return _solve_spd(mass_op.matrix, rhs, reduction, tol, context)
-    out = _solve_diagonal(mass_op.lumped, rhs, reduction, tol, dof_mask=marked)
-    corrected = rhs - mass_op.matrix @ out
-    out += _solve_spd(mass_op.matrix, corrected, reduction, tol, context,
-                      dof_mask=~marked, offset=False)
-    return out
+    Raises:
+        SolverDiverged: when the diagonal ratio of the consistent rows of
+            ``A`` exceeds ``ILL_CONDITION_RATIO``, or when the residual
+            ``|A x - b|`` exceeds ``RESIDUAL_RTOL * |b|``.
+    """
+    active, a, lu = _factorised(
+        mass_op, reduction, ZERO_MASS_REL_TOL * mean_particle_mass, context)
+    x = np.zeros(reduction.n_reduced)
+    if lu is not None:
+        b = (reduction.P.T @ rhs)[active]
+        y = lu.solve(b)
+        y += lu.solve(b - a @ y)
+        resid = np.linalg.norm(b - a @ y)
+        if resid > RESIDUAL_RTOL * np.linalg.norm(b):
+            raise SolverDiverged(
+                f"solve residual {resid / np.linalg.norm(b):.1e} exceeds "
+                f"{RESIDUAL_RTOL:.0e} of the right-hand side in "
+                f"{context or 'solve'}; the mass matrix is singular along "
+                "the right-hand side")
+        x[active] = y
+    return reduction.P @ x
 
 
 class MpmSystem:
@@ -556,14 +475,13 @@ class MpmSystem:
 
     def __init__(self, basis, material: MaterialModel, dt,
                  mass_mode=MassMode.CONSISTENT, constraints=(),
-                 body_force=None, traction=None, on_exit="abort"):
+                 body_force=None, on_exit="abort"):
         self.basis = basis
         self.material = material
         self.dt = float(dt)
         self.mass_mode = mass_mode if isinstance(mass_mode, MassMode) \
             else MassMode.parse(mass_mode)
         self.body_force = body_force
-        self.traction = traction
         if on_exit not in ("abort", "clamp"):
             raise ValidationError("on_exit must be 'abort' or 'clamp'")
         self.on_exit = on_exit
@@ -575,14 +493,8 @@ class MpmSystem:
                 if rhs != 0.0:
                     raise ValidationError(
                         "time stepping supports homogeneous constraints only")
-        self.reductions = [
-            ConstraintReduction(basis.n_bf, rows[k]) if rows[k]
-            else ConstraintReduction.identity(basis.n_bf)
-            for k in (0, 1)
-        ]
-
-    def _gather(self, dofs, vals, coeffs):
-        return np.matmul(vals[:, None, :], coeffs[dofs])[:, 0, :]
+        self.reductions = [ConstraintReduction(basis.n_bf, rows[k])
+                           for k in (0, 1)]
 
     def step(self, particles: Particles, t=0.0):
         """Advance one time step; mutates ``particles``."""
@@ -593,25 +505,25 @@ class MpmSystem:
                 raise ParticleOutsideMesh("unlocatable particle at step start")
             particles.loc = (elem, sub, eta)
         elem, sub, eta = particles.loc
-        dofs, vals, grads = basis.evaluate_located(elem, sub, eta)
+        transfer = Transfer(basis.n_bf,
+                            *basis.evaluate_located(elem, sub, eta))
 
         mean_mass = float(particles.m.mean())
-        mass_op = self.assembler.mass(elem, dofs, vals, particles.m,
+        mass_op = self.assembler.mass(transfer, elem, particles.m,
                                       self.mass_mode)
 
         body = None
         if self.body_force is not None:
             body = np.asarray(self.body_force(particles.x0, t), dtype=float)
-        f_trac, f_int, f_body = self.assembler.forces(
-            dofs, vals, grads, particles, body=body, traction=self.traction)
-        rhs = f_trac - f_int + f_body
+        f_int, f_body = self.assembler.forces(transfer, particles, body=body)
+        rhs = f_body - f_int
 
         a_hat = np.empty((basis.n_bf, 2))
         for k in range(2):
             a_hat[:, k] = solve_grid(mass_op, rhs[:, k], self.reductions[k],
                                      mean_mass, context=f"acceleration[{k}]")
 
-        dv = self.dt * self._gather(dofs, vals, a_hat)
+        dv = self.dt * (transfer.N @ a_hat)
         if self.mass_mode is not MassMode.LUMPED:
             wave = self.material.wave_speed(float(particles.rho.mean()))
             kick = float(np.abs(dv).max())
@@ -623,14 +535,14 @@ class MpmSystem:
                     "supported basis functions")
         particles.v += dv
 
-        momentum = self.assembler.momentum(dofs, vals, particles)
+        momentum = self.assembler.momentum(transfer, particles)
         v_hat = np.empty((basis.n_bf, 2))
         for k in range(2):
             v_hat[:, k] = solve_grid(mass_op, momentum[:, k],
                                      self.reductions[k], mean_mass,
                                      context=f"velocity[{k}]")
 
-        grad_v = np.matmul(np.swapaxes(v_hat[dofs], 1, 2), grads)
+        grad_v = np.stack([transfer.Gx @ v_hat, transfer.Gy @ v_hat], axis=2)
         eps = 0.5 * (grad_v + np.swapaxes(grad_v, 1, 2))
         if self.mass_mode is not MassMode.LUMPED:
             increment = self.dt * float(np.abs(eps).max())
@@ -656,7 +568,7 @@ class MpmSystem:
         particles.V = particles.J * particles.V0
         particles.rho = particles.m / particles.V
 
-        vel = self._gather(dofs, vals, v_hat)
+        vel = transfer.N @ v_hat
         particles.x = particles.x + self.dt * vel
         particles.u = particles.u + self.dt * vel
 

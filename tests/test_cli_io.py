@@ -272,6 +272,30 @@ courant = 0.3
         assert "slope_h=" in printed
 
 
+class TestConvergeMassMode:
+    def test_mass_mode_flag_reaches_the_study(self, tmp_path):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("""
+[run]
+benchmark = mms
+basis = hat
+seed = 7
+
+[converge]
+h_list = 0.5 0.25
+ppe_list = 4
+basis = hat
+courant = 0.3
+""")
+        tables = {}
+        for mode in ("lumped", "consistent"):
+            out = tmp_path / mode
+            assert cli(["converge", str(cfg), "--output-dir", str(out),
+                        "--mass-mode", mode, "--quiet"]) == 0
+            tables[mode] = (out / "convergence.csv").read_bytes()
+        assert tables["lumped"] != tables["consistent"]
+
+
 class TestParallelConverge:
     def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
         text = """

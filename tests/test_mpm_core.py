@@ -1,17 +1,22 @@
 """Particle init, assembly, mass modes, solves, and step-level contracts."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from psmpm import mpm_core
 from psmpm.basis import DirichletConstraint, hat_basis, ps_basis
+from psmpm.benchmarks import rectangle_constraints
 from psmpm.cli_io import generate_mesh
 from psmpm.errors import (NonPositiveJacobian, ParticleLeftDomain,
                           SolverDiverged, ValidationError)
 from psmpm.mesh import Triangulation, ps_refine
 from psmpm.mpm_core import (ConstraintReduction, GridAssembler, MassMode,
                             MaterialModel, MpmSystem, ParticleLayout,
-                            Particles, init_particles, solve_grid)
+                            Particles, Transfer, init_particles, solve_grid)
 
 
 def unit_square_mesh():
@@ -25,8 +30,18 @@ def square_ps_basis(h=0.25, seed=7):
 
 
 def evaluated(basis, particles):
+    """Located elements and the particle-dof operator of ``particles``."""
     elem, sub, eta = particles.loc
-    return (elem,) + basis.evaluate_located(elem, sub, eta)
+    return elem, Transfer(basis.n_bf, *basis.evaluate_located(elem, sub, eta))
+
+
+@lru_cache(maxsize=None)
+def cached_ps_basis(seed):
+    return square_ps_basis(seed=seed)
+
+
+# the manufactured plate's supports: normal velocity pinned on every side
+PLATE_SIDES = {"left": (0,), "right": (0,), "bottom": (1,), "top": (1,)}
 
 
 class TestMaterial:
@@ -126,8 +141,8 @@ class TestMassAssembly:
         parts = Particles(np.array([[1 / 3, 1 / 3]]), np.array([0.5]), 3.0)
         parts.loc = basis.locator.locate_many(parts.x)
         asm = GridAssembler(basis)
-        elem, dofs, vals, _ = evaluated(basis, parts)
-        op = asm.mass(elem, dofs, vals, parts.m, MassMode.CONSISTENT)
+        elem, tr = evaluated(basis, parts)
+        op = asm.mass(tr, elem, parts.m, MassMode.CONSISTENT)
         assert_allclose(op.matrix.toarray(), np.full((3, 3), 1.5 / 9.0),
                         atol=1e-15)
 
@@ -136,9 +151,9 @@ class TestMassAssembly:
         parts = init_particles(basis.locator,
                                ParticleLayout(kind="ppe", ppe=4), rho0=7.0)
         asm = GridAssembler(basis)
-        elem, dofs, vals, _ = evaluated(basis, parts)
-        op_c = asm.mass(elem, dofs, vals, parts.m, MassMode.CONSISTENT)
-        op_l = asm.mass(elem, dofs, vals, parts.m, MassMode.LUMPED)
+        elem, tr = evaluated(basis, parts)
+        op_c = asm.mass(tr, elem, parts.m, MassMode.CONSISTENT)
+        op_l = asm.mass(tr, elem, parts.m, MassMode.LUMPED)
         rows = np.asarray(op_c.matrix.sum(axis=1)).ravel()
         assert np.abs(rows - op_l.lumped).max() < 1e-12 * op_l.lumped.max()
 
@@ -149,10 +164,10 @@ class TestMassAssembly:
         parts = Particles(pts, rng.uniform(0.001, 0.02, 40), 5.0)
         parts.loc = basis.locator.locate_many(parts.x)
         asm = GridAssembler(basis)
-        elem, dofs, vals, _ = evaluated(basis, parts)
+        elem, tr = evaluated(basis, parts)
         for mode in MassMode:
-            op = asm.mass(elem, dofs, vals, parts.m, mode)
-            assert_allclose(op.row_sums().sum(), parts.m.sum(), rtol=1e-12)
+            op = asm.mass(tr, elem, parts.m, mode)
+            assert_allclose(op.matrix.sum(), parts.m.sum(), rtol=1e-12)
             assert_allclose(op.total_mass(), parts.m.sum(), rtol=1e-12)
 
     def test_consistent_symmetry(self):
@@ -160,8 +175,8 @@ class TestMassAssembly:
         parts = init_particles(basis.locator,
                                ParticleLayout(kind="ppe", ppe=4), rho0=1.0)
         asm = GridAssembler(basis)
-        elem, dofs, vals, _ = evaluated(basis, parts)
-        op = asm.mass(elem, dofs, vals, parts.m, MassMode.CONSISTENT)
+        elem, tr = evaluated(basis, parts)
+        op = asm.mass(tr, elem, parts.m, MassMode.CONSISTENT)
         diff = op.matrix - op.matrix.T
         assert abs(diff).max() < 1e-14 if diff.nnz else True
 
@@ -173,8 +188,8 @@ class TestMassAssembly:
         parts = Particles(pts, np.full(4, 0.05), 1.0)
         parts.loc = basis.locator.locate_many(parts.x)
         asm = GridAssembler(basis)
-        elem, dofs, vals, _ = evaluated(basis, parts)
-        op = asm.mass(elem, dofs, vals, parts.m, MassMode.PARTIAL)
+        elem, tr = evaluated(basis, parts)
+        op = asm.mass(tr, elem, parts.m, MassMode.PARTIAL)
         marked_vertices = {d // 3 for d in np.nonzero(op.marked)[0]}
         # element 1 = (0, 2, 3): all its vertices are marked; vertex 1 is not
         assert marked_vertices == {0, 2, 3}
@@ -185,16 +200,35 @@ class TestMassAssembly:
         parts = Particles(pts, np.full(30, 1e-3), 2.0)
         parts.loc = basis.locator.locate_many(parts.x)
         asm = GridAssembler(basis)
-        elem, dofs, vals, _ = evaluated(basis, parts)
-        op = asm.mass(elem, dofs, vals, parts.m, MassMode.PARTIAL)
+        elem, tr = evaluated(basis, parts)
+        op = asm.mass(tr, elem, parts.m, MassMode.PARTIAL)
         assert op.marked.any()
         x = np.random.default_rng(2).normal(size=basis.n_bf)
-        y = op.matvec(x)
-        y_c = op.matrix @ x
+        y = op.matrix @ x
+        y_c = asm.mass(tr, elem, parts.m, MassMode.CONSISTENT).matrix @ x
         unmarked = ~op.marked
         assert_allclose(y[unmarked], y_c[unmarked], atol=1e-14)
         assert_allclose(y[op.marked], op.lumped[op.marked] * x[op.marked],
                         atol=1e-14)
+
+
+class TestTransfer:
+    def test_operators_share_one_int32_pattern(self):
+        basis = square_ps_basis()
+        parts = init_particles(basis.locator,
+                               ParticleLayout(kind="ppe", ppe=4), rho0=1.0)
+        _, tr = evaluated(basis, parts)
+        assert tr.N.indices.dtype == tr.N.indptr.dtype == np.int32
+        for g in (tr.Gx, tr.Gy):
+            assert np.shares_memory(g.indices, tr.N.indices)
+            assert np.shares_memory(g.indptr, tr.N.indptr)
+        dofs, vals, grads = basis.evaluate_located(*parts.loc)
+        rows = np.arange(parts.n)[:, None]
+        assert_allclose(tr.N.toarray()[rows, dofs], vals, rtol=0, atol=0)
+        assert_allclose(tr.Gx.toarray()[rows, dofs], grads[:, :, 0],
+                        rtol=0, atol=0)
+        assert_allclose(tr.Gy.toarray()[rows, dofs], grads[:, :, 1],
+                        rtol=0, atol=0)
 
 
 class TestForces:
@@ -203,9 +237,8 @@ class TestForces:
         parts = init_particles(basis.locator,
                                ParticleLayout(kind="ppe", ppe=4), rho0=1.0)
         asm = GridAssembler(basis)
-        elem, dofs, vals, grads = evaluated(basis, parts)
-        f_trac, f_int, f_body = asm.forces(dofs, vals, grads, parts)
-        assert_allclose(f_trac, 0.0)
+        elem, tr = evaluated(basis, parts)
+        f_int, f_body = asm.forces(tr, parts)
         assert_allclose(f_int, 0.0)
         assert_allclose(f_body, 0.0)
 
@@ -215,9 +248,9 @@ class TestForces:
                                ParticleLayout(kind="lattice", nx=7, ny=7),
                                rho0=3.0)
         asm = GridAssembler(basis)
-        elem, dofs, vals, grads = evaluated(basis, parts)
+        elem, tr = evaluated(basis, parts)
         g = np.broadcast_to([0.0, -9.81], (parts.n, 2))
-        _, _, f_body = asm.forces(dofs, vals, grads, parts, body=g)
+        _, f_body = asm.forces(tr, parts, body=g)
         assert_allclose(f_body.sum(axis=0), [0.0, -9.81 * parts.m.sum()],
                         rtol=1e-12, atol=1e-12)
 
@@ -229,8 +262,8 @@ class TestForces:
         parts.sigma[0] = [[7.0, 0.0], [0.0, 0.0]]
         parts.loc = basis.locator.locate_many(parts.x)
         asm = GridAssembler(basis)
-        elem, dofs, vals, grads = evaluated(basis, parts)
-        _, f_int, _ = asm.forces(dofs, vals, grads, parts)
+        elem, tr = evaluated(basis, parts)
+        f_int, _ = asm.forces(tr, parts)
         # F_int[x, i] = V * s * dphi_i/dx: gradients are (-1,-1), (1,0), (0,1)
         assert_allclose(f_int[:, 0], [0.4 * 7.0 * -1.0, 0.4 * 7.0, 0.0],
                         atol=1e-14)
@@ -243,9 +276,9 @@ class TestSolves:
         parts = init_particles(basis.locator,
                                ParticleLayout(kind="ppe", ppe=4), rho0=2.0)
         asm = GridAssembler(basis)
-        elem, dofs, vals, _ = evaluated(basis, parts)
-        op = asm.mass(elem, dofs, vals, parts.m, mode)
-        red = ConstraintReduction.identity(basis.n_bf)
+        elem, tr = evaluated(basis, parts)
+        op = asm.mass(tr, elem, parts.m, mode)
+        red = ConstraintReduction(basis.n_bf, [])
         return basis, parts, op, red
 
     def test_zero_rhs_zero_solution(self):
@@ -275,15 +308,15 @@ class TestSolves:
         parts = Particles(pts, np.full(40, 1e-3), 2.0)
         parts.loc = basis.locator.locate_many(parts.x)
         asm = GridAssembler(basis)
-        elem, dofs, vals, _ = evaluated(basis, parts)
-        op = asm.mass(elem, dofs, vals, parts.m, MassMode.PARTIAL)
+        elem, tr = evaluated(basis, parts)
+        op = asm.mass(tr, elem, parts.m, MassMode.PARTIAL)
         assert op.marked.any() and not op.marked.all()
         rhs = np.zeros(basis.n_bf)
         active = op.lumped > 1e-12 * parts.m.mean()
         rhs[active] = np.random.default_rng(6).normal(size=int(active.sum()))
-        x = solve_grid(op, rhs, ConstraintReduction.identity(basis.n_bf),
+        x = solve_grid(op, rhs, ConstraintReduction(basis.n_bf, []),
                        parts.m.mean())
-        resid = op.matvec(x) - rhs
+        resid = op.matrix @ x - rhs
         assert np.abs(resid[active]).max() < 1e-8 * max(1.0, np.abs(rhs).max())
 
     def test_singular_support_raises(self):
@@ -293,13 +326,105 @@ class TestSolves:
         parts = Particles(np.array([[0.52, 0.48]]), np.array([0.1]), 1.0)
         parts.loc = basis.locator.locate_many(parts.x)
         asm = GridAssembler(basis)
-        elem, dofs, vals, _ = evaluated(basis, parts)
-        op = asm.mass(elem, dofs, vals, parts.m, MassMode.CONSISTENT)
+        elem, tr = evaluated(basis, parts)
+        op = asm.mass(tr, elem, parts.m, MassMode.CONSISTENT)
         rhs = np.zeros(basis.n_bf)
-        rhs[dofs[0]] = 1.0
-        with pytest.raises(SolverDiverged):
-            solve_grid(op, rhs, ConstraintReduction.identity(basis.n_bf),
+        rhs[tr.N.indices[0]] = 1.0
+        with pytest.raises(SolverDiverged, match="solve residual"):
+            solve_grid(op, rhs, ConstraintReduction(basis.n_bf, []),
                        parts.m.mean())
+
+
+    def test_diagonal_ratio_checks_consistent_rows_only(self):
+        # three particles hug the edge y = 0 of element 0 = (0, 1, 2), where
+        # the hat of vertex 2 = (1, 1) equals y: its diagonal is ~1e-9 of
+        # the others
+        basis = hat_basis(unit_square_mesh())
+        pts = np.array([[0.3, 1e-5], [0.6, 1e-5], [0.9, 2e-5]])
+        parts = Particles(pts, np.full(3, 0.1), 1.0)
+        parts.loc = basis.locator.locate_many(parts.x)
+        elem, tr = evaluated(basis, parts)
+        asm = GridAssembler(basis)
+        red = ConstraintReduction(basis.n_bf, [])
+        rhs = np.ones(basis.n_bf)
+        op = asm.mass(tr, elem, parts.m, MassMode.CONSISTENT)
+        with pytest.raises(SolverDiverged, match="diagonal ratio"):
+            solve_grid(op, rhs, red, parts.m.mean())
+        # element 1 is empty: partial mode lumps vertex 2's row and checks
+        # vertex 1's alone; lumped mode checks no row
+        op = asm.mass(tr, elem, parts.m, MassMode.PARTIAL)
+        assert op.marked.tolist() == [True, False, True, True]
+        assert np.isfinite(solve_grid(op, rhs, red, parts.m.mean())).all()
+        op = asm.mass(tr, elem, parts.m, MassMode.LUMPED)
+        assert np.isfinite(solve_grid(op, rhs, red, parts.m.mean())).all()
+
+    def test_undersampled_projection_is_solved(self):
+        # a 10 x 10 lattice leaves three particles in each corner element:
+        # some spline combinations vanish at every particle, so the
+        # consistent matrix is singular, yet a momentum projection has a
+        # solution, and for a linear field it is exact at the particles
+        basis = square_ps_basis(seed=16)
+        parts = init_particles(basis.locator,
+                               ParticleLayout(kind="lattice", nx=10, ny=10),
+                               rho0=4.0)
+        parts.v = np.column_stack([0.3 * parts.x[:, 0] - 0.1,
+                                   0.2 * parts.x[:, 1] + 0.5 * parts.x[:, 0]])
+        elem, tr = evaluated(basis, parts)
+        asm = GridAssembler(basis)
+        op = asm.mass(tr, elem, parts.m, MassMode.CONSISTENT)
+        eig = np.linalg.eigvalsh(op.matrix.toarray())
+        assert eig[0] < 1e-14 * eig[-1]
+        momentum = asm.momentum(tr, parts)
+        red = ConstraintReduction(basis.n_bf, [])
+        v_hat = np.column_stack([
+            solve_grid(op, momentum[:, k], red, parts.m.mean())
+            for k in range(2)])
+        assert_allclose(tr.N @ v_hat, parts.v, rtol=0, atol=1e-10)
+
+
+class TestSolveProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(mesh_seed=st.integers(0, 7), subset_seed=st.integers(0, 2 ** 32 - 1),
+           mode=st.sampled_from(list(MassMode)), comp=st.sampled_from((0, 1)))
+    def test_matches_dense_reduced_solve(self, mesh_seed, subset_seed, mode,
+                                         comp):
+        basis = cached_ps_basis(mesh_seed)
+        tri = basis.tri
+        rng = np.random.default_rng(subset_seed)
+        # particles of a random subset of elements; at least one is empty
+        kept = rng.random(tri.n_elements) > 0.3
+        kept[rng.integers(tri.n_elements)] = False
+        full = init_particles(basis.locator,
+                              ParticleLayout(kind="ppe", ppe=16), rho0=1.0)
+        keep = kept[full.loc[0]]
+        parts = Particles(full.x[keep], full.V[keep], 1.0)
+        parts.loc = tuple(a[keep] for a in full.loc)
+        elem, tr = evaluated(basis, parts)
+        op = GridAssembler(basis).mass(tr, elem, parts.m, mode)
+        rows = basis.constraint_rows(rectangle_constraints(tri, PLATE_SIDES))
+        red = ConstraintReduction(basis.n_bf, rows[comp])
+        rhs = rng.normal(size=basis.n_bf)
+        got = solve_grid(op, rhs, red, parts.m.mean())
+
+        # dense oracle: the row-replaced matrix, reduced, on the active dofs
+        dofs, vals, _ = basis.evaluate_located(*parts.loc)
+        n_mat = np.zeros((parts.n, basis.n_bf))
+        np.put_along_axis(n_mat, dofs, vals, axis=1)
+        consistent = n_mat.T @ (parts.m[:, None] * n_mat)
+        lumped = consistent.sum(axis=1)
+        marked = np.full(basis.n_bf, mode is MassMode.LUMPED)
+        if mode is MassMode.PARTIAL:
+            marked[np.unique(basis.element_dofs[~kept])] = True
+            assert np.array_equal(op.marked, marked)
+        effective = np.where(marked[:, None], np.diag(lumped), consistent)
+        p = red.P.toarray()
+        a = p.T @ effective @ p
+        active = np.diag(a) > 1e-12 * parts.m.mean()
+        x = np.zeros(p.shape[1])
+        x[active] = np.linalg.solve(a[np.ix_(active, active)],
+                                    (p.T @ rhs)[active])
+        want = p @ x
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 class TestConstraintReduction:
@@ -367,21 +492,33 @@ class TestStepContracts:
         system, parts = self.make_system(MassMode.CONSISTENT)
         rng = np.random.default_rng(8)
         parts.v = rng.normal(size=(parts.n, 2))
-        elem, sub, eta = parts.loc
-        dofs, vals, _ = system.basis.evaluate_located(elem, sub, eta)
-        momentum = system.assembler.momentum(dofs, vals, parts)
+        elem, tr = evaluated(system.basis, parts)
+        momentum = system.assembler.momentum(tr, parts)
         target = (parts.m[:, None] * parts.v).sum(axis=0)
         assert_allclose(momentum.sum(axis=0), target, rtol=1e-10)
+        op = system.assembler.mass(tr, elem, parts.m, MassMode.CONSISTENT)
         v_hat = np.column_stack([
-            solve_grid(system.assembler.mass(elem, dofs, vals, parts.m,
-                                             MassMode.CONSISTENT),
-                       momentum[:, k],
-                       ConstraintReduction.identity(system.basis.n_bf),
+            solve_grid(op, momentum[:, k],
+                       ConstraintReduction(system.basis.n_bf, []),
                        parts.m.mean())
             for k in range(2)])
-        op = system.assembler.mass(elem, dofs, vals, parts.m,
-                                   MassMode.CONSISTENT)
         assert_allclose((op.matrix @ v_hat).sum(axis=0), target, rtol=1e-8)
+
+    def test_one_factorisation_per_component_per_step(self, monkeypatch):
+        calls = []
+        splu = mpm_core.spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(mpm_core.spla, "splu", counting)
+        for mode in MassMode:
+            system, parts = self.make_system(mode)
+            parts.v[:, 0] = 0.3 * parts.x[:, 0]
+            calls.clear()
+            system.step(parts, 0.0)
+            assert len(calls) == 2, mode
 
     def test_deformation_volume_density_updates(self):
         system, parts = self.make_system()
@@ -425,17 +562,16 @@ class TestStepContracts:
 
         elem, sub, eta = parts_b.loc
         dofs, vals, grads = basis.evaluate_located(elem, sub, eta)
-        op = system.assembler.mass(elem, dofs, vals, parts_b.m,
-                                   MassMode.CONSISTENT)
-        f_trac, f_int, f_body = system.assembler.forces(
-            dofs, vals, grads, parts_b)
-        rhs = f_trac - f_int + f_body
+        tr = Transfer(basis.n_bf, dofs, vals, grads)
+        op = system.assembler.mass(tr, elem, parts_b.m, MassMode.CONSISTENT)
+        f_int, f_body = system.assembler.forces(tr, parts_b)
+        rhs = f_body - f_int
         red = system.reductions
         a_hat = np.column_stack([
             solve_grid(op, rhs[:, k], red[k], parts_b.m.mean())
             for k in range(2)])
         parts_b.v += system.dt * np.einsum('pf,pfk->pk', vals, a_hat[dofs])
-        momentum = system.assembler.momentum(dofs, vals, parts_b)
+        momentum = system.assembler.momentum(tr, parts_b)
         v_hat = np.column_stack([
             solve_grid(op, momentum[:, k], red[k], parts_b.m.mean())
             for k in range(2)])
