@@ -15,6 +15,7 @@ object can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,25 +110,48 @@ def convex_hull(points):
     return hull
 
 
-def _contains_all(corners, points, tol=1e-10):
-    m = np.empty((3, 3))
-    m[:2, :] = corners.T
-    m[2, :] = 1.0
-    det = np.linalg.det(m)
-    if abs(det) < 1e-14:
-        return False
-    ph = np.column_stack([points, np.ones(len(points))])
-    eta = np.linalg.solve(m, ph.T)
-    return bool(eta.min() >= -tol)
+# Barycentric slack of the control-triangle containment test.
+CONTAIN_TOL = 1e-10
 
 
-def _line_intersection(p0, d0, p1, d1):
-    mat = np.column_stack([d0, -d1])
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    if abs(det) < 1e-14 * max(np.abs(mat).max(), 1e-300) ** 2:
-        return None
-    s = np.linalg.solve(mat, p1 - p0)[0]
-    return p0 + s * d0
+@functools.lru_cache(maxsize=None)
+def _candidate_tables(m):
+    """Index tables of the flush-edge candidates of an m-corner hull.
+
+    Returns ``(pair_i, pair_j, cand)``.  ``pair_i < pair_j`` are the hull
+    edge pairs in loop order (i outer, j inner).  ``cand`` has one row
+    ``(ij, jk, ik, v)`` per candidate, in enumeration order: for each pair
+    ij, first the three-line candidates with the third edge k > j
+    (``jk``/``ik`` index pairs (j, k) and (i, k), ``v = -1``), then the
+    midpoint candidates through hull vertex ``v = 0 .. m-1``
+    (``jk = ik = -1``).
+    """
+    pair_i, pair_j = np.triu_indices(m, 1)
+    pair_id = np.full((m, m), -1, dtype=np.intp)
+    pair_id[pair_i, pair_j] = np.arange(len(pair_i))
+    rows = []
+    for p, (i, j) in enumerate(zip(pair_i, pair_j)):
+        rows.extend((p, pair_id[j, k], pair_id[i, k], -1)
+                    for k in range(j + 1, m))
+        rows.extend((p, -1, -1, v) for v in range(m))
+    return pair_i, pair_j, np.array(rows, dtype=np.intp)
+
+
+def _line_intersections(p0, d0, p1, d1):
+    """Intersections of the lines ``p0 + s d0`` and ``p1 + t d1``, batched.
+
+    Returns ``(x, ok)``: (n, 2) points and an (n,) mask that is False for
+    lines parallel to within ``1e-14`` of the squared direction scale,
+    where ``x`` is left NaN.
+    """
+    mat = np.stack([d0, -d1], axis=2)
+    det = mat[:, 0, 0] * mat[:, 1, 1] - mat[:, 0, 1] * mat[:, 1, 0]
+    scale = np.maximum(np.abs(mat).max(axis=(1, 2)), 1e-300) ** 2
+    ok = ~(np.abs(det) < 1e-14 * scale)
+    x = np.full(p0.shape, np.nan)
+    s = np.linalg.solve(mat[ok], (p1 - p0)[ok][:, :, None])[:, 0]
+    x[ok] = p0[ok] + s * d0[ok]
+    return x, ok
 
 
 def min_area_control_triangle(points):
@@ -139,52 +163,58 @@ def min_area_control_triangle(points):
     cutting a wedge).  The enumeration covers the two- and three-shared-edge
     constructions and always yields at least one containing triangle.
 
-    Returns the (3, 2) corner array of the winning candidate; ties keep the
-    candidate that comes first in hull-edge enumeration order.
+    All candidates of the hull are built at once from index tables
+    memoised per hull size, in a fixed order: for each hull-edge pair
+    i < j, the three-line candidates with third edge k > j, then the
+    midpoint candidates through each hull vertex.  Intersections, midpoint
+    constructions and containment use batched ``np.linalg.solve``/``det``,
+    one small LAPACK call per candidate, so every corner is the same to the
+    bit as a candidate-by-candidate loop would give.  Parallel edge pairs
+    and candidates whose corner matrix is singular are masked out before
+    solving.
+
+    Returns the (3, 2) corner array of the winning candidate: the first
+    candidate in that order with the least positive finite area among
+    those containing every point, so ties keep the earlier candidate.
     """
     pts = np.asarray(points, dtype=float)
     hull = convex_hull(pts)
-    m = len(hull)
     dirs = np.roll(hull, -1, axis=0) - hull
+    pair_i, pair_j, cand = _candidate_tables(len(hull))
+    x, ok = _line_intersections(hull[pair_i], dirs[pair_i],
+                                hull[pair_j], dirs[pair_j])
 
-    best = None
-    best_area = np.inf
+    ij, jk, ik, v = cand.T
+    three = v < 0
+    corners = np.full((len(cand), 3, 2), np.nan)
+    sel = three & ok[ij] & ok[jk] & ok[ik]
+    corners[sel] = np.stack([x[ij[sel]], x[jk[sel]], x[ik[sel]]], axis=1)
+    # third side through hull vertex v, with v as the chord midpoint
+    sel = ~three & ok[ij]
+    xij = x[ij[sel]]
+    di = dirs[pair_i[ij[sel]]]
+    dj = dirs[pair_j[ij[sel]]]
+    st = np.linalg.solve(np.stack([di, dj], axis=2),
+                         (2.0 * (hull[v[sel]] - xij))[:, :, None])[:, :, 0]
+    corners[sel] = np.stack([xij, xij + st[:, :1] * di,
+                             xij + st[:, 1:] * dj], axis=1)
 
-    def consider(corners):
-        nonlocal best, best_area
-        area = abs(0.5 * cross2(corners[1] - corners[0],
-                                corners[2] - corners[0]))
-        if area >= best_area or area <= 0.0:
-            return
-        if _contains_all(corners, pts):
-            best = corners
-            best_area = area
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            xij = _line_intersection(hull[i], dirs[i], hull[j], dirs[j])
-            for k in range(j + 1, m):
-                xik = _line_intersection(hull[i], dirs[i], hull[k], dirs[k])
-                xjk = _line_intersection(hull[j], dirs[j], hull[k], dirs[k])
-                if xij is None or xik is None or xjk is None:
-                    continue
-                consider(np.array([xij, xjk, xik]))
-            if xij is None:
-                continue
-            for v in hull:
-                # third side through v with v as the chord midpoint
-                mat = np.column_stack([dirs[i], dirs[j]])
-                try:
-                    st = np.linalg.solve(mat, 2.0 * (v - xij))
-                except np.linalg.LinAlgError:
-                    continue
-                a = xij + st[0] * dirs[i]
-                b = xij + st[1] * dirs[j]
-                consider(np.array([xij, a, b]))
-
-    if best is None:
+    area = np.abs(0.5 * cross2(corners[:, 1] - corners[:, 0],
+                               corners[:, 2] - corners[:, 0]))
+    idx = np.nonzero((area > 0.0) & (area < np.inf))[0]
+    mat = np.ones((len(idx), 3, 3))
+    mat[:, :2, :] = corners[idx].transpose(0, 2, 1)
+    regular = ~(np.abs(np.linalg.det(mat)) < 1e-14)
+    idx, mat = idx[regular], mat[regular]
+    ph = np.column_stack([pts, np.ones(len(pts))]).T
+    eta = np.linalg.solve(mat, np.broadcast_to(ph, (len(idx),) + ph.shape))
+    score = np.full(len(cand), np.inf)
+    inside = idx[eta.min(axis=(1, 2)) >= -CONTAIN_TOL]
+    score[inside] = area[inside]
+    best = int(np.argmin(score))
+    if score[best] == np.inf:
         raise CollinearPoints("no enclosing flush-edge triangle found")
-    return best
+    return corners[best].copy()
 
 
 def compute_triplets(corners, v):
@@ -215,23 +245,25 @@ def ps_points(ref: PSRefinement, vertex: int):
 
     The incident split edges are the spokes to the interior points of the
     surrounding elements and the vertex-side halves of the incident mesh
-    edges.  Duplicates (if any) are removed with a mesh-scale tolerance.
+    edges, in the order of ``vertex_elements`` and ``vertex_edges``.
+    Duplicates (if any) are removed with a mesh-scale tolerance, keeping
+    the first of each cluster.
     """
     tri = ref.parent
     v = tri.nodes[vertex]
-    pts = [v]
-    for e in tri.vertex_elements[vertex]:
-        pts.append(0.5 * (v + ref.interior_points[e]))
-    edge_ids = np.nonzero((tri.edges == vertex).any(axis=1))[0]
-    for idx in edge_ids:
-        pts.append(0.5 * (v + ref.edge_points[idx]))
-    pts = np.asarray(pts)
+    pts = np.concatenate([
+        v[None, :],
+        0.5 * (v + ref.interior_points[tri.vertex_elements[vertex]]),
+        0.5 * (v + ref.edge_points[tri.vertex_edges[vertex]])])
     scale = max(np.ptp(pts, axis=0).max(), 1e-300)
-    keep = []
-    for p in pts:
-        if not any(np.hypot(*(p - q)) <= 1e-12 * scale for q in keep):
-            keep.append(p)
-    return np.asarray(keep)
+    d = pts[:, None, :] - pts[None, :, :]
+    close = np.triu(np.hypot(d[..., 0], d[..., 1]) <= 1e-12 * scale, 1)
+    keep = np.ones(len(pts), dtype=bool)
+    # pairs come row by row, so keep[i] is final before row i is read
+    for i, j in zip(*np.nonzero(close)):
+        if keep[i]:
+            keep[j] = False
+    return pts[keep]
 
 
 class BasisSet:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import DirichletConstraint, hat_basis, ps_basis
 from .errors import MismatchedSeries, ValidationError
-from .mesh import Triangulation, ps_refine
+from .mesh import PSRefinement, Triangulation, ps_refine
 from .mpm_core import (MassMode, MaterialModel, MpmSystem, ParticleLayout,
                        init_particles)
 
@@ -156,6 +156,9 @@ class BenchmarkSpec:
     initial_velocity: object = None      # callable (x0) -> (n, 2)
     h_typical: float = 0.0               # element length entering the CFL check
     seed: int = 0
+    # spline refinement of ``tri`` when the spec builder already made one;
+    # build_system refines ``tri`` itself when this is None
+    refinement: PSRefinement | None = None
 
     @property
     def courant(self):
@@ -170,7 +173,8 @@ class BenchmarkSpec:
 def build_system(spec: BenchmarkSpec):
     """Construct (system, particles) for a benchmark specification."""
     if spec.basis_kind == "ps":
-        basis = ps_basis(ps_refine(spec.tri))
+        ref = spec.refinement
+        basis = ps_basis(ps_refine(spec.tri) if ref is None else ref)
     elif spec.basis_kind == "hat":
         basis = hat_basis(spec.tri)
     else:
@@ -295,8 +299,10 @@ def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None, periods=1.0,
     if courant is None:
         courant = default_courant
     tri = generate_mesh("jittered", h, (0.0, 0.0, 1.0, 1.0), seed=seed)
+    refinement = None
     if basis_kind == "ps":
-        h_typ = ps_refine(tri).mean_sub_edge_length()
+        refinement = ps_refine(tri)
+        h_typ = refinement.mean_sub_edge_length()
     else:
         h_typ = tri.mean_edge_length()
     wave = np.sqrt(params.E / params.rho0)
@@ -324,7 +330,7 @@ def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None, periods=1.0,
         fixed_sides={"left": (0,), "right": (0,), "bottom": (1,), "top": (1,)},
         body_force=body_force,
         initial_velocity=initial_velocity,
-        h_typical=h_typ, seed=seed)
+        h_typical=h_typ, seed=seed, refinement=refinement)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from .errors import DegenerateTriangle, MeshDegenerate, ParseError, RefinementFa
 
 # Barycentric slack used when deciding containment during point location.
 LOCATE_TOL = 1e-12
+# Points per batch when testing candidate tables in PointLocator.
+LOCATE_CHUNK = 8192
 
 
 def cross2(a, b):
@@ -34,6 +36,35 @@ def signed_area(v0, v1, v2):
     v0 = np.asarray(v0, dtype=float)
     return 0.5 * cross2(np.asarray(v1, dtype=float) - v0,
                         np.asarray(v2, dtype=float) - v0)
+
+
+def _min3(eta):
+    """Smallest of the three barycentrics along the last axis; the same
+    value as ``eta.min(axis=-1)``, without the slow short-axis reduction."""
+    return np.minimum(np.minimum(eta[..., 0], eta[..., 1]), eta[..., 2])
+
+
+def _ragged_arange(counts):
+    """Concatenation of ``arange(c)`` for every ``c`` in ``counts``."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+
+
+def _group_rows(table, n):
+    """For each value 0..n-1, the ascending row ids of ``table`` holding it."""
+    flat = table.ravel()
+    rows = np.argsort(flat, kind="stable") // table.shape[1]
+    return np.split(rows, np.cumsum(np.bincount(flat, minlength=n))[:-1])
+
+
+def _padded_table(keys, values, n_rows):
+    """(n_rows, width) table; row r lists the ``values`` whose key is r, in
+    input order, padded with -1."""
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=n_rows)
+    table = np.full((n_rows, counts.max(initial=0)), -1, dtype=int)
+    table[keys[order], _ragged_arange(counts)] = values[order]
+    return table
 
 
 def _check_not_degenerate(verts):
@@ -101,7 +132,8 @@ class Triangulation:
         element_edges: (n_e, 3) edge id of local edges (0,1), (1,2), (2,0).
         boundary_edges: list of (node_a, node_b, outward_unit_normal) with
             (a, b) in the CCW order of the owning element.
-        vertex_elements: per-vertex list of incident element ids.
+        vertex_elements: per-vertex list of incident element ids, ascending.
+        vertex_edges: per-vertex list of incident edge ids, ascending.
     """
 
     def __init__(self, nodes, elements):
@@ -175,11 +207,8 @@ class Triangulation:
         ) if boundary else np.empty(0, dtype=int)
 
     def _build_incidence(self):
-        incidence = [[] for _ in range(self.n_nodes)]
-        for e, tri in enumerate(self.elements):
-            for v in tri:
-                incidence[v].append(e)
-        self.vertex_elements = [np.asarray(lst, dtype=int) for lst in incidence]
+        self.vertex_elements = _group_rows(self.elements, self.n_nodes)
+        self.vertex_edges = _group_rows(self.edges, self.n_nodes)
 
     def element_coords(self, e):
         """(3, 2) vertex coordinates of element ``e``."""
@@ -342,17 +371,14 @@ class PointLocator:
 
         nodes = tri.nodes
         el = tri.elements
-        self.elem_inv = np.empty((tri.n_elements, 3, 3))
-        for e in range(tri.n_elements):
-            m = np.empty((3, 3))
-            m[:2, :] = nodes[el[e]].T
-            m[2, :] = 1.0
-            self.elem_inv[e] = np.linalg.inv(m)
+        coords = nodes[el]                              # (n_e, 3, 2)
+        m = np.ones((tri.n_elements, 3, 3))
+        m[:, :2, :] = coords.transpose(0, 2, 1)
+        self.elem_inv = np.linalg.inv(m)
 
         lo, hi = tri.bbox()
-        self.lo = lo
+        self.lo, self.hi = lo, hi
         span = np.maximum(hi - lo, 1e-300)
-        coords = nodes[el]                              # (n_e, 3, 2)
         diam = np.linalg.norm(
             coords - np.roll(coords, 1, axis=1), axis=2).max(axis=1)
         cell = float(np.mean(diam))
@@ -360,35 +386,58 @@ class PointLocator:
         self.ny = max(1, int(np.ceil(span[1] / cell)))
         self.cell = np.array([span[0] / self.nx, span[1] / self.ny])
 
-        bins = [[] for _ in range(self.nx * self.ny)]
-        for e in range(tri.n_elements):
-            bmin = np.floor((coords[e].min(axis=0) - lo) / self.cell).astype(int)
-            bmax = np.floor((coords[e].max(axis=0) - lo) / self.cell).astype(int)
-            bmin = np.clip(bmin, 0, [self.nx - 1, self.ny - 1])
-            bmax = np.clip(bmax, 0, [self.nx - 1, self.ny - 1])
-            for ix in range(bmin[0], bmax[0] + 1):
-                for iy in range(bmin[1], bmax[1] + 1):
-                    bins[ix * self.ny + iy].append(e)
-        self.bins = [np.asarray(b, dtype=int) for b in bins]
+        # bin -> elements whose bounding box overlaps it, ascending
+        bmin = np.floor((coords.min(axis=1) - lo) / self.cell).astype(int)
+        bmax = np.floor((coords.max(axis=1) - lo) / self.cell).astype(int)
+        bmin = np.clip(bmin, 0, [self.nx - 1, self.ny - 1])
+        bmax = np.clip(bmax, 0, [self.nx - 1, self.ny - 1])
+        span_y = bmax[:, 1] - bmin[:, 1] + 1
+        counts = (bmax[:, 0] - bmin[:, 0] + 1) * span_y
+        owner = np.repeat(np.arange(tri.n_elements), counts)
+        k = _ragged_arange(counts)
+        ix = bmin[owner, 0] + k // span_y[owner]
+        iy = bmin[owner, 1] + k % span_y[owner]
+        self.bin_table = _padded_table(ix * self.ny + iy, owner,
+                                       self.nx * self.ny)
 
         # element -> elements sharing at least one vertex (includes self),
-        # used as the fast candidate set for incrementally moving points;
-        # padded with -1 to a rectangular table for vectorised lookups
-        neigh = []
-        for e in range(tri.n_elements):
-            cand = np.unique(np.concatenate(
-                [tri.vertex_elements[v] for v in el[e]]))
-            neigh.append(cand)
-        width = max(len(c) for c in neigh) if neigh else 0
-        self.neighbor_table = np.full((tri.n_elements, width), -1, dtype=int)
-        for e, cand in enumerate(neigh):
-            self.neighbor_table[e, :len(cand)] = cand
+        # ascending: the candidate set for incrementally moving points
+        flat = el.ravel()
+        other = np.concatenate([tri.vertex_elements[v] for v in flat])
+        owner = np.repeat(np.arange(len(flat)) // 3,
+                          np.bincount(flat, minlength=tri.n_nodes)[flat])
+        pairs = np.unique(owner * tri.n_elements + other)
+        self.neighbor_table = _padded_table(
+            pairs // tri.n_elements, pairs % tri.n_elements, tri.n_elements)
 
-    def _bin_candidates(self, p):
-        ij = np.floor((np.asarray(p) - self.lo) / self.cell).astype(int)
-        if ij[0] < 0 or ij[0] >= self.nx or ij[1] < 0 or ij[1] >= self.ny:
-            return np.empty(0, dtype=int)
-        return self.bins[ij[0] * self.ny + ij[1]]
+    def _bin_rows(self, pts):
+        """Which points lie in the mesh's bounding box, and their bin-table
+        rows.  Points on the top or right side of the box go to the last
+        bin row or column."""
+        inside = np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
+        ij = np.floor((pts[inside] - self.lo) / self.cell).astype(int)
+        ij = np.minimum(ij, [self.nx - 1, self.ny - 1])
+        return inside, ij[:, 0] * self.ny + ij[:, 1]
+
+    def _first_containing(self, table, rows, ph):
+        """First element of each point's candidate row that contains it.
+
+        Point k is tested against ``table[rows[k]]`` (padded with -1) and
+        gets the first containing candidate in table order, or -1.  Points
+        go in chunks of ``LOCATE_CHUNK``, which bounds the gathered
+        (chunk, width, 3, 3) inverse maps to a few MB.
+        """
+        out = np.full(len(rows), -1, dtype=int)
+        for lo in range(0, len(rows), LOCATE_CHUNK):
+            part = slice(lo, lo + LOCATE_CHUNK)
+            cand = table[rows[part]]
+            etas = np.einsum('mwij,mj->mwi', self.elem_inv[np.maximum(cand, 0)],
+                             ph[part])
+            good = (_min3(etas) >= -LOCATE_TOL) & (cand >= 0)
+            first = good.argmax(axis=1)
+            k = np.arange(len(cand))
+            out[part] = np.where(good[k, first], cand[k, first], -1)
+        return out
 
     def _element_bary(self, e, p):
         return self.elem_inv[e] @ np.array([p[0], p[1], 1.0])
@@ -415,7 +464,12 @@ class PointLocator:
         when the point is outside the mesh.  Ties on shared edges resolve
         to the lowest element index, then the lowest sub-triangle index.
         """
-        for e in self._bin_candidates(p):
+        inside, row = self._bin_rows(np.asarray(p, dtype=float)[None, :])
+        if not inside[0]:
+            return None
+        for e in self.bin_table[row[0]]:
+            if e < 0:
+                break
             eta = self._element_bary(e, p)
             if eta.min() >= -LOCATE_TOL:
                 if self.refinement is None:
@@ -426,6 +480,16 @@ class PointLocator:
 
     def locate_many(self, points, hint=None):
         """Vectorised location of many points.
+
+        A point with a hint is tested against its hint element, then
+        against the hint's row of ``neighbor_table``.  Points still
+        unlocated, and all points without a hint, are tested against their
+        bin's row of ``bin_table``.  Both passes test every point's row at
+        once, in chunks of ``LOCATE_CHUNK`` points, and take the first
+        containing element in row order.  Rows list elements in ascending
+        order, so without a hint ties on shared edges resolve as in
+        :meth:`locate`.  The sub-triangle pass runs in the same chunks,
+        which bounds every gathered array to a few MB.
 
         Args:
             points: (n, 2) array.
@@ -446,33 +510,20 @@ class PointLocator:
         pending = np.arange(n)
         if hint is not None and n:
             hint = np.asarray(hint, dtype=int)
-            ok_hint = hint >= 0
-            idx = np.nonzero(ok_hint)[0]
+            idx = np.nonzero(hint >= 0)[0]
             if len(idx):
                 eta = np.einsum('pij,pj->pi', self.elem_inv[hint[idx]], ph[idx])
-                inside = eta.min(axis=1) >= -LOCATE_TOL
+                inside = _min3(eta) >= -LOCATE_TOL
                 elem[idx[inside]] = hint[idx[inside]]
-                # vectorised neighbour pass for points that left their hint:
-                # test all vertex-neighbour candidates at once and keep the
-                # first (lowest-position) containing one
                 miss = idx[~inside]
-                if len(miss):
-                    cand = self.neighbor_table[hint[miss]]     # (m, w)
-                    safe = np.maximum(cand, 0)
-                    etas = np.einsum('mwij,mj->mwi', self.elem_inv[safe],
-                                     ph[miss])
-                    good = (etas.min(axis=2) >= -LOCATE_TOL) & (cand >= 0)
-                    first = good.argmax(axis=1)
-                    found = good[np.arange(len(miss)), first]
-                    elem[miss[found]] = cand[np.arange(len(miss)), first][found]
+                elem[miss] = self._first_containing(
+                    self.neighbor_table, hint[miss], ph[miss])
             pending = np.nonzero(elem < 0)[0]
 
-        for i in pending:
-            for e in self._bin_candidates(pts[i]):
-                eta1 = self.elem_inv[e] @ ph[i]
-                if eta1.min() >= -LOCATE_TOL:
-                    elem[i] = e
-                    break
+        in_box, rows = self._bin_rows(pts[pending])
+        pending = pending[in_box]
+        elem[pending] = self._first_containing(self.bin_table, rows,
+                                               ph[pending])
 
         sub = np.full(n, -1, dtype=int)
         eta = np.zeros((n, 3))
@@ -483,16 +534,17 @@ class PointLocator:
                                        self.elem_inv[elem[found]], ph[found])
             return elem, sub, eta
 
-        if found.any():
-            idx = np.nonzero(found)[0]
+        idx = np.nonzero(found)[0]
+        for lo in range(0, len(idx), LOCATE_CHUNK):
+            part = idx[lo:lo + LOCATE_CHUNK]
             all_eta = np.einsum('psij,pj->psi',
-                                self.refinement.sub_inv[elem[idx]], ph[idx])
-            mins = all_eta.min(axis=2)                     # (k, 6)
+                                self.refinement.sub_inv[elem[part]], ph[part])
+            mins = _min3(all_eta)                          # (k, 6)
             inside = mins >= -LOCATE_TOL
             first = np.where(inside.any(axis=1),
                              inside.argmax(axis=1), mins.argmax(axis=1))
-            sub[idx] = first
-            eta[idx] = all_eta[np.arange(len(idx)), first]
+            sub[part] = first
+            eta[part] = all_eta[np.arange(len(part)), first]
         return elem, sub, eta
 
 

@@ -65,10 +65,14 @@ RESIDUAL_RTOL = 1e-10
 ILL_CONDITION_RATIO = 1e8
 
 # A single acceleration step that kicks a particle past this multiple of the
-# material wave speed marks the solve as diverged: the motions simulated
-# here are far subsonic, and accelerations of that size only arise when
-# weakly supported basis functions destabilise the consistent solve.
+# material wave speed marks the step as diverged: the motions simulated
+# here are far subsonic, so a kick of that size is no resolved physics.
 VELOCITY_BLOWUP_FACTOR = 10.0
+
+# A velocity projection whose strain increment over one step exceeds this
+# marks the step as diverged: half a unit of strain in one step cannot come
+# from resolved physics.
+STRAIN_INCREMENT_LIMIT = 0.5
 
 
 class MassMode(enum.Enum):
@@ -443,10 +447,17 @@ def solve_grid(mass_op: MassOperator, rhs, reduction: ConstraintReduction,
     functions without mass.  Constraints are imposed homogeneously.
 
     Raises:
+        ValidationError: when ``reduction`` comes from inhomogeneous
+            constraint rows (a nonzero ``offset``), which this solve would
+            otherwise silently drop.
         SolverDiverged: when the diagonal ratio of the consistent rows of
             ``A`` exceeds ``ILL_CONDITION_RATIO``, or when the residual
             ``|A x - b|`` exceeds ``RESIDUAL_RTOL * |b|``.
     """
+    if np.any(reduction.offset):
+        raise ValidationError(
+            f"{context or 'solve'}: solve_grid imposes constraints "
+            "homogeneously; this reduction has a nonzero offset")
     active, a, lu = _factorised(
         mass_op, reduction, ZERO_MASS_REL_TOL * mean_particle_mass, context)
     x = np.zeros(reduction.n_reduced)
@@ -527,12 +538,13 @@ class MpmSystem:
         if self.mass_mode is not MassMode.LUMPED:
             wave = self.material.wave_speed(float(particles.rho.mean()))
             kick = float(np.abs(dv).max())
-            if kick > VELOCITY_BLOWUP_FACTOR * wave:
+            limit = VELOCITY_BLOWUP_FACTOR * wave
+            if kick > limit:
                 raise SolverDiverged(
-                    f"acceleration solve produced a velocity increment of "
-                    f"{kick:.3g} m/s (wave speed {wave:.3g}) at t={t:.6g}; "
-                    "the consistent mass matrix is destabilised by weakly "
-                    "supported basis functions")
+                    f"velocity-kick check at t={t:.6g}: the acceleration "
+                    f"solve changed a particle velocity by {kick:.3g} m/s "
+                    f"in one step, above the threshold {limit:.3g} m/s "
+                    f"({VELOCITY_BLOWUP_FACTOR:g} wave speeds)")
         particles.v += dv
 
         momentum = self.assembler.momentum(transfer, particles)
@@ -546,15 +558,12 @@ class MpmSystem:
         eps = 0.5 * (grad_v + np.swapaxes(grad_v, 1, 2))
         if self.mass_mode is not MassMode.LUMPED:
             increment = self.dt * float(np.abs(eps).max())
-            if increment > 0.5:
-                # a half-unit strain in one step cannot come from resolved
-                # physics; the projected field has grid-scale oscillations
-                # from an ill-conditioned consistent block
+            if increment > STRAIN_INCREMENT_LIMIT:
                 raise SolverDiverged(
-                    f"velocity projection produced a strain increment of "
-                    f"{increment:.3g} in one step at t={t:.6g}; the "
-                    "consistent mass matrix is destabilised by weakly "
-                    "supported basis functions")
+                    f"strain-increment check at t={t:.6g}: the velocity "
+                    f"projection gave a one-step strain increment of "
+                    f"{increment:.3g}, above the threshold "
+                    f"{STRAIN_INCREMENT_LIMIT:g}")
         eye = np.zeros_like(eps)
         eye[:, 0, 0] = eye[:, 1, 1] = 1.0
         particles.D = np.matmul(eye + self.dt * eps, particles.D)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from psmpm.basis import (DirichletConstraint, compute_triplets, convex_hull,
@@ -10,7 +12,7 @@ from psmpm.basis import (DirichletConstraint, compute_triplets, convex_hull,
 from psmpm.cli_io import generate_mesh
 from psmpm.errors import (CollinearPoints, InteriorVertexConstrained,
                           OutsideDomain, UnsupportedBoundaryTangent)
-from psmpm.mesh import Triangulation, ps_refine
+from psmpm.mesh import Triangulation, cross2, ps_refine
 from psmpm.mpm_core import ConstraintReduction
 
 
@@ -133,6 +135,107 @@ class TestControlTriangle:
         pts = np.column_stack([np.linspace(0, 1, 5), np.linspace(0, 2, 5)])
         with pytest.raises(CollinearPoints):
             min_area_control_triangle(pts)
+
+
+# Reference: the candidate-by-candidate search that the batched
+# min_area_control_triangle replaced.  The batched one must return the same
+# corners to the bit, tie-break included.
+def ref_contains_all(corners, points, tol=1e-10):
+    m = np.empty((3, 3))
+    m[:2, :] = corners.T
+    m[2, :] = 1.0
+    det = np.linalg.det(m)
+    if abs(det) < 1e-14:
+        return False
+    ph = np.column_stack([points, np.ones(len(points))])
+    eta = np.linalg.solve(m, ph.T)
+    return bool(eta.min() >= -tol)
+
+
+def ref_line_intersection(p0, d0, p1, d1):
+    mat = np.column_stack([d0, -d1])
+    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    if abs(det) < 1e-14 * max(np.abs(mat).max(), 1e-300) ** 2:
+        return None
+    s = np.linalg.solve(mat, p1 - p0)[0]
+    return p0 + s * d0
+
+
+def ref_min_area_control_triangle(points):
+    pts = np.asarray(points, dtype=float)
+    hull = convex_hull(pts)
+    m = len(hull)
+    dirs = np.roll(hull, -1, axis=0) - hull
+    best = None
+    best_area = np.inf
+
+    def consider(corners):
+        nonlocal best, best_area
+        area = abs(0.5 * cross2(corners[1] - corners[0],
+                                corners[2] - corners[0]))
+        if area >= best_area or area <= 0.0:
+            return
+        if ref_contains_all(corners, pts):
+            best = corners
+            best_area = area
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            xij = ref_line_intersection(hull[i], dirs[i], hull[j], dirs[j])
+            for k in range(j + 1, m):
+                xik = ref_line_intersection(hull[i], dirs[i], hull[k], dirs[k])
+                xjk = ref_line_intersection(hull[j], dirs[j], hull[k], dirs[k])
+                if xij is None or xik is None or xjk is None:
+                    continue
+                consider(np.array([xij, xjk, xik]))
+            if xij is None:
+                continue
+            for v in hull:
+                mat = np.column_stack([dirs[i], dirs[j]])
+                try:
+                    step = np.linalg.solve(mat, 2.0 * (v - xij))
+                except np.linalg.LinAlgError:
+                    continue
+                a = xij + step[0] * dirs[i]
+                b = xij + step[1] * dirs[j]
+                consider(np.array([xij, a, b]))
+    if best is None:
+        raise CollinearPoints("no enclosing flush-edge triangle found")
+    return best
+
+
+def both_searches(points):
+    """Corner bytes of the reference and the batched search, or the
+    exception class each raised."""
+    out = []
+    for search in (ref_min_area_control_triangle, min_area_control_triangle):
+        try:
+            out.append(search(points).tobytes())
+        except CollinearPoints as exc:
+            out.append(type(exc))
+    return out
+
+
+class TestControlTriangleMatchesReference:
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]))
+    def test_jittered_mesh_vertices(self, seed, h):
+        ref = ps_refine(jittered(h=h, seed=seed))
+        picks = np.random.default_rng(seed).permutation(ref.parent.n_nodes)
+        for v in picks[:12]:
+            want, got = both_searches(ps_points(ref, v))
+            assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(pts=st.one_of(
+        arrays(float, st.tuples(st.integers(3, 12), st.just(2)),
+               elements=st.floats(-10.0, 10.0, allow_nan=False)),
+        # small integer lattices: duplicates, collinear hulls, tied areas
+        arrays(float, st.tuples(st.integers(3, 12), st.just(2)),
+               elements=st.integers(-3, 3).map(float))))
+    def test_point_clouds(self, pts):
+        want, got = both_searches(pts)
+        assert got == want
 
 
 class TestTriplets:

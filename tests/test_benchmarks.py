@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import psmpm.benchmarks as bm
 from psmpm.errors import MismatchedSeries
+from psmpm.mesh import ps_refine
 from psmpm.mpm_core import MassMode
 
 
@@ -155,6 +156,24 @@ class TestBenchmarkSpecs:
         spec = bm.mms_plate_spec("hat", 0.25, 16, seed=7, courant=0.36)
         assert_allclose(spec.courant, 0.36, rtol=0.05)
         assert spec.n_steps * spec.dt == pytest.approx(bm.MMS.period)
+
+    def test_spline_plate_refines_its_mesh_once(self, monkeypatch):
+        calls = []
+
+        def counted(tri):
+            calls.append(tri)
+            return ps_refine(tri)
+
+        monkeypatch.setattr(bm, "ps_refine", counted)
+        spec = bm.mms_plate_spec("ps", 0.25, 4, seed=7)
+        bm.build_system(spec)
+        assert len(calls) == 1
+        # the step size still comes from the average sub-triangle edge
+        h_typ = ps_refine(spec.tri).mean_sub_edge_length()
+        assert spec.h_typical == h_typ
+        wave = np.sqrt(bm.MMS.E / bm.MMS.rho0)
+        n_steps = max(1, int(round(bm.MMS.period / (0.15 * h_typ / wave))))
+        assert spec.dt == bm.MMS.period / n_steps
 
     def test_mms_initial_state_matches_exact_solution(self):
         spec = bm.mms_plate_spec("hat", 0.25, 16, seed=7)

@@ -1,9 +1,13 @@
 """Geometry, refinement, and point-location tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from psmpm import mesh
 from psmpm.cli_io import generate_mesh, write_mesh_file
 from psmpm.errors import DegenerateTriangle, MeshDegenerate, RefinementFailed
 from psmpm.mesh import (PointLocator, Triangulation, barycentric_coordinates,
@@ -197,6 +201,42 @@ class TestLocate:
         assert np.array_equal(e1, e2)
         assert np.array_equal(s1, s2)
         assert_allclose(t1, t2, atol=1e-13)
+
+
+class TestLocateProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]),
+           refined=st.booleans())
+    def test_unhinted_batch_matches_single_points(self, seed, h, refined):
+        tri = generate_mesh("jittered", h, (0.0, 0.0, 1.0, 1.0), seed=seed)
+        ref = ps_refine(tri) if refined else None
+        loc = PointLocator(tri, ref)
+        rng = np.random.default_rng(seed)
+        a = tri.nodes[tri.edges[:, 0]]
+        b = tri.nodes[tri.edges[:, 1]]
+        t = rng.random((len(a), 1))
+        pts = [tri.nodes, 0.5 * (a + b), t * a + (1.0 - t) * b,
+               rng.uniform(-0.25, 1.25, size=(200, 2))]
+        if refined:
+            # split points sit on the spokes between sub-triangles
+            pts += [ref.edge_points, ref.interior_points]
+        pts = np.concatenate(pts)
+
+        elem, sub, eta = loc.locate_many(pts)
+        with mock.patch.object(mesh, "LOCATE_CHUNK", 7):
+            chunked = loc.locate_many(pts)
+        for got, want in zip(chunked, (elem, sub, eta)):
+            assert got.tobytes() == want.tobytes()
+
+        in_box = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
+        assert np.all(elem[in_box] >= 0)
+        for p, e, s, et in zip(pts, elem, sub, eta):
+            single = loc.locate(p)
+            if single is None:
+                assert e == -1
+                continue
+            assert (single[0], single[1]) == (e, s)
+            assert_allclose(single[2], et, rtol=0, atol=1e-12)
 
 
 class TestMolecule:

@@ -381,6 +381,22 @@ class TestSolves:
             for k in range(2)])
         assert_allclose(tr.N @ v_hat, parts.v, rtol=0, atol=1e-10)
 
+    def test_inhomogeneous_reduction_rejected(self):
+        basis, parts, op, _ = self.make(MassMode.CONSISTENT)
+        vertex = int(basis.tri.boundary_nodes[0])
+        rows = basis.constraint_rows([DirichletConstraint(
+            vertex=vertex, component=0, value=0.25, tangent=(1.0, 0.0))])
+        red = ConstraintReduction(basis.n_bf, rows[0])
+        assert np.any(red.offset)
+        rhs = np.ones(basis.n_bf)
+        with pytest.raises(ValidationError, match="nonzero offset"):
+            solve_grid(op, rhs, red, parts.m.mean())
+        # the same rows with a zero value give a homogeneous reduction
+        rows = basis.constraint_rows([DirichletConstraint(
+            vertex=vertex, component=0, value=0.0, tangent=(1.0, 0.0))])
+        red = ConstraintReduction(basis.n_bf, rows[0])
+        assert np.all(np.isfinite(solve_grid(op, rhs, red, parts.m.mean())))
+
 
 class TestSolveProperty:
     @settings(max_examples=30, deadline=None)
@@ -602,6 +618,29 @@ class TestStepContracts:
         parts.v[:, 0] = -2.0 * (parts.x[:, 0] - 0.5)
         with pytest.raises((NonPositiveJacobian, ParticleLeftDomain)):
             system.step(parts, 0.0)
+
+    def test_velocity_kick_check_reports_value_threshold_and_time(self):
+        system, parts = self.make_system()
+        # a uniform body force is reproduced exactly: every kick is dt * 1e6
+        system.body_force = lambda x0, t: np.tile([1e6, 0.0], (len(x0), 1))
+        limit = 10.0 * system.material.wave_speed(4.0)
+        with pytest.raises(SolverDiverged) as err:
+            system.step(parts, 0.25)
+        msg = str(err.value)
+        assert msg.startswith("velocity-kick check at t=0.25:")
+        assert "by 1e+03 m/s" in msg
+        assert f"threshold {limit:.3g} m/s" in msg
+
+    def test_strain_increment_check_reports_value_threshold_and_time(self):
+        system, parts = self.make_system()
+        # a linear velocity field is projected exactly: dt * 600 = 0.6
+        parts.v[:, 0] = 600.0 * (parts.x[:, 0] - 0.5)
+        with pytest.raises(SolverDiverged) as err:
+            system.step(parts, 0.5)
+        msg = str(err.value)
+        assert msg.startswith("strain-increment check at t=0.5:")
+        assert "strain increment of 0.6," in msg
+        assert "threshold 0.5" in msg
 
     def test_particle_exit_abort_and_clamp(self):
         basis = square_ps_basis(seed=20)
