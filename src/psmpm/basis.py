@@ -45,6 +45,10 @@ SUB_POSITIONS = np.array([
     [2, 5, 6, 11, 15, 18],
     [5, 0, 6, 12, 18, 13],
 ], dtype=int)
+# Barycentric index pairs (i, j) of the mixed Bernstein polynomials
+# 2 e_i e_j, in ordinate order m12, m13, m23.
+_PAIR_I = [0, 0, 1]
+_PAIR_J = [1, 2, 2]
 
 
 @dataclass(frozen=True)
@@ -327,7 +331,7 @@ class HatBasis(BasisSet):
     def __init__(self, tri: Triangulation):
         self.tri = tri
         self.n_bf = tri.n_nodes
-        self.element_dofs = tri.elements.copy()
+        self.element_dofs = tri.elements.astype(np.int32)
         self.locator = PointLocator(tri, refinement=None)
         # gradient of eta_m is row m, columns 0:2 of the inverse matrix
         self.grad_const = self.locator.elem_inv[:, :, :2].copy()
@@ -351,9 +355,13 @@ class PSBasis(BasisSet):
 
     Three functions per vertex (dof ``3 * vertex + q``), each supported on
     the vertex's molecule.  Per element the nine active functions are stored
-    as 19 Bezier ordinates over the canonical position layout; evaluation
-    restricts those to the located sub-triangle's 6 ordinates and applies
-    the quadratic Bernstein form.
+    as 19 Bezier ordinates over the canonical position layout, and per
+    sub-triangle as the (9, 6) table ``sub_ordinates`` of its 6 ordinates.
+    ``evaluate_located`` builds, per point, the (6, 3) matrix of the six
+    quadratic Bernstein polynomials of the barycentrics and their x and y
+    derivatives in closed form, and contracts the sub-triangle's ordinate
+    table against it in one product: values and both gradient components
+    at once.
     """
 
     n_active = 9
@@ -373,15 +381,16 @@ class PSBasis(BasisSet):
             self.control_triangles.append(ControlTriangle(v, corners))
             self.triplets[v] = compute_triplets(corners, tri.nodes[v])
 
-        self.element_dofs = np.empty((tri.n_elements, 9), dtype=int)
-        for lv in range(3):
-            for q in range(3):
-                self.element_dofs[:, 3 * lv + q] = 3 * tri.elements[:, lv] + q
+        # dof 3 * vertex + q of corner lv sits in column 3 * lv + q
+        self.element_dofs = (3 * tri.elements[:, :, None]
+                             + np.arange(3)).reshape(-1, 9).astype(np.int32)
 
         self.ordinates = self._build_ordinates()
         # (n_e, 6, 9, 6): per sub-triangle view of the ordinate tables
         self.sub_ordinates = self.ordinates[:, :, SUB_POSITIONS].transpose(0, 2, 1, 3).copy()
-        self.deta_dx = ref.sub_inv[:, :, :, :2].copy()
+        # (2, 3, n_e * 6): d eta_i / d x_c of sub-triangle cell 6 * e + s
+        self.deta_dxy = np.ascontiguousarray(
+            ref.sub_inv[:, :, :, :2].reshape(-1, 3, 2).transpose(2, 1, 0))
 
     def _build_ordinates(self):
         """Fill the (n_e, 9, 19) ordinate tables from the vertex triplets.
@@ -407,58 +416,60 @@ class PSBasis(BasisSet):
         (the ones touching the far edge) are zero, which is what makes the
         function vanish smoothly at its molecule boundary.
         """
-        tri = self.tri
+        el = self.tri.elements
         ref = self.ref
-        ords = np.zeros((tri.n_elements, 9, 19))
-        for e in range(tri.n_elements):
-            w = tri.nodes[tri.elements[e]]
-            zb = ref.z_bary[e]
-            t = ref.edge_split[e]
-            for lv in range(3):
-                nxt = (lv + 1) % 3
-                prv = (lv + 2) % 3
-                v1, v2, v3 = w[lv], w[nxt], w[prv]
-                lam1 = t[lv]
-                nu1 = 1.0 - t[prv]
-                a, b, c = zb[lv], zb[nxt], zb[prv]
-                trip = self.triplets[tri.elements[e, lv]]
-                for q in range(3):
-                    alpha, beta, gamma = trip[q]
-                    bbar = beta * (v2[0] - v1[0]) + gamma * (v2[1] - v1[1])
-                    gbar = beta * (v3[0] - v1[0]) + gamma * (v3[1] - v1[1])
-                    big_l = alpha + 0.5 * (1.0 - lam1) * bbar
-                    big_lp = alpha + 0.5 * (1.0 - nu1) * gbar
-                    big_lt = alpha + 0.5 * (b * bbar + c * gbar)
-                    row = ords[e, 3 * lv + q]
-                    row[lv] = alpha
-                    row[7 + 2 * lv] = big_l
-                    row[8 + 2 * prv] = big_lp
-                    row[13 + lv] = big_lt
-                    row[3 + lv] = lam1 * big_l
-                    row[3 + prv] = nu1 * big_lp
-                    row[6] = a * big_lt
-                    row[16 + lv] = lam1 * big_lt
-                    row[16 + prv] = nu1 * big_lt
-        return ords
+        corner = np.arange(3)
+        nxt, prv = (corner + 1) % 3, (corner + 2) % 3
+        w = self.tri.nodes[el]                          # (n_e, 3, 2)
+        d12 = (w[:, nxt] - w)[:, :, None, :]            # v2 - v1 per corner
+        d13 = (w[:, prv] - w)[:, :, None, :]            # v3 - v1
+        lam1 = ref.edge_split[:, :, None]
+        nu1 = 1.0 - ref.edge_split[:, prv, None]
+        a = ref.z_bary[:, :, None]
+        b = ref.z_bary[:, nxt, None]
+        c = ref.z_bary[:, prv, None]
+        trip = self.triplets[el]                        # (n_e, 3, 3 q, 3)
+        alpha, beta, gamma = trip[..., 0], trip[..., 1], trip[..., 2]
+        bbar = beta * d12[..., 0] + gamma * d12[..., 1]
+        gbar = beta * d13[..., 0] + gamma * d13[..., 1]
+        big_l = alpha + 0.5 * (1.0 - lam1) * bbar
+        big_lp = alpha + 0.5 * (1.0 - nu1) * gbar
+        big_lt = alpha + 0.5 * (b * bbar + c * gbar)
+        # ords[e, corner, position, q]; every entry is (n_e, 3 corners, 3 q)
+        ords = np.zeros((len(el), 3, 19, 3))
+        for pos, value in ((corner, alpha),
+                           (7 + 2 * corner, big_l),
+                           (8 + 2 * prv, big_lp),
+                           (13 + corner, big_lt),
+                           (3 + corner, lam1 * big_l),
+                           (3 + prv, nu1 * big_lp),
+                           (6, a * big_lt),
+                           (16 + corner, lam1 * big_lt),
+                           (16 + prv, nu1 * big_lt)):
+            ords[:, corner, pos, :] = value
+        # row 3 * corner + q of the (n_e, 9, 19) table
+        return ords.transpose(0, 1, 3, 2).reshape(len(el), 9, 19)
 
     def evaluate_located(self, elem, sub, eta):
         elem = np.asarray(elem)
-        sub = np.asarray(sub)
-        eta = np.asarray(eta)
-        o = self.sub_ordinates[elem, sub]          # (n, 9, 6)
-        e1, e2, e3 = eta[:, 0], eta[:, 1], eta[:, 2]
-        bern = np.stack([e1 * e1, e2 * e2, e3 * e3,
-                         2.0 * e1 * e2, 2.0 * e1 * e3, 2.0 * e2 * e3], axis=1)
-        vals = np.matmul(o, bern[:, :, None])[:, :, 0]
-        db = np.empty(o.shape[:2] + (3,))
-        db[:, :, 0] = 2.0 * (o[:, :, 0] * e1[:, None] + o[:, :, 3] * e2[:, None]
-                             + o[:, :, 4] * e3[:, None])
-        db[:, :, 1] = 2.0 * (o[:, :, 1] * e2[:, None] + o[:, :, 3] * e1[:, None]
-                             + o[:, :, 5] * e3[:, None])
-        db[:, :, 2] = 2.0 * (o[:, :, 2] * e3[:, None] + o[:, :, 4] * e1[:, None]
-                             + o[:, :, 5] * e2[:, None])
-        grads = np.matmul(db, self.deta_dx[elem, sub])
-        return self.element_dofs[elem], vals, grads
+        cell = 6 * elem + np.asarray(sub)
+        n = len(cell)
+        e = np.ascontiguousarray(np.asarray(eta).T)             # (3, n)
+        t = 2.0 * e
+        g = np.take(self.deta_dxy, cell, axis=2)                # (2, 3, n)
+        # w[j, c]: the Bernstein polynomial B_j of the barycentrics
+        # (e1^2, e2^2, e3^2, 2 e1 e2, 2 e1 e3, 2 e2 e3) for c = 0 and its
+        # x/y derivative for c = 1/2, with d(ei ej) = ei d(ej) + ej d(ei)
+        w = np.empty((6, 3, n))
+        w[:3, 0] = e * e
+        w[3:, 0] = t[_PAIR_I] * e[_PAIR_J]
+        w[:3, 1:] = (t * g).transpose(1, 0, 2)
+        w[3:, 1:] = (t[_PAIR_I] * g[:, _PAIR_J]
+                     + t[_PAIR_J] * g[:, _PAIR_I]).transpose(1, 0, 2)
+        # one (9, 6) @ (6, 3) product per point: values and x/y gradients
+        w = np.ascontiguousarray(w.reshape(18, n).T).reshape(n, 6, 3)
+        out = np.matmul(self.sub_ordinates.reshape(-1, 9, 6)[cell], w)
+        return self.element_dofs[elem], out[:, :, 0], out[:, :, 1:]
 
     def constraint_rows(self, constraints):
         rows = {0: [], 1: []}

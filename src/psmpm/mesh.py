@@ -439,44 +439,18 @@ class PointLocator:
             out[part] = np.where(good[k, first], cand[k, first], -1)
         return out
 
-    def _element_bary(self, e, p):
-        return self.elem_inv[e] @ np.array([p[0], p[1], 1.0])
-
-    def _locate_sub(self, e, p):
-        """Sub-triangle index and barycentric coords within element ``e``."""
-        ref = self.refinement
-        best_s, best_eta, best_min = -1, None, -np.inf
-        for s in range(6):
-            eta = ref.sub_inv[e, s] @ np.array([p[0], p[1], 1.0])
-            m = eta.min()
-            if m >= -LOCATE_TOL:
-                return s, eta
-            if m > best_min:
-                best_s, best_eta, best_min = s, eta, m
-        # Round-off on an interior spoke: fall back to the best candidate.
-        return best_s, best_eta
-
     def locate(self, p):
-        """Locate a single point.
+        """Locate a single point: row 0 of :meth:`locate_many` on ``[p]``.
 
         Returns ``(element, sub, eta)`` where ``sub`` is -1 and ``eta`` the
         element barycentrics when no refinement is attached, or ``None``
         when the point is outside the mesh.  Ties on shared edges resolve
         to the lowest element index, then the lowest sub-triangle index.
         """
-        inside, row = self._bin_rows(np.asarray(p, dtype=float)[None, :])
-        if not inside[0]:
+        elem, sub, eta = self.locate_many(np.asarray(p, dtype=float)[None, :])
+        if elem[0] < 0:
             return None
-        for e in self.bin_table[row[0]]:
-            if e < 0:
-                break
-            eta = self._element_bary(e, p)
-            if eta.min() >= -LOCATE_TOL:
-                if self.refinement is None:
-                    return int(e), -1, eta
-                s, sub_eta = self._locate_sub(e, p)
-                return int(e), s, sub_eta
-        return None
+        return int(elem[0]), int(sub[0]), eta[0]
 
     def locate_many(self, points, hint=None):
         """Vectorised location of many points.
@@ -487,8 +461,8 @@ class PointLocator:
         bin's row of ``bin_table``.  Both passes test every point's row at
         once, in chunks of ``LOCATE_CHUNK`` points, and take the first
         containing element in row order.  Rows list elements in ascending
-        order, so without a hint ties on shared edges resolve as in
-        :meth:`locate`.  The sub-triangle pass runs in the same chunks,
+        order, so without a hint ties on shared edges resolve to the lowest
+        element index.  The sub-triangle pass runs in the same chunks,
         which bounds every gathered array to a few MB.
 
         Args:

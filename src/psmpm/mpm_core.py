@@ -118,17 +118,28 @@ class MaterialModel:
         return np.sqrt(self.E / rho)
 
     def stress(self, D, J):
-        """Cauchy stress for a batch of deformation gradients (n, 2, 2)."""
-        n = len(D)
-        eye = np.zeros((n, 2, 2))
-        eye[:, 0, 0] = eye[:, 1, 1] = 1.0
+        """Cauchy stress for a batch of deformation gradients (n, 2, 2).
+
+        Written per component: linear-elastic ``lam tr(e) I + 2 mu e`` with
+        ``e = (D + D^T)/2 - I``, neo-Hookean
+        ``lam ln(J)/J I + mu/J (D D^T - I)``.
+        """
+        a, b, c, d = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
+        sigma = np.empty_like(D)
         if self.kind == "linear-elastic":
-            strain = 0.5 * (D + np.swapaxes(D, 1, 2)) - eye
-            tr = strain[:, 0, 0] + strain[:, 1, 1]
-            return self.lam * tr[:, None, None] * eye + 2.0 * self.mu * strain
-        b = np.einsum('pij,pkj->pik', D, D)
-        return (self.lam * np.log(J) / J)[:, None, None] * eye \
-            + (self.mu / J)[:, None, None] * (b - eye)
+            exx, eyy = a - 1.0, d - 1.0
+            lam_tr = self.lam * (exx + eyy)
+            two_mu = 2.0 * self.mu
+            sigma[:, 0, 0] = lam_tr + two_mu * exx
+            sigma[:, 1, 1] = lam_tr + two_mu * eyy
+            sigma[:, 0, 1] = sigma[:, 1, 0] = two_mu * (0.5 * (b + c))
+            return sigma
+        vol = self.lam * np.log(J) / J
+        shear = self.mu / J
+        sigma[:, 0, 0] = vol + shear * (a * a + b * b - 1.0)
+        sigma[:, 1, 1] = vol + shear * (c * c + d * d - 1.0)
+        sigma[:, 0, 1] = sigma[:, 1, 0] = shear * (a * c + b * d)
+        return sigma
 
 
 class Particles:
@@ -265,7 +276,7 @@ class Transfer:
     def __init__(self, n_bf, dofs, vals, grads):
         n, k = dofs.shape
         self.shape = (n, n_bf)
-        self.indices = dofs.astype(np.int32).ravel()
+        self.indices = np.asarray(dofs, dtype=np.int32).ravel()
         self.indptr = np.arange(0, n * k + 1, k, dtype=np.int32)
         self.N = self.with_values(vals)
         self.Gx = self.with_values(grads[:, :, 0])
@@ -476,6 +487,19 @@ def solve_grid(mass_op: MassOperator, rhs, reduction: ConstraintReduction,
     return reduction.P @ x
 
 
+def deformation_update(D, dt, exx, eyy, exy):
+    """``(I + dt eps) D`` and its determinant for a batch of deformation
+    gradients (n, 2, 2) and symmetric strain rates given per component."""
+    axx, ayy, axy = 1.0 + dt * exx, 1.0 + dt * eyy, dt * exy
+    dxx, dxy, dyx, dyy = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
+    out = np.empty_like(D)
+    out[:, 0, 0] = nxx = axx * dxx + axy * dyx
+    out[:, 0, 1] = nxy = axx * dxy + axy * dyy
+    out[:, 1, 0] = nyx = axy * dxx + ayy * dyx
+    out[:, 1, 1] = nyy = axy * dxy + ayy * dyy
+    return out, nxx * nyy - nxy * nyx
+
+
 class MpmSystem:
     """A configured simulation: basis, material, mass mode, step size, BCs.
 
@@ -554,21 +578,22 @@ class MpmSystem:
                                      self.reductions[k], mean_mass,
                                      context=f"velocity[{k}]")
 
-        grad_v = np.stack([transfer.Gx @ v_hat, transfer.Gy @ v_hat], axis=2)
-        eps = 0.5 * (grad_v + np.swapaxes(grad_v, 1, 2))
+        # columns of Gx @ v_hat: d v_x / dx, d v_y / dx (Gy alike for y)
+        dvx = transfer.Gx @ v_hat
+        dvy = transfer.Gy @ v_hat
+        exx, eyy = dvx[:, 0], dvy[:, 1]
+        exy = 0.5 * (dvy[:, 0] + dvx[:, 1])
         if self.mass_mode is not MassMode.LUMPED:
-            increment = self.dt * float(np.abs(eps).max())
+            increment = self.dt * float(np.maximum(
+                np.maximum(np.abs(exx), np.abs(eyy)), np.abs(exy)).max())
             if increment > STRAIN_INCREMENT_LIMIT:
                 raise SolverDiverged(
                     f"strain-increment check at t={t:.6g}: the velocity "
                     f"projection gave a one-step strain increment of "
                     f"{increment:.3g}, above the threshold "
                     f"{STRAIN_INCREMENT_LIMIT:g}")
-        eye = np.zeros_like(eps)
-        eye[:, 0, 0] = eye[:, 1, 1] = 1.0
-        particles.D = np.matmul(eye + self.dt * eps, particles.D)
-        particles.J = (particles.D[:, 0, 0] * particles.D[:, 1, 1]
-                       - particles.D[:, 0, 1] * particles.D[:, 1, 0])
+        particles.D, particles.J = deformation_update(particles.D, self.dt,
+                                                      exx, eyy, exy)
         if np.any(particles.J <= 0.0):
             bad = int(np.argmin(particles.J))
             raise NonPositiveJacobian(

@@ -238,6 +238,127 @@ class TestControlTriangleMatchesReference:
         assert got == want
 
 
+# Reference: the per-element loop that the vectorised _build_ordinates
+# replaced.  The tables must agree to the bit.
+def ref_build_ordinates(basis):
+    tri, ref = basis.tri, basis.ref
+    ords = np.zeros((tri.n_elements, 9, 19))
+    for e in range(tri.n_elements):
+        w = tri.nodes[tri.elements[e]]
+        zb = ref.z_bary[e]
+        t = ref.edge_split[e]
+        for lv in range(3):
+            nxt = (lv + 1) % 3
+            prv = (lv + 2) % 3
+            v1, v2, v3 = w[lv], w[nxt], w[prv]
+            lam1 = t[lv]
+            nu1 = 1.0 - t[prv]
+            a, b, c = zb[lv], zb[nxt], zb[prv]
+            trip = basis.triplets[tri.elements[e, lv]]
+            for q in range(3):
+                alpha, beta, gamma = trip[q]
+                bbar = beta * (v2[0] - v1[0]) + gamma * (v2[1] - v1[1])
+                gbar = beta * (v3[0] - v1[0]) + gamma * (v3[1] - v1[1])
+                big_l = alpha + 0.5 * (1.0 - lam1) * bbar
+                big_lp = alpha + 0.5 * (1.0 - nu1) * gbar
+                big_lt = alpha + 0.5 * (b * bbar + c * gbar)
+                row = ords[e, 3 * lv + q]
+                row[lv] = alpha
+                row[7 + 2 * lv] = big_l
+                row[8 + 2 * prv] = big_lp
+                row[13 + lv] = big_lt
+                row[3 + lv] = lam1 * big_l
+                row[3 + prv] = nu1 * big_lp
+                row[6] = a * big_lt
+                row[16 + lv] = lam1 * big_lt
+                row[16 + prv] = nu1 * big_lt
+    return ords
+
+
+# Reference: the stacked-matmul evaluation that the single Bernstein
+# value+gradient contraction replaced.
+def ref_evaluate_located(basis, elem, sub, eta):
+    o = basis.sub_ordinates[elem, sub]
+    e1, e2, e3 = eta[:, 0], eta[:, 1], eta[:, 2]
+    bern = np.stack([e1 * e1, e2 * e2, e3 * e3,
+                     2.0 * e1 * e2, 2.0 * e1 * e3, 2.0 * e2 * e3], axis=1)
+    vals = np.matmul(o, bern[:, :, None])[:, :, 0]
+    db = np.empty(o.shape[:2] + (3,))
+    db[:, :, 0] = 2.0 * (o[:, :, 0] * e1[:, None] + o[:, :, 3] * e2[:, None]
+                         + o[:, :, 4] * e3[:, None])
+    db[:, :, 1] = 2.0 * (o[:, :, 1] * e2[:, None] + o[:, :, 3] * e1[:, None]
+                         + o[:, :, 5] * e3[:, None])
+    db[:, :, 2] = 2.0 * (o[:, :, 2] * e3[:, None] + o[:, :, 4] * e1[:, None]
+                         + o[:, :, 5] * e2[:, None])
+    grads = np.matmul(db, basis.ref.sub_inv[elem, sub, :, :2])
+    return basis.element_dofs[elem], vals, grads
+
+
+def located_sample(basis, seed, n=400):
+    """Random points plus mesh nodes, edge points and interior points
+    (sub-triangle corners), all located; returns (points, elem, sub, eta)."""
+    ref = basis.ref
+    pts = np.concatenate([np.random.default_rng(seed).random((n, 2)),
+                          basis.tri.nodes, ref.edge_points,
+                          ref.interior_points])
+    elem, sub, eta = basis.locator.locate_many(pts)
+    assert np.all(elem >= 0)
+    return pts, elem, sub, eta
+
+
+class TestSplineKernelsMatchReference:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]))
+    def test_ordinates_match_loop(self, seed, h):
+        basis = ps_basis(ps_refine(jittered(h=h, seed=seed)))
+        assert basis.ordinates.tobytes() == ref_build_ordinates(basis).tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]))
+    def test_evaluation_matches_stacked_matmul(self, seed, h):
+        basis = ps_basis(ps_refine(jittered(h=h, seed=seed)))
+        _, elem, sub, eta = located_sample(basis, seed)
+        dofs, vals, grads = basis.evaluate_located(elem, sub, eta)
+        want_dofs, want_vals, want_grads = ref_evaluate_located(
+            basis, elem, sub, eta)
+        assert np.array_equal(dofs, want_dofs)
+        assert np.abs(vals - want_vals).max() <= 1e-15
+        assert (np.abs(grads - want_grads).max()
+                <= 1e-13 * np.abs(want_grads).max())
+
+
+class TestSplineInvariantsProperty:
+    """Invariants of the spline family through ``evaluate_located`` on
+    random jittered meshes.  The ordinates of an element sum to one only to
+    the accuracy of the 3x3 triplet solves (1e-12, as in
+    ``test_partition_of_unity_at_ordinate_level``), so that is the bound of
+    every identity here, relative to the size of the terms it sums."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]),
+           a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0),
+           c=st.floats(-2.0, 2.0))
+    def test_invariants(self, seed, h, a, b, c):
+        basis = ps_basis(ps_refine(jittered(h=h, seed=seed)))
+        pts, elem, sub, eta = located_sample(basis, seed)
+        dofs, vals, grads = basis.evaluate_located(elem, sub, eta)
+        gmax = np.abs(grads).max()
+        assert np.abs(vals.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(grads.sum(axis=1)).max() <= 1e-12 * gmax
+        assert vals.min() >= -1e-12
+
+        # linear reproduction: coefficients f(Q) at the control-triangle
+        # corners reproduce f = a + b x + c y and its gradient (b, c)
+        corners = np.array([t.corners for t in basis.control_triangles])
+        coeff = (a + b * corners[:, :, 0] + c * corners[:, :, 1]).ravel()
+        scale = max(1.0, np.abs(coeff).max())
+        recon = np.einsum('pf,pf->p', vals, coeff[dofs])
+        assert np.abs(recon - (a + b * pts[:, 0] + c * pts[:, 1])).max() \
+            <= 1e-12 * scale
+        recon_g = np.einsum('pfd,pf->pd', grads, coeff[dofs])
+        assert np.abs(recon_g - [b, c]).max() <= 1e-12 * scale * gmax
+
+
 class TestTriplets:
     def test_vertex_coincides_with_corner(self):
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

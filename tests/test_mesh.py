@@ -236,7 +236,7 @@ class TestLocateProperty:
                 assert e == -1
                 continue
             assert (single[0], single[1]) == (e, s)
-            assert_allclose(single[2], et, rtol=0, atol=1e-12)
+            assert single[2].tobytes() == et.tobytes()
 
 
 class TestMolecule:

@@ -9,14 +9,15 @@ from numpy.testing import assert_allclose
 
 from psmpm import mpm_core
 from psmpm.basis import DirichletConstraint, hat_basis, ps_basis
-from psmpm.benchmarks import rectangle_constraints
+from psmpm.benchmarks import build_system, mms_plate_spec, rectangle_constraints
 from psmpm.cli_io import generate_mesh
 from psmpm.errors import (NonPositiveJacobian, ParticleLeftDomain,
                           SolverDiverged, ValidationError)
 from psmpm.mesh import Triangulation, ps_refine
 from psmpm.mpm_core import (ConstraintReduction, GridAssembler, MassMode,
                             MaterialModel, MpmSystem, ParticleLayout,
-                            Particles, Transfer, init_particles, solve_grid)
+                            Particles, Transfer, deformation_update,
+                            init_particles, solve_grid)
 
 
 def unit_square_mesh():
@@ -85,6 +86,56 @@ class TestMaterial:
             MaterialModel("linear-elastic", E=1.0, nu=0.5)
         with pytest.raises(ValidationError):
             MaterialModel("gas", E=1.0, nu=0.1)
+
+
+# Reference: the tensor forms that the component-wise stress and
+# deformation update replaced.
+def ref_stress(mat, D, J):
+    eye = np.zeros((len(D), 2, 2))
+    eye[:, 0, 0] = eye[:, 1, 1] = 1.0
+    if mat.kind == "linear-elastic":
+        strain = 0.5 * (D + np.swapaxes(D, 1, 2)) - eye
+        tr = strain[:, 0, 0] + strain[:, 1, 1]
+        return mat.lam * tr[:, None, None] * eye + 2.0 * mat.mu * strain
+    b = np.einsum('pij,pkj->pik', D, D)
+    return (mat.lam * np.log(J) / J)[:, None, None] * eye \
+        + (mat.mu / J)[:, None, None] * (b - eye)
+
+
+def near_identity(seed, n=400, size=0.1):
+    """Random deformation gradients I + size * N(0, 1) with det > 0."""
+    D = np.eye(2) + size * np.random.default_rng(seed).normal(size=(n, 2, 2))
+    J = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
+    return D[J > 0], J[J > 0]
+
+
+class TestKernelsMatchReference:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["linear-elastic", "neo-hookean"]),
+           E=st.floats(1.0, 1e9), nu=st.floats(-0.9, 0.49))
+    def test_stress_equals_tensor_form(self, seed, kind, E, nu):
+        mat = MaterialModel(kind, E=E, nu=nu)
+        D, J = near_identity(seed)
+        assert mat.stress(D, J).tobytes() == ref_stress(mat, D, J).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dt=st.floats(1e-6, 1e-2))
+    def test_deformation_update_matches_matmul(self, seed, dt):
+        D, _ = near_identity(seed)
+        g = np.random.default_rng(seed + 1).normal(size=D.shape)
+        eps = 0.5 * (g + np.swapaxes(g, 1, 2))
+        got, J = deformation_update(D, dt, eps[:, 0, 0], eps[:, 1, 1],
+                                    eps[:, 0, 1])
+        a = np.eye(2) + dt * eps
+        want = np.matmul(a, D)
+        # a BLAS matmul may fuse one product of each entry into an FMA: the
+        # two forms then differ by one rounding of a term, at most one ulp
+        # of |a| |D|
+        scale = np.matmul(np.abs(a), np.abs(D))
+        assert np.all(np.abs(got - want) <= np.spacing(scale))
+        assert J.tobytes() == (got[:, 0, 0] * got[:, 1, 1]
+                               - got[:, 0, 1] * got[:, 1, 0]).tobytes()
 
 
 class TestInitParticles:
@@ -210,6 +261,24 @@ class TestMassAssembly:
         assert_allclose(y[unmarked], y_c[unmarked], atol=1e-14)
         assert_allclose(y[op.marked], op.lumped[op.marked] * x[op.marked],
                         atol=1e-14)
+
+
+class TestMassProperty:
+    @settings(max_examples=15, deadline=None)
+    @given(mesh_seed=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["hat", "ps"]), n=st.integers(1, 300))
+    def test_total_mass_all_modes(self, mesh_seed, seed, kind, n):
+        tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0),
+                            seed=mesh_seed)
+        basis = hat_basis(tri) if kind == "hat" else ps_basis(ps_refine(tri))
+        rng = np.random.default_rng(seed)
+        parts = Particles(rng.uniform(0.0, 1.0, size=(n, 2)),
+                          rng.uniform(1e-4, 1e-2, n), rng.uniform(1.0, 1e3, n))
+        parts.loc = basis.locator.locate_many(parts.x)
+        elem, tr = evaluated(basis, parts)
+        for mode in MassMode:
+            op = GridAssembler(basis).mass(tr, elem, parts.m, mode)
+            assert_allclose(op.total_mass(), parts.m.sum(), rtol=1e-12)
 
 
 class TestTransfer:
@@ -607,6 +676,18 @@ class TestStepContracts:
         assert_allclose(parts_a.v, parts_b.v, atol=1e-15)
         assert_allclose(parts_a.sigma, parts_b.sigma, atol=1e-12)
         assert_allclose(parts_a.D, parts_b.D, atol=1e-15)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16))
+    def test_spline_plate_reruns_bitwise(self, seed):
+        states = []
+        for _ in range(2):
+            system, parts = build_system(mms_plate_spec("ps", 0.25, 16, seed))
+            system.run(parts, 4)
+            states.append([a.tobytes() for a in (
+                parts.x, parts.u, parts.v, parts.D, parts.J, parts.sigma,
+                parts.V, parts.rho, *parts.loc)])
+        assert states[0] == states[1]
 
     def test_nonpositive_jacobian_detected(self):
         basis = square_ps_basis(seed=19)
