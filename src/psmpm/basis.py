@@ -51,14 +51,6 @@ _PAIR_I = [0, 0, 1]
 _PAIR_J = [1, 2, 2]
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """Value and gradient of one spline at its vertex."""
-    alpha: float
-    beta: float
-    gamma: float
-
-
 @dataclass
 class ControlTriangle:
     """Minimal-area triangle enclosing a vertex's split points."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import DirichletConstraint, hat_basis, ps_basis
-from .errors import MismatchedSeries, ValidationError
+from .errors import ValidationError
 from .mesh import PSRefinement, Triangulation, ps_refine
 from .mpm_core import (MassMode, MaterialModel, MpmSystem, ParticleLayout,
                        init_particles)
@@ -45,12 +45,9 @@ class MmsParams:
         return 2.0 / np.sqrt(self.E / self.rho0)
 
     @property
-    def lam(self):
-        return self.E * self.nu / ((1.0 + self.nu) * (1.0 - 2.0 * self.nu))
-
-    @property
-    def mu(self):
-        return self.E / (2.0 * (1.0 + self.nu))
+    def material(self):
+        """The neo-Hookean material of the manufactured solution."""
+        return MaterialModel("neo-hookean", E=self.E, nu=self.nu)
 
 
 MMS = MmsParams()
@@ -87,7 +84,8 @@ def mms_body_force(x0, y0, t, params: MmsParams = MMS):
     dilatational contributions of the neo-Hookean stress divergence.
     """
     ux, uy, dxx, dyy = mms_exact(x0, y0, t, params)
-    lam, mu = params.lam, params.mu
+    material = params.material
+    lam, mu = material.lam, material.mu
     rho0, e = params.rho0, params.E
     ln_j = np.log(dxx * dyy)
     gx = np.pi ** 2 * ux * (4.0 * mu / rho0 - e / rho0
@@ -280,10 +278,10 @@ def mms_family_defaults(basis_kind):
     return MassMode.LUMPED, 0.36
 
 
-def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None, periods=1.0,
-                   mass_mode=None,
+def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None, mass_mode=None,
                    params: MmsParams = MMS) -> BenchmarkSpec:
-    """Manufactured vibrating plate on a jittered unit-square mesh.
+    """Manufactured vibrating plate on a jittered unit-square mesh, run for
+    one period.
 
     Particles start on a global lattice sized to the requested average
     particles per element; the step size holds the Courant number (based on
@@ -306,13 +304,13 @@ def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None, periods=1.0,
     else:
         h_typ = tri.mean_edge_length()
     wave = np.sqrt(params.E / params.rho0)
-    t_end = periods * params.period
+    t_end = params.period
     dt = courant * h_typ / wave
     n_steps = max(1, int(round(t_end / dt)))
     dt = t_end / n_steps
 
     n_lattice = max(1, int(round(np.sqrt(ppe * tri.n_elements))))
-    material = MaterialModel("neo-hookean", E=params.E, nu=params.nu)
+    material = params.material
 
     def body_force(x0, t):
         gx, gy = mms_body_force(x0[:, 0], x0[:, 1], t, params)
@@ -336,22 +334,6 @@ def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None, periods=1.0,
 # ---------------------------------------------------------------------------
 # Error metric and convergence study
 
-def rms_error(trajectories, exact):
-    """Time-averaged RMS of per-particle position errors.
-
-    Both arrays have shape (n_t, n_p, 2); the result is
-    sqrt(sum |x - xhat|^2 / (n_p * n_t)).
-    """
-    trajectories = np.asarray(trajectories, dtype=float)
-    exact = np.asarray(exact, dtype=float)
-    if trajectories.shape != exact.shape:
-        raise MismatchedSeries(
-            f"shape mismatch {trajectories.shape} vs {exact.shape}")
-    n_t, n_p = trajectories.shape[:2]
-    diff = trajectories - exact
-    return float(np.sqrt(np.sum(diff ** 2) / (n_p * n_t)))
-
-
 @dataclass
 class MmsRunResult:
     rms: float
@@ -368,6 +350,8 @@ def run_mms(spec: BenchmarkSpec, trace_point=None,
             params: MmsParams = MMS) -> MmsRunResult:
     """Run one manufactured-solution case, streaming the RMS accumulation.
 
+    ``rms`` is ``sqrt(sum |x - xhat|^2 / (n_p * n_t))`` over every particle
+    and every end-of-step time, with ``xhat`` the exact positions.
     If ``trace_point`` is given, the particle starting nearest to it has its
     stress and position recorded every step.
     """

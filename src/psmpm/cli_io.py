@@ -22,9 +22,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import benchmarks
-from .basis import ps_basis
+from .basis import ps_basis, ps_points
 from .errors import (MeshDegenerate, ParseError, PsmpmError, ValidationError)
-from .mesh import Triangulation, ps_refine, read_mesh_file, write_mesh_file
+from .mesh import (Triangulation, barycentric_coordinates, ps_refine,
+                   read_mesh_file, write_mesh_file)
 from .mpm_core import MassMode, MaterialModel, ParticleLayout
 
 CSV_HEADER = "id,x,y,ux,uy,vx,vy,sxx,syy,sxy,V,rho"
@@ -59,14 +60,11 @@ def generate_mesh(kind, h, domain, seed=0, ny=None) -> Triangulation:
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
 
     if kind == "structured":
-        elements = []
-        def nid(i, j):
-            return i * (ny + 1) + j
-        for i in range(nx):
-            for j in range(ny):
-                elements.append([nid(i, j), nid(i + 1, j), nid(i + 1, j + 1)])
-                elements.append([nid(i, j), nid(i + 1, j + 1), nid(i, j + 1)])
-        return Triangulation(nodes, np.asarray(elements, dtype=int))
+        # two triangles per cell (i, j), whose lower-left node is n00
+        n00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+        n10, n11, n01 = n00 + ny + 1, n00 + ny + 2, n00 + 1
+        elements = np.column_stack([n00, n10, n11, n00, n11, n01])
+        return Triangulation(nodes, elements.reshape(-1, 3))
 
     if kind == "jittered":
         from scipy.spatial import Delaunay
@@ -428,7 +426,6 @@ def write_vtk(frame: OutputFrame, path):
 def basis_invariant_report(basis, seed=0, n_samples=800):
     """Measured invariant violations of a spline basis; dict name -> value."""
     tri = basis.tri
-    ref = basis.ref
     rng = np.random.default_rng(seed)
     lo, hi = tri.bbox()
 
@@ -447,56 +444,39 @@ def basis_invariant_report(basis, seed=0, n_samples=800):
         "negativity": float(max(0.0, -vals.min())),
     }
 
-    # C1 continuity across interior main edges
-    worst_v = worst_g = 0.0
+    # C1 continuity across interior main edges: five points on each sampled
+    # edge, evaluated in both adjacent elements; the jump of every function
+    # is its value from the first side minus its value from the second
     interior = np.nonzero(tri.edge_elements[:, 1] >= 0)[0]
     take = interior if len(interior) <= 40 else rng.choice(
         interior, size=40, replace=False)
-    for idx in take:
-        a, b = tri.edges[idx]
-        pa, pb = tri.nodes[a], tri.nodes[b]
-        for t in rng.uniform(0.05, 0.95, size=5):
-            p = pa + t * (pb - pa)
-            sides = []
-            for e in tri.edge_elements[idx]:
-                best_s, best_eta, best_m = 0, None, -np.inf
-                for s in range(6):
-                    cand = ref.sub_inv[e, s] @ np.array([p[0], p[1], 1.0])
-                    if cand.min() > best_m:
-                        best_s, best_eta, best_m = s, cand, cand.min()
-                d, v, g = basis.evaluate_located(
-                    np.array([e]), np.array([best_s]), best_eta[None, :])
-                full_v = np.zeros(basis.n_bf)
-                full_g = np.zeros((basis.n_bf, 2))
-                full_v[d[0]] = v[0]
-                full_g[d[0]] = g[0]
-                sides.append((full_v, full_g))
-            worst_v = max(worst_v, float(np.abs(sides[0][0] - sides[1][0]).max()))
-            worst_g = max(worst_g, float(np.abs(sides[0][1] - sides[1][1]).max()))
-    report["c1_value"] = worst_v
-    report["c1_gradient"] = worst_g
+    pa, pb = tri.nodes[tri.edges[take, 0]], tri.nodes[tri.edges[take, 1]]
+    t = rng.uniform(0.05, 0.95, size=(len(take), 5, 1))
+    p = (pa[:, None] + t * (pb - pa)[:, None]).reshape(-1, 2)
+    elem = np.repeat(tri.edge_elements[take].T, 5, axis=1).ravel()
+    d, v, g = basis.evaluate_located(
+        elem, *basis.locator.locate_in(elem, np.concatenate([p, p])))
+    sample = np.tile(np.arange(len(p)), 2)
+    _, slot = np.unique((sample[:, None] * basis.n_bf + d).ravel(),
+                        return_inverse=True)
+    sign = np.repeat([1.0, -1.0], len(p))[:, None]
+    jump = [np.abs(np.bincount(slot.ravel(), weights=(sign * w).ravel()))
+            .max(initial=0.0) for w in (v, g[..., 0], g[..., 1])]
+    report["c1_value"] = float(jump[0])
+    report["c1_gradient"] = float(max(jump[1:]))
 
     # linear reproduction from control-point coefficients
-    coeff = np.zeros(basis.n_bf)
-    for vtx in range(tri.n_nodes):
-        q = basis.control_triangles[vtx].corners
-        coeff[3 * vtx:3 * vtx + 3] = 0.25 - 0.75 * q[:, 0] + 1.5 * q[:, 1]
+    q = np.array([ct.corners for ct in basis.control_triangles])
+    coeff = (0.25 - 0.75 * q[..., 0] + 1.5 * q[..., 1]).ravel()
     target = 0.25 - 0.75 * pts[:, 0] + 1.5 * pts[:, 1]
     recon = np.einsum('pf,pf->p', vals, coeff[dofs])
     report["linear_reproduction"] = float(np.abs(recon - target).max())
 
     # control triangles contain their split points
     worst = 0.0
-    from .basis import ps_points
-    for vtx in range(tri.n_nodes):
-        corners = basis.control_triangles[vtx].corners
-        m = np.empty((3, 3))
-        m[:2, :] = corners.T
-        m[2, :] = 1.0
-        spts = ps_points(ref, vtx)
-        bc = np.linalg.solve(m, np.column_stack(
-            [spts, np.ones(len(spts))]).T)
-        worst = max(worst, float(max(0.0, -bc.min())))
+    for vtx, ct in enumerate(basis.control_triangles):
+        bc = barycentric_coordinates(ct.corners, ps_points(basis.ref, vtx))
+        worst = max(worst, float(-bc.min()))
     report["control_containment"] = worst
     return report
 

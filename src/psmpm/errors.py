@@ -42,7 +42,9 @@ class ParticleOutsideMesh(PsmpmError):
 
 
 class SolverDiverged(PsmpmError):
-    """Iterative linear solve stalled (typically an ill-conditioned mass matrix)."""
+    """A step stopped being a trustworthy solution: an ill-conditioned or
+    singular grid mass system, or a velocity kick or strain increment no
+    resolved physics produces."""
 
 
 class NonPositiveJacobian(PsmpmError):
@@ -51,10 +53,6 @@ class NonPositiveJacobian(PsmpmError):
 
 class ParticleLeftDomain(PsmpmError):
     """A particle position update moved it off the mesh."""
-
-
-class MismatchedSeries(PsmpmError):
-    """Trajectory arrays disagree in particle or time-step count."""
 
 
 class ParseError(PsmpmError):

@@ -31,13 +31,6 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def signed_area(v0, v1, v2):
-    """Signed area of triangle (v0, v1, v2); positive for CCW ordering."""
-    v0 = np.asarray(v0, dtype=float)
-    return 0.5 * cross2(np.asarray(v1, dtype=float) - v0,
-                        np.asarray(v2, dtype=float) - v0)
-
-
 def _min3(eta):
     """Smallest of the three barycentrics along the last axis; the same
     value as ``eta.min(axis=-1)``, without the slow short-axis reduction."""
@@ -69,12 +62,15 @@ def _padded_table(keys, values, n_rows):
 
 def _check_not_degenerate(verts):
     verts = np.asarray(verts, dtype=float)
-    area = signed_area(verts[0], verts[1], verts[2])
-    span = verts.max(axis=0) - verts.min(axis=0)
-    scale2 = max(span[0] ** 2 + span[1] ** 2, 1e-300)
-    if abs(area) < 1e-14 * scale2:
-        raise DegenerateTriangle(f"triangle area {area:.3e} below tolerance")
-    return verts, area
+    v0 = verts[..., 0, :]
+    area = 0.5 * cross2(verts[..., 1, :] - v0, verts[..., 2, :] - v0)
+    span = verts.max(axis=-2) - verts.min(axis=-2)
+    scale2 = np.maximum(span[..., 0] ** 2 + span[..., 1] ** 2, 1e-300)
+    bad = np.abs(area) < 1e-14 * scale2
+    if np.any(bad):
+        raise DegenerateTriangle(
+            f"triangle area {np.asarray(area)[bad][0]:.3e} below tolerance")
+    return verts
 
 
 def barycentric_coordinates(tri_vertices, p):
@@ -82,16 +78,18 @@ def barycentric_coordinates(tri_vertices, p):
 
     Solves the 3x3 system mapping (eta1, eta2, eta3) to (x, y, 1).  The
     coordinates sum to one and reproduce ``p`` as ``sum eta_i * v_i``.
+    Leading axes of ``tri_vertices`` (..., 3, 2) and ``p`` (..., 2) are
+    batch axes, solved as one stack.
 
     Raises:
-        DegenerateTriangle: if the triangle area is below tolerance.
+        DegenerateTriangle: if a triangle area is below tolerance.
     """
-    verts, _ = _check_not_degenerate(tri_vertices)
-    a = np.empty((3, 3))
-    a[:2, :] = verts.T
-    a[2, :] = 1.0
-    rhs = np.array([p[0], p[1], 1.0])
-    return np.linalg.solve(a, rhs)
+    verts = _check_not_degenerate(tri_vertices)
+    p = np.asarray(p, dtype=float)
+    a = np.ones(verts.shape[:-2] + (3, 3))
+    a[..., :2, :] = np.swapaxes(verts, -1, -2)
+    rhs = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
+    return np.linalg.solve(a, rhs[..., None])[..., 0]
 
 
 def incenter(tri_vertices):
@@ -99,25 +97,15 @@ def incenter(tri_vertices):
 
     The incenter is equidistant from the three edge lines and strictly
     interior, which makes it a valid interior split point for any
-    non-degenerate element.
+    non-degenerate element.  Leading axes of ``tri_vertices`` (..., 3, 2)
+    are batch axes.
     """
-    verts, _ = _check_not_degenerate(tri_vertices)
-    v0, v1, v2 = verts
-    l0 = np.hypot(*(v2 - v1))  # side opposite v0
-    l1 = np.hypot(*(v0 - v2))
-    l2 = np.hypot(*(v1 - v0))
+    verts = _check_not_degenerate(tri_vertices)
+    v0, v1, v2 = verts[..., 0, :], verts[..., 1, :], verts[..., 2, :]
+    # side lengths opposite v0, v1, v2
+    l0, l1, l2 = (np.hypot(d[..., 0], d[..., 1])[..., None]
+                  for d in (v2 - v1, v0 - v2, v1 - v0))
     return (l0 * v0 + l1 * v1 + l2 * v2) / (l0 + l1 + l2)
-
-
-class Molecule:
-    """A vertex and the elements incident to it (the support of its splines)."""
-
-    def __init__(self, vertex, elements):
-        self.vertex = int(vertex)
-        self.elements = np.asarray(elements, dtype=int)
-
-    def __len__(self):
-        return len(self.elements)
 
 
 class Triangulation:
@@ -169,50 +157,43 @@ class Triangulation:
         return len(self.elements)
 
     def _build_edges(self):
-        pair_index = {}
-        edges = []
-        edge_elements = []
-        element_edges = np.empty((self.n_elements, 3), dtype=int)
-        for e, (a, b, c) in enumerate(self.elements):
-            for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
-                key = (p, q) if p < q else (q, p)
-                idx = pair_index.get(key)
-                if idx is None:
-                    idx = len(edges)
-                    pair_index[key] = idx
-                    edges.append(key)
-                    edge_elements.append([e, -1])
-                else:
-                    if edge_elements[idx][1] != -1:
-                        raise MeshDegenerate(
-                            f"edge {key} shared by more than two elements")
-                    edge_elements[idx][1] = e
-                element_edges[e, k] = idx
-        self.edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-        self.edge_elements = np.asarray(edge_elements, dtype=int).reshape(-1, 2)
-        self.element_edges = element_edges
+        # half-edges (a, b), (b, c), (c, a) of every element, in element order
+        el = self.elements
+        start, end = el.ravel(), el[:, [1, 2, 0]].ravel()
+        pairs = np.column_stack([np.minimum(start, end), np.maximum(start, end)])
+        _, first, inverse, counts = np.unique(
+            pairs[:, 0] * self.n_nodes + pairs[:, 1], return_index=True,
+            return_inverse=True, return_counts=True)
+        if counts.max(initial=0) > 2:
+            a, b = pairs[first[np.argmax(counts)]]
+            raise MeshDegenerate(
+                f"edge ({a}, {b}) shared by more than two elements")
+        # number edges in order of first appearance; first[i] is then the
+        # first half-edge of edge i and edge_of[h] the edge of half-edge h
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        first, edge_of = first[order], rank[inverse.ravel()]
+        owner = np.arange(len(start)) // 3
+        self.edges = pairs[first]
+        self.edge_elements = np.full((len(first), 2), -1)
+        self.edge_elements[:, 0] = owner[first]
+        again = np.arange(len(start)) != first[edge_of]
+        self.edge_elements[edge_of[again], 1] = owner[again]
+        self.element_edges = edge_of.reshape(-1, 3)
 
-        boundary = []
-        for e, (a, b, c) in enumerate(self.elements):
-            for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
-                idx = self.element_edges[e, k]
-                if self.edge_elements[idx, 1] == -1:
-                    d = self.nodes[q] - self.nodes[p]
-                    n = np.array([d[1], -d[0]])  # outward for a CCW element
-                    n /= np.hypot(*n)
-                    boundary.append((int(p), int(q), n))
-        self.boundary_edges = boundary
-        self.boundary_nodes = np.unique(
-            [pq for a, b, _ in boundary for pq in (a, b)]
-        ) if boundary else np.empty(0, dtype=int)
+        on_boundary = self.edge_elements[edge_of, 1] == -1
+        p, q = start[on_boundary], end[on_boundary]
+        d = self.nodes[q] - self.nodes[p]
+        normal = np.column_stack([d[:, 1], -d[:, 0]])  # outward for CCW
+        normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
+        self.boundary_edges = [(int(a), int(b), n)
+                               for a, b, n in zip(p, q, normal)]
+        self.boundary_nodes = np.unique(np.concatenate([p, q]))
 
     def _build_incidence(self):
         self.vertex_elements = _group_rows(self.elements, self.n_nodes)
         self.vertex_edges = _group_rows(self.edges, self.n_nodes)
-
-    def element_coords(self, e):
-        """(3, 2) vertex coordinates of element ``e``."""
-        return self.nodes[self.elements[e]]
 
     def mean_edge_length(self):
         d = self.nodes[self.edges[:, 0]] - self.nodes[self.edges[:, 1]]
@@ -222,19 +203,14 @@ class Triangulation:
         return self.nodes.min(axis=0), self.nodes.max(axis=0)
 
 
-def molecule_of(tri: Triangulation, vertex: int) -> Molecule:
-    """Elements incident to ``vertex`` (the support region of its splines)."""
-    if not 0 <= vertex < tri.n_nodes:
-        raise IndexError(f"vertex {vertex} out of range")
-    return Molecule(vertex, tri.vertex_elements[vertex])
-
-
 # Canonical sub-triangle layout of one refined element with vertices
 # (w0, w1, w2), edge points E01/E12/E20 and interior point Z:
 #   sub s vertex triples, all CCW:
 #     0: (w0, E01, Z)   1: (E01, w1, Z)   2: (w1, E12, Z)
 #     3: (E12, w2, Z)   4: (w2, E20, Z)   5: (E20, w0, Z)
-SUB_CORNER_VERTEX = (0, 1, 1, 2, 2, 0)  # parent vertex each sub-triangle touches
+# as rows into the point list (w0, w1, w2, E01, E12, E20, Z):
+_SUB_VERTICES = np.array([[0, 3, 6], [3, 1, 6], [1, 4, 6],
+                          [4, 2, 6], [2, 5, 6], [5, 0, 6]])
 
 
 class PSRefinement:
@@ -264,47 +240,20 @@ class PSRefinement:
 
     def _build_tables(self):
         tri = self.parent
-        n_e = tri.n_elements
-        nodes = tri.nodes
-        self.z_bary = np.empty((n_e, 3))
-        self.edge_split = np.empty((n_e, 3))
-        self.sub_coords = np.empty((n_e, 6, 3, 2))
-        self.sub_inv = np.empty((n_e, 6, 3, 3))
-
-        for e in range(n_e):
-            w = nodes[tri.elements[e]]
-            z = self.interior_points[e]
-            self.z_bary[e] = barycentric_coordinates(w, z)
-            ep = self.edge_points[tri.element_edges[e]]
-            for k in range(3):
-                a = w[k]
-                b = w[(k + 1) % 3]
-                d = b - a
-                # weight of vertex a: edge point = t*a + (1-t)*b
-                self.edge_split[e, k] = 1.0 - np.dot(ep[k] - a, d) / np.dot(d, d)
-            corners = (w[0], w[1], w[2])
-            e01, e12, e20 = ep
-            subs = ((corners[0], e01, z), (e01, corners[1], z),
-                    (corners[1], e12, z), (e12, corners[2], z),
-                    (corners[2], e20, z), (e20, corners[0], z))
-            for s, (p, q, r) in enumerate(subs):
-                self.sub_coords[e, s, 0] = p
-                self.sub_coords[e, s, 1] = q
-                self.sub_coords[e, s, 2] = r
-                m = np.empty((3, 3))
-                m[:2, 0] = p
-                m[:2, 1] = q
-                m[:2, 2] = r
-                m[2, :] = 1.0
-                self.sub_inv[e, s] = np.linalg.inv(m)
-
-    def sub_areas(self, e):
-        c = self.sub_coords[e]
-        return 0.5 * cross2(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
-
-    def subtriangle_barycentric(self, e, s, p):
-        """Barycentric coordinates of ``p`` in sub-triangle (e, s)."""
-        return self.sub_inv[e, s] @ np.array([p[0], p[1], 1.0])
+        w = tri.nodes[tri.elements]                         # (n_e, 3, 2)
+        ep = self.edge_points[tri.element_edges]            # (n_e, 3, 2)
+        self.z_bary = barycentric_coordinates(w, self.interior_points)
+        # weight t of vertex a = w_k in its edge point t*a + (1-t)*b; the dot
+        # products are stacked (1, 2) @ (2, 1) products
+        d = w[:, [1, 2, 0]] - w
+        u = ep - w
+        self.edge_split = 1.0 - ((u[..., None, :] @ d[..., None])
+                                 / (d[..., None, :] @ d[..., None]))[..., 0, 0]
+        points = np.concatenate([w, ep, self.interior_points[:, None]], axis=1)
+        self.sub_coords = points[:, _SUB_VERTICES]           # (n_e, 6, 3, 2)
+        m = np.ones(self.sub_coords.shape[:2] + (3, 3))
+        m[..., :2, :] = np.swapaxes(self.sub_coords, -1, -2)
+        self.sub_inv = np.linalg.inv(m)
 
     def mean_sub_edge_length(self):
         """Average edge length over all sub-triangle edges (with repeats)."""
@@ -321,40 +270,33 @@ def ps_refine(tri: Triangulation) -> PSRefinement:
     Interior split points are the incenters.  The split point of an
     interior edge is the intersection of that edge with the segment
     joining the two adjacent incenters; for a boundary edge it is the
-    edge midpoint.
+    edge midpoint.  All intersections are one stacked 2x2 solve.
 
     Raises:
         RefinementFailed: if an intersection point does not fall strictly
             inside its edge (the adjacent interior points cannot "see"
             each other through the edge).
     """
-    centers = np.empty((tri.n_elements, 2))
-    for e in range(tri.n_elements):
-        centers[e] = incenter(tri.element_coords(e))
-
-    edge_points = np.empty((len(tri.edges), 2))
-    for idx, (a, b) in enumerate(tri.edges):
-        ea, eb = tri.edge_elements[idx]
-        pa = tri.nodes[a]
-        pb = tri.nodes[b]
-        if eb == -1:
-            edge_points[idx] = 0.5 * (pa + pb)
-            continue
-        za, zb = centers[ea], centers[eb]
-        # Solve za + s*(zb - za) = pa + t*(pb - pa) for (s, t).
-        mat = np.column_stack([zb - za, pa - pb])
-        rhs = pa - za
-        try:
-            s, t = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RefinementFailed(
-                f"edge {a}-{b}: split segment parallel to edge") from exc
-        eps = 1e-12
-        if not (eps < t < 1.0 - eps and eps < s < 1.0 - eps):
-            raise RefinementFailed(
-                f"edge {a}-{b}: intersection parameter {t:.3g} outside open edge")
-        edge_points[idx] = pa + t * (pb - pa)
-
+    centers = incenter(tri.nodes[tri.elements])
+    pa, pb = tri.nodes[tri.edges[:, 0]], tri.nodes[tri.edges[:, 1]]
+    edge_points = 0.5 * (pa + pb)
+    inner = np.nonzero(tri.edge_elements[:, 1] >= 0)[0]
+    pa, pb = pa[inner], pb[inner]
+    za, zb = centers[tri.edge_elements[inner].T]
+    # Solve za + s*(zb - za) = pa + t*(pb - pa) for (s, t).
+    try:
+        s, t = np.linalg.solve(np.stack([zb - za, pa - pb], axis=-1),
+                               (pa - za)[..., None])[..., 0].T
+    except np.linalg.LinAlgError as exc:
+        raise RefinementFailed("a split segment is parallel to its edge") from exc
+    eps = 1e-12
+    bad = ~((eps < t) & (t < 1.0 - eps) & (eps < s) & (s < 1.0 - eps))
+    if bad.any():
+        k = np.argmax(bad)
+        a, b = tri.edges[inner[k]]
+        raise RefinementFailed(
+            f"edge {a}-{b}: intersection parameter {t[k]:.3g} outside open edge")
+    edge_points[inner] = pa + t[:, None] * (pb - pa)
     return PSRefinement(tri, centers, edge_points)
 
 
@@ -462,8 +404,8 @@ class PointLocator:
         once, in chunks of ``LOCATE_CHUNK`` points, and take the first
         containing element in row order.  Rows list elements in ascending
         order, so without a hint ties on shared edges resolve to the lowest
-        element index.  The sub-triangle pass runs in the same chunks,
-        which bounds every gathered array to a few MB.
+        element index.  The sub-triangle of each located point comes from
+        :meth:`locate_in`, in the same chunks.
 
         Args:
             points: (n, 2) array.
@@ -499,27 +441,48 @@ class PointLocator:
         elem[pending] = self._first_containing(self.bin_table, rows,
                                                ph[pending])
 
-        sub = np.full(n, -1, dtype=int)
-        eta = np.zeros((n, 3))
         found = elem >= 0
         if self.refinement is None:
+            eta = np.zeros((n, 3))
             if found.any():
                 eta[found] = np.einsum('pij,pj->pi',
                                        self.elem_inv[elem[found]], ph[found])
-            return elem, sub, eta
+            return elem, np.full(n, -1, dtype=int), eta
 
-        idx = np.nonzero(found)[0]
-        for lo in range(0, len(idx), LOCATE_CHUNK):
-            part = idx[lo:lo + LOCATE_CHUNK]
+        # points outside the mesh are run through element 0, then reset; no
+        # gather of the located points, which are all points in a step
+        sub, eta = self.locate_in(np.maximum(elem, 0), pts)
+        sub[~found], eta[~found] = -1, 0.0
+        return elem, sub, eta
+
+    def locate_in(self, elem, points):
+        """Sub-triangle of element ``elem[k]`` that holds ``points[k]``.
+
+        Each point is tested against all six sub-triangles of its element
+        and gets the first one with every barycentric at least
+        ``-LOCATE_TOL``; a point that no sub-triangle holds within that
+        slack gets the one with the largest smallest barycentric.  Points
+        go in chunks of ``LOCATE_CHUNK``, which bounds the gathered
+        (chunk, 6, 3, 3) inverse maps to a few MB.
+
+        Returns:
+            (sub, eta): (n,) int and (n, 3) float sub-triangle barycentrics.
+        """
+        n = len(elem)
+        sub = np.empty(n, dtype=int)
+        eta = np.empty((n, 3))
+        for lo in range(0, n, LOCATE_CHUNK):
+            part = slice(lo, lo + LOCATE_CHUNK)
+            ph = np.column_stack([points[part], np.ones(len(elem[part]))])
             all_eta = np.einsum('psij,pj->psi',
-                                self.refinement.sub_inv[elem[part]], ph[part])
+                                self.refinement.sub_inv[elem[part]], ph)
             mins = _min3(all_eta)                          # (k, 6)
             inside = mins >= -LOCATE_TOL
             first = np.where(inside.any(axis=1),
                              inside.argmax(axis=1), mins.argmax(axis=1))
             sub[part] = first
-            eta[part] = all_eta[np.arange(len(part)), first]
-        return elem, sub, eta
+            eta[part] = all_eta[np.arange(len(first)), first]
+        return sub, eta
 
 
 def write_mesh_file(tri: Triangulation, path):

@@ -353,41 +353,45 @@ class GridAssembler:
 
 
 class ConstraintReduction:
-    """Change of unknowns that makes constrained combinations explicit.
+    """Change of unknowns that imposes homogeneous constraint rows.
 
     Constraint rows touch one vertex block each (one dof for hats, three
-    for splines).  Per block, an SVD of the stacked rows yields the
-    particular (minimum-norm) solution ``offset`` and an orthonormal basis
-    of the free directions; the prolongation ``P`` keeps unconstrained dofs
-    as-is, so a reduced consistent matrix stays symmetric positive
-    definite.  A reduction built with no rows is the identity.
+    for splines).  Per block, an SVD of the stacked rows yields an
+    orthonormal basis of the directions the rows leave free; every
+    ``P @ z`` satisfies the rows.  The prolongation ``P`` keeps
+    unconstrained dofs as-is, so a reduced consistent matrix stays
+    symmetric positive definite.  A reduction built with no rows is the
+    identity.
+
+    Raises:
+        ValidationError: on a row with a nonzero right-hand side.  Grid
+            solves work in the span of ``P``, which holds only fields that
+            satisfy the rows homogeneously; this is the one place where
+            inhomogeneous rows are rejected.
     """
 
     def __init__(self, n_bf, rows):
         grouped = {}
         for dofs, coeffs, rhs in rows:
             key = tuple(int(d) for d in dofs)
-            grouped.setdefault(key, []).append((np.asarray(coeffs, float), rhs))
+            if rhs != 0.0:
+                raise ValidationError(
+                    f"constraint on dofs {key} has right-hand side {rhs}; "
+                    "only homogeneous (zero) constraints are supported")
+            grouped.setdefault(key, []).append(np.asarray(coeffs, float))
 
         constrained = set()
         blocks = []               # (dofs array, nullspace (k, m))
-        offset = np.zeros(n_bf)
         for key in sorted(grouped):
-            a = np.array([r[0] for r in grouped[key]])
-            b = np.array([r[1] for r in grouped[key]])
+            a = np.array(grouped[key])
             _, s, vt = np.linalg.svd(a, full_matrices=True)
             tol = max(a.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
             rank = int((s > tol).sum())
-            sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-            if np.linalg.norm(a @ sol - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
-                raise ValidationError(f"inconsistent constraints on dofs {key}")
-            offset[list(key)] = sol
             blocks.append((np.asarray(key, dtype=int), vt[rank:].T))
             constrained.update(key)
 
         self.free_dofs = np.asarray(
             [d for d in range(n_bf) if d not in constrained], dtype=int)
-        self.offset = offset
 
         free = self.free_dofs
         data, rix, cix = [np.ones(len(free))], [free], [np.arange(len(free))]
@@ -455,20 +459,14 @@ def solve_grid(mass_op: MassOperator, rhs, reduction: ConstraintReduction,
     once per step with a sparse LU, and each solve refines the factor's
     answer once against ``A``: exact to rounding on a well-posed system,
     and still defined when too few particles leave a combination of basis
-    functions without mass.  Constraints are imposed homogeneously.
+    functions without mass.  The solution ``P x`` satisfies the reduction's
+    (homogeneous) constraint rows.
 
     Raises:
-        ValidationError: when ``reduction`` comes from inhomogeneous
-            constraint rows (a nonzero ``offset``), which this solve would
-            otherwise silently drop.
         SolverDiverged: when the diagonal ratio of the consistent rows of
             ``A`` exceeds ``ILL_CONDITION_RATIO``, or when the residual
             ``|A x - b|`` exceeds ``RESIDUAL_RTOL * |b|``.
     """
-    if np.any(reduction.offset):
-        raise ValidationError(
-            f"{context or 'solve'}: solve_grid imposes constraints "
-            "homogeneously; this reduction has a nonzero offset")
     active, a, lu = _factorised(
         mass_op, reduction, ZERO_MASS_REL_TOL * mean_particle_mass, context)
     x = np.zeros(reduction.n_reduced)
@@ -505,29 +503,24 @@ class MpmSystem:
 
     ``body_force`` is a callable ``(reference_coords, t) -> (n, 2)`` or
     None; manufactured-solution forcing uses the reference coordinates.
-    ``step`` advances particles in place and reuses the location cache.
+    ``constraints`` must be homogeneous: ``ConstraintReduction`` raises
+    ``ValidationError`` on a nonzero value.  ``step`` advances particles in
+    place, reuses the location cache and raises ``ParticleLeftDomain`` when
+    a particle leaves the mesh.
     """
 
     def __init__(self, basis, material: MaterialModel, dt,
                  mass_mode=MassMode.CONSISTENT, constraints=(),
-                 body_force=None, on_exit="abort"):
+                 body_force=None):
         self.basis = basis
         self.material = material
         self.dt = float(dt)
         self.mass_mode = mass_mode if isinstance(mass_mode, MassMode) \
             else MassMode.parse(mass_mode)
         self.body_force = body_force
-        if on_exit not in ("abort", "clamp"):
-            raise ValidationError("on_exit must be 'abort' or 'clamp'")
-        self.on_exit = on_exit
         self.assembler = GridAssembler(basis)
 
         rows = basis.constraint_rows(constraints) if constraints else {0: [], 1: []}
-        for comp_rows in rows.values():
-            for _, _, rhs in comp_rows:
-                if rhs != 0.0:
-                    raise ValidationError(
-                        "time stepping supports homogeneous constraints only")
         self.reductions = [ConstraintReduction(basis.n_bf, rows[k])
                            for k in (0, 1)]
 
@@ -608,22 +601,11 @@ class MpmSystem:
 
         new_elem, new_sub, new_eta = basis.locator.locate_many(
             particles.x, hint=elem)
-        outside = new_elem < 0
-        if outside.any():
-            if self.on_exit == "abort":
-                bad = int(np.nonzero(outside)[0][0])
-                raise ParticleLeftDomain(
-                    f"particle {bad} left the mesh at t={t + self.dt:.6g} "
-                    f"(position {tuple(particles.x[bad])})")
-            lo, hi = basis.tri.bbox()
-            span = np.maximum(hi - lo, 1e-300)
-            inset = 1e-12 * span
-            particles.x[outside] = np.clip(particles.x[outside],
-                                           lo + inset, hi - inset)
-            new_elem, new_sub, new_eta = basis.locator.locate_many(
-                particles.x, hint=elem)
-            if np.any(new_elem < 0):
-                raise ParticleLeftDomain("clamped particle still unlocatable")
+        if np.any(new_elem < 0):
+            bad = int(np.nonzero(new_elem < 0)[0][0])
+            raise ParticleLeftDomain(
+                f"particle {bad} left the mesh at t={t + self.dt:.6g} "
+                f"(position {tuple(particles.x[bad])})")
         particles.loc = (new_elem, new_sub, new_eta)
 
     def run(self, particles: Particles, n_steps, t0=0.0, on_step=None):

@@ -11,7 +11,8 @@ from psmpm.basis import (DirichletConstraint, compute_triplets, convex_hull,
                          ps_points)
 from psmpm.cli_io import generate_mesh
 from psmpm.errors import (CollinearPoints, InteriorVertexConstrained,
-                          OutsideDomain, UnsupportedBoundaryTangent)
+                          OutsideDomain, SingularControlTriangle,
+                          UnsupportedBoundaryTangent)
 from psmpm.mesh import Triangulation, cross2, ps_refine
 from psmpm.mpm_core import ConstraintReduction
 
@@ -399,6 +400,12 @@ class TestTriplets:
             rhs = np.array([[v[0], 1, 0], [v[1], 0, 1], [1, 0, 0]], dtype=float)
             assert np.abs(a @ t - rhs).max() < 1e-12
 
+    def test_collinear_corners_rejected(self):
+        # collinear corners make the 3x3 corner matrix exactly singular
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(SingularControlTriangle):
+            compute_triplets(corners, (1.0, 0.0))
+
 
 class TestOrdinates:
     def test_zero_triplet_gives_zero_row(self):
@@ -463,7 +470,7 @@ class TestPsBasis:
                     p = far[0] + t * (far[1] - far[0])
                     best_s, best_eta, best_m = 0, None, -np.inf
                     for s in range(6):
-                        cand = ref.subtriangle_barycentric(e, s, p)
+                        cand = ref.sub_inv[e, s] @ np.array([p[0], p[1], 1.0])
                         if cand.min() > best_m:
                             best_s, best_eta, best_m = s, cand, cand.min()
                     d, v, g = basis.evaluate_located(
@@ -516,7 +523,7 @@ class TestPsBasis:
                 for e in (ea, eb):
                     best_s, best_eta, best_m = 0, None, -np.inf
                     for s in range(6):
-                        cand = ref.subtriangle_barycentric(e, s, p)
+                        cand = ref.sub_inv[e, s] @ np.array([p[0], p[1], 1.0])
                         if cand.min() > best_m:
                             best_s, best_eta, best_m = s, cand, cand.min()
                     d, v, g = basis.evaluate_located(
@@ -620,10 +627,11 @@ class TestDirichlet:
                        for v in left]
         rows = basis.constraint_rows(constraints)
         assert len(rows[0]) == 2 * len(left)
-        # satisfy the rows with the minimum-norm coefficients: both the value
-        # and the tangential derivative of the reconstructed field vanish
+        # any coefficients in the span of the reduction satisfy the rows:
+        # both the value and the tangential derivative of the reconstructed
+        # field vanish
         red = ConstraintReduction(basis.n_bf, rows[0])
-        coeff = red.offset
+        coeff = red.P @ np.random.default_rng(0).normal(size=red.n_reduced)
         for v in left[:3]:
             p = tri.nodes[v].copy()
             p[1] = min(max(p[1], 1e-6), 1.0 - 1e-6)
@@ -641,8 +649,15 @@ class TestDirichlet:
                                            tangent_value=0.0)
                        for v in bottom]
         rows = basis.constraint_rows(constraints)
-        red = ConstraintReduction(basis.n_bf, rows[0])
-        coeff = red.offset
+        # minimum-norm coefficients that satisfy each vertex block's rows
+        coeff = np.zeros(basis.n_bf)
+        blocks = {}
+        for dofs, coeffs, rhs in rows[0]:
+            blocks.setdefault(tuple(dofs), []).append((coeffs, rhs))
+        for dofs, block in blocks.items():
+            a = np.array([c for c, _ in block])
+            b = np.array([r for _, r in block])
+            coeff[list(dofs)] = np.linalg.lstsq(a, b, rcond=None)[0]
         for x in np.linspace(0.02, 0.98, 20):
             dofs, vals, _ = basis.eval_at((x, 1e-12))
             assert abs(np.dot(coeff[dofs], vals) - 2.5) < 1e-10

@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import psmpm.benchmarks as bm
-from psmpm.errors import MismatchedSeries
 from psmpm.mesh import ps_refine
-from psmpm.mpm_core import MassMode
+from psmpm.mpm_core import MassMode, MaterialModel
 
 
 class TestManufacturedSolution:
@@ -79,7 +78,8 @@ class TestManufacturedSolution:
         # rho * a = d(sigma)/dx + rho * g must balance to < 1e-6 relative
         # with the neo-Hookean stress of the manufactured deformation
         p = bm.MMS
-        lam, mu = p.lam, p.mu
+        mat = MaterialModel("neo-hookean", E=p.E, nu=p.nu)
+        lam, mu = mat.lam, mat.mu
 
         def sigma_axis(x0, y0, t, axis):
             _, _, dxx, dyy = bm.mms_exact(x0, y0, t)
@@ -185,27 +185,27 @@ class TestBenchmarkSpecs:
 
 
 class TestRmsError:
-    def test_identical_series(self):
-        traj = np.random.default_rng(4).normal(size=(5, 7, 2))
-        assert bm.rms_error(traj, traj) == 0.0
+    def test_streamed_rms_matches_recorded_trajectory(self):
+        # run_mms streams its sum; recompute the metric from a recorded
+        # trajectory of the same (deterministic) run
+        spec = bm.mms_plate_spec("hat", 0.25, 16, seed=7)
+        spec.t_end = 12 * spec.dt
+        rms = bm.run_mms(spec).rms
 
-    def test_uniform_offset(self):
-        traj = np.zeros((3, 4, 2))
-        exact = traj + np.array([0.6, 0.8])   # Euclidean offset 1.0
-        assert_allclose(bm.rms_error(traj, exact), 1.0, rtol=1e-14)
+        system, parts = bm.build_system(spec)
+        traj, exact = [], []
 
-    def test_hand_computed_value(self):
-        # 2 particles x 2 steps with per-sample Euclidean errors 0, 0, 3, 4
-        traj = np.zeros((2, 2, 2))
-        exact = np.zeros((2, 2, 2))
-        exact[1, 0] = [3.0, 0.0]
-        exact[1, 1] = [0.0, 4.0]
-        assert_allclose(bm.rms_error(traj, exact), np.sqrt(25.0 / 4.0),
-                        rtol=1e-14)
+        def record(i, t, particles):
+            traj.append(particles.x.copy())
+            exact.append(bm.mms_exact_positions(particles.x0, t))
 
-    def test_mismatch_rejected(self):
-        with pytest.raises(MismatchedSeries):
-            bm.rms_error(np.zeros((2, 3, 2)), np.zeros((2, 4, 2)))
+        system.run(parts, spec.n_steps, on_step=record)
+        traj, exact = np.array(traj), np.array(exact)
+        n_t, n_p = traj.shape[:2]
+        assert (n_t, n_p) == (spec.n_steps, parts.n)
+        want = np.sqrt(np.sum((traj - exact) ** 2) / (n_p * n_t))
+        assert want > 0.0
+        assert_allclose(rms, want, rtol=1e-12)
 
 
 class TestErrorReport:

@@ -79,6 +79,21 @@ class TestGenerateMesh:
         assert tri.n_elements == 8
         assert tri.n_nodes == 9
 
+    @pytest.mark.parametrize("h,ny,domain", [(0.5, None, (0.0, 0.0, 1.0, 1.0)),
+                                             (0.1, 17, (0.0, 0.0, 0.1, 1.0625)),
+                                             (0.25, 3, (0.0, 0.0, 1.0, 2.0))])
+    def test_structured_matches_cell_loop(self, h, ny, domain):
+        # reference: the cell-by-cell loop that numbered the elements
+        tri = generate_mesh("structured", h, domain, ny=ny)
+        nx = round((domain[2] - domain[0]) / h)
+        ny = ny or round((domain[3] - domain[1]) / h)
+        want = []
+        for i in range(nx):
+            for j in range(ny):
+                n00, n10 = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+                want += [[n00, n10, n10 + 1], [n00, n10 + 1, n00 + 1]]
+        assert tri.elements.tobytes() == np.array(want, dtype=int).tobytes()
+
     def test_structured_requires_divisible_h(self):
         with pytest.raises(ValidationError):
             generate_mesh("structured", 0.3, (0.0, 0.0, 1.0, 1.0))

@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose
 
 from psmpm import mesh
 from psmpm.cli_io import generate_mesh, write_mesh_file
-from psmpm.errors import DegenerateTriangle, MeshDegenerate, RefinementFailed
+from psmpm.errors import (DegenerateTriangle, MeshDegenerate, PsmpmError,
+                          RefinementFailed)
 from psmpm.mesh import (PointLocator, Triangulation, barycentric_coordinates,
-                        incenter, molecule_of, ps_refine, read_mesh_file)
+                        cross2, incenter, ps_refine, read_mesh_file)
 
 
 def unit_square_mesh():
@@ -114,7 +115,8 @@ class TestRefinement:
         tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=3)
         ref = ps_refine(tri)
         for e in range(tri.n_elements):
-            areas = ref.sub_areas(e)
+            c = ref.sub_coords[e]
+            areas = 0.5 * cross2(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
             assert np.all(areas > 0.0)
             assert abs(areas.sum() - tri.areas[e]) < 1e-12 * tri.areas[e]
 
@@ -184,7 +186,8 @@ class TestLocate:
             assert_allclose(rec, p, atol=1e-12)
             brute = [(ee, ss) for ee in range(tri.n_elements)
                      for ss in range(6)
-                     if ref.subtriangle_barycentric(ee, ss, p).min() >= -1e-12]
+                     if (ref.sub_inv[ee, ss] @ np.array([p[0], p[1], 1.0])).min()
+                     >= -1e-12]
             assert (e, s) in brute
             assert (e, s) == min(brute)  # deterministic tie-break
 
@@ -242,19 +245,172 @@ class TestLocateProperty:
 class TestMolecule:
     def test_fan_center_has_all_elements(self):
         tri = fan_mesh(6)
-        assert len(molecule_of(tri, 0)) == 6
+        assert len(tri.vertex_elements[0]) == 6
 
     def test_square_corner_single_element(self):
         tri = unit_square_mesh()
-        assert len(molecule_of(tri, 1)) == 1
+        assert len(tri.vertex_elements[1]) == 1
 
     def test_matches_brute_force_incidence(self):
         tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=9)
         for v in range(tri.n_nodes):
-            mol = set(molecule_of(tri, v).elements.tolist())
+            mol = set(tri.vertex_elements[v].tolist())
             brute = {e for e in range(tri.n_elements)
                      if v in tri.elements[e]}
             assert mol == brute
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-element and per-edge loops that built the triangulation
+# and refinement tables before they were batched.  The batched tables must
+# equal them to the bit.
+
+def ref_edge_tables(nodes, elements):
+    pair_index = {}
+    edges = []
+    edge_elements = []
+    element_edges = np.empty((len(elements), 3), dtype=int)
+    for e, (a, b, c) in enumerate(elements):
+        for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
+            key = (p, q) if p < q else (q, p)
+            idx = pair_index.get(key)
+            if idx is None:
+                idx = len(edges)
+                pair_index[key] = idx
+                edges.append(key)
+                edge_elements.append([e, -1])
+            else:
+                if edge_elements[idx][1] != -1:
+                    raise MeshDegenerate(
+                        f"edge {key} shared by more than two elements")
+                edge_elements[idx][1] = e
+            element_edges[e, k] = idx
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    edge_elements = np.asarray(edge_elements, dtype=int).reshape(-1, 2)
+
+    boundary = []
+    for e, (a, b, c) in enumerate(elements):
+        for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
+            idx = element_edges[e, k]
+            if edge_elements[idx, 1] == -1:
+                d = nodes[q] - nodes[p]
+                n = np.array([d[1], -d[0]])
+                n /= np.hypot(*n)
+                boundary.append((int(p), int(q), n))
+    boundary_nodes = np.unique(
+        [pq for a, b, _ in boundary for pq in (a, b)]
+    ) if boundary else np.empty(0, dtype=int)
+    return dict(edges=edges, edge_elements=edge_elements,
+                element_edges=element_edges, boundary_edges=boundary,
+                boundary_nodes=boundary_nodes)
+
+
+def ref_refinement_tables(nodes, elements, t):
+    """The old ``ps_refine`` and ``PSRefinement._build_tables`` loops on the
+    reference edge tables ``t``."""
+    centers = np.empty((len(elements), 2))
+    for e in range(len(elements)):
+        v0, v1, v2 = nodes[elements[e]]
+        l0 = np.hypot(*(v2 - v1))
+        l1 = np.hypot(*(v0 - v2))
+        l2 = np.hypot(*(v1 - v0))
+        centers[e] = (l0 * v0 + l1 * v1 + l2 * v2) / (l0 + l1 + l2)
+
+    edge_points = np.empty((len(t["edges"]), 2))
+    for idx, (a, b) in enumerate(t["edges"]):
+        ea, eb = t["edge_elements"][idx]
+        pa = nodes[a]
+        pb = nodes[b]
+        if eb == -1:
+            edge_points[idx] = 0.5 * (pa + pb)
+            continue
+        za, zb = centers[ea], centers[eb]
+        mat = np.column_stack([zb - za, pa - pb])
+        s, tt = np.linalg.solve(mat, pa - za)
+        eps = 1e-12
+        if not (eps < tt < 1.0 - eps and eps < s < 1.0 - eps):
+            raise RefinementFailed(f"edge {a}-{b}")
+        edge_points[idx] = pa + tt * (pb - pa)
+
+    n_e = len(elements)
+    z_bary = np.empty((n_e, 3))
+    edge_split = np.empty((n_e, 3))
+    sub_coords = np.empty((n_e, 6, 3, 2))
+    sub_inv = np.empty((n_e, 6, 3, 3))
+    for e in range(n_e):
+        w = nodes[elements[e]]
+        z = centers[e]
+        a = np.empty((3, 3))
+        a[:2, :] = w.T
+        a[2, :] = 1.0
+        z_bary[e] = np.linalg.solve(a, np.array([z[0], z[1], 1.0]))
+        ep = edge_points[t["element_edges"][e]]
+        for k in range(3):
+            a = w[k]
+            d = w[(k + 1) % 3] - a
+            edge_split[e, k] = 1.0 - np.dot(ep[k] - a, d) / np.dot(d, d)
+        e01, e12, e20 = ep
+        subs = ((w[0], e01, z), (e01, w[1], z), (w[1], e12, z),
+                (e12, w[2], z), (w[2], e20, z), (e20, w[0], z))
+        for s, (p, q, r) in enumerate(subs):
+            sub_coords[e, s] = (p, q, r)
+            m = np.empty((3, 3))
+            m[:2, 0] = p
+            m[:2, 1] = q
+            m[:2, 2] = r
+            m[2, :] = 1.0
+            sub_inv[e, s] = np.linalg.inv(m)
+    return dict(interior_points=centers, edge_points=edge_points,
+                z_bary=z_bary, edge_split=edge_split, sub_coords=sub_coords,
+                sub_inv=sub_inv)
+
+
+def table_bytes(tables):
+    return {k: [(a, b, n.tobytes()) for a, b, n in v]
+            if k == "boundary_edges" else (v.dtype.str, v.shape, v.tobytes())
+            for k, v in tables.items()}
+
+
+def setup_outcome(build, nodes, elements):
+    """Bytes of every table ``build`` makes, or the exception class it
+    raised."""
+    try:
+        return table_bytes(build(nodes, elements))
+    except PsmpmError as exc:
+        return type(exc)
+
+
+def reference_setup(nodes, elements):
+    t = ref_edge_tables(nodes, elements)
+    return {**t, **ref_refinement_tables(nodes, elements, t)}
+
+
+def batched_setup(nodes, elements):
+    tri = Triangulation(nodes, elements)
+    ref = ps_refine(tri)
+    names = ("edges", "edge_elements", "element_edges", "boundary_edges",
+             "boundary_nodes")
+    return {**{k: getattr(tri, k) for k in names},
+            **{k: getattr(ref, k) for k in ("interior_points", "edge_points",
+                                            "z_bary", "edge_split",
+                                            "sub_coords", "sub_inv")}}
+
+
+class TestSetupMatchesReference:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]),
+           duplicate=st.booleans())
+    def test_jittered_meshes(self, seed, h, duplicate):
+        tri = generate_mesh("jittered", h, (0.0, 0.0, 1.0, 1.0), seed=seed)
+        elements = tri.elements
+        if duplicate:
+            # a repeated element puts a third element on its interior edges
+            e = np.random.default_rng(seed).integers(tri.n_elements)
+            elements = np.vstack([elements, elements[e]])
+        want = setup_outcome(reference_setup, tri.nodes, elements)
+        got = setup_outcome(batched_setup, tri.nodes, elements)
+        assert got == want
+        assert (got is MeshDegenerate) == duplicate
 
 
 class TestTriangulationInvariants:
@@ -270,6 +426,14 @@ class TestTriangulationInvariants:
             mid = 0.5 * (tri.nodes[a] + tri.nodes[b])
             assert np.dot(n, mid - center) > 0.0
             assert abs(np.hypot(*n) - 1.0) < 1e-14
+
+    def test_edge_shared_by_three_elements_rejected(self):
+        # three counter-clockwise triangles on the edge (0, 1)
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0],
+                          [0.5, -1.0]])
+        elements = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]])
+        with pytest.raises(MeshDegenerate, match=r"edge \(0, 1\) shared by"):
+            Triangulation(nodes, elements)
 
     def test_edge_sharing_counts(self):
         tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=10)
