@@ -49,6 +49,12 @@ SUB_POSITIONS = np.array([
 # 2 e_i e_j, in ordinate order m12, m13, m23.
 _PAIR_I = [0, 0, 1]
 _PAIR_J = [1, 2, 2]
+# d B_k / d eta_l = sum_m _QUADRATIC_DERIVATIVE[k, l, m] eta_m for the six
+# Bernstein polynomials e_k^2 (2 e_k) and 2 e_i e_j (2 e_j and 2 e_i)
+_QUADRATIC_DERIVATIVE = np.zeros((6, 3, 3))
+_QUADRATIC_DERIVATIVE[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = 2.0
+_QUADRATIC_DERIVATIVE[[3, 4, 5], _PAIR_I, _PAIR_J] = 2.0
+_QUADRATIC_DERIVATIVE[[3, 4, 5], _PAIR_J, _PAIR_I] = 2.0
 
 
 @dataclass
@@ -66,7 +72,7 @@ class ControlTriangle:
 
 @dataclass(frozen=True)
 class DirichletConstraint:
-    """Prescribed value (and tangential derivative) at a boundary vertex.
+    """Zero value (and tangential derivative) at a boundary vertex.
 
     ``component`` selects the field (0 = x, 1 = y).  ``tangent`` is the unit
     tangent of the boundary at the vertex; it is required for the spline
@@ -75,9 +81,7 @@ class DirichletConstraint:
     """
     vertex: int
     component: int
-    value: float = 0.0
     tangent: tuple[float, float] | None = None
-    tangent_value: float = 0.0
 
 
 def convex_hull(points):
@@ -263,12 +267,17 @@ def ps_points(ref: PSRefinement, vertex: int):
 
 
 class BasisSet:
-    """Uniform evaluation contract shared by both families.
+    """Uniform evaluation contract shared by both families: on each cell of
+    the locator the active functions are ``cell_ordinates[c] @ bernstein(eta)``,
+    an extraction table times K Bernstein polynomials of the barycentrics.
 
     Attributes:
         n_bf: total number of basis functions.
         n_active: active functions per element (3 for hats, 9 for splines).
         element_dofs: (n_e, n_active) global dof ids active on each element.
+        cell_ordinates: (n_cells, n_active, K) extraction table per cell.
+        bernstein_derivative: (K, 3, 3) tensor D with
+            ``d B_k / d eta_l = sum_m D[k, l, m] eta_m``.
     """
 
     n_bf: int
@@ -277,8 +286,13 @@ class BasisSet:
     tri: Triangulation
     locator: PointLocator
 
+    def bernstein(self, eta):
+        """(K, n) Bernstein polynomials of the (3, n) cell barycentrics."""
+        raise NotImplementedError
+
     def evaluate_located(self, elem, sub, eta):
-        """Values and gradients at pre-located points.
+        """Values and gradients at pre-located points: the cell's extraction
+        table times the Bernstein values and their x/y derivatives.
 
         Args:
             elem, sub, eta: as returned by ``locator.locate_many``.
@@ -286,7 +300,13 @@ class BasisSet:
         Returns:
             (dofs, vals, grads): (n, k) int, (n, k) float, (n, k, 2) float.
         """
-        raise NotImplementedError
+        elem, eta = np.asarray(elem), np.asarray(eta)
+        cell = self.locator.cell_of(elem, np.asarray(sub))
+        ords = self.cell_ordinates[cell]                     # (n, k, K)
+        vals = np.matmul(ords, self.bernstein(eta.T).T[:, :, None])[:, :, 0]
+        slope = np.einsum('klm,nm->nkl', self.bernstein_derivative, eta)
+        grads = ords @ (slope @ self.locator.cell_inv[cell, :, :2])
+        return self.element_dofs[elem], vals, grads
 
     def eval_at(self, p):
         """Single-point evaluation; raises OutsideDomain off the mesh."""
@@ -299,9 +319,9 @@ class BasisSet:
         return dofs[0], vals[0], grads[0]
 
     def constraint_rows(self, constraints):
-        """Constraint rows grouped by field component.
+        """Homogeneous constraint rows grouped by field component.
 
-        Returns ``{component: [(dof_ids, coefficients, rhs), ...]}``.
+        Returns ``{component: [(dof_ids, coefficients), ...]}``.
         """
         raise NotImplementedError
 
@@ -315,30 +335,29 @@ class HatBasis(BasisSet):
     """Piecewise-linear nodal functions; one per mesh vertex.
 
     On each element the three active functions equal the barycentric
-    coordinates and their gradients are constant.
+    coordinates and their gradients are constant: they are the P1 Bernstein
+    polynomials, with the identity as extraction table.
     """
 
     n_active = 3
+    # d eta_k / d eta_l = delta_kl = delta_kl * sum_m eta_m
+    bernstein_derivative = np.repeat(np.eye(3)[:, :, None], 3, axis=2)
 
     def __init__(self, tri: Triangulation):
         self.tri = tri
         self.n_bf = tri.n_nodes
         self.element_dofs = tri.elements.astype(np.int32)
         self.locator = PointLocator(tri, refinement=None)
-        # gradient of eta_m is row m, columns 0:2 of the inverse matrix
-        self.grad_const = self.locator.elem_inv[:, :, :2].copy()
+        self.cell_ordinates = np.broadcast_to(np.eye(3), (tri.n_elements, 3, 3))
 
-    def evaluate_located(self, elem, sub, eta):
-        del sub
-        dofs = self.element_dofs[elem]
-        return dofs, np.asarray(eta), self.grad_const[elem]
+    def bernstein(self, eta):
+        return eta
 
     def constraint_rows(self, constraints):
         rows = {0: [], 1: []}
         for c in constraints:
             self._check_boundary_vertex(c.vertex)
-            rows[c.component].append(
-                (np.array([c.vertex]), np.array([1.0]), c.value))
+            rows[c.component].append((np.array([c.vertex]), np.array([1.0])))
         return rows
 
 
@@ -348,15 +367,12 @@ class PSBasis(BasisSet):
     Three functions per vertex (dof ``3 * vertex + q``), each supported on
     the vertex's molecule.  Per element the nine active functions are stored
     as 19 Bezier ordinates over the canonical position layout, and per
-    sub-triangle as the (9, 6) table ``sub_ordinates`` of its 6 ordinates.
-    ``evaluate_located`` builds, per point, the (6, 3) matrix of the six
-    quadratic Bernstein polynomials of the barycentrics and their x and y
-    derivatives in closed form, and contracts the sub-triangle's ordinate
-    table against it in one product: values and both gradient components
-    at once.
+    sub-triangle as the (9, 6) table ``sub_ordinates`` of its 6 ordinates,
+    the extraction table of cell ``6 * e + s``.
     """
 
     n_active = 9
+    bernstein_derivative = _QUADRATIC_DERIVATIVE
 
     def __init__(self, ref: PSRefinement):
         self.ref = ref
@@ -380,9 +396,10 @@ class PSBasis(BasisSet):
         self.ordinates = self._build_ordinates()
         # (n_e, 6, 9, 6): per sub-triangle view of the ordinate tables
         self.sub_ordinates = self.ordinates[:, :, SUB_POSITIONS].transpose(0, 2, 1, 3).copy()
-        # (2, 3, n_e * 6): d eta_i / d x_c of sub-triangle cell 6 * e + s
-        self.deta_dxy = np.ascontiguousarray(
-            ref.sub_inv[:, :, :, :2].reshape(-1, 3, 2).transpose(2, 1, 0))
+
+    @property
+    def cell_ordinates(self):
+        return self.sub_ordinates.reshape(-1, 9, 6)
 
     def _build_ordinates(self):
         """Fill the (n_e, 9, 19) ordinate tables from the vertex triplets.
@@ -442,26 +459,8 @@ class PSBasis(BasisSet):
         # row 3 * corner + q of the (n_e, 9, 19) table
         return ords.transpose(0, 1, 3, 2).reshape(len(el), 9, 19)
 
-    def evaluate_located(self, elem, sub, eta):
-        elem = np.asarray(elem)
-        cell = 6 * elem + np.asarray(sub)
-        n = len(cell)
-        e = np.ascontiguousarray(np.asarray(eta).T)             # (3, n)
-        t = 2.0 * e
-        g = np.take(self.deta_dxy, cell, axis=2)                # (2, 3, n)
-        # w[j, c]: the Bernstein polynomial B_j of the barycentrics
-        # (e1^2, e2^2, e3^2, 2 e1 e2, 2 e1 e3, 2 e2 e3) for c = 0 and its
-        # x/y derivative for c = 1/2, with d(ei ej) = ei d(ej) + ej d(ei)
-        w = np.empty((6, 3, n))
-        w[:3, 0] = e * e
-        w[3:, 0] = t[_PAIR_I] * e[_PAIR_J]
-        w[:3, 1:] = (t * g).transpose(1, 0, 2)
-        w[3:, 1:] = (t[_PAIR_I] * g[:, _PAIR_J]
-                     + t[_PAIR_J] * g[:, _PAIR_I]).transpose(1, 0, 2)
-        # one (9, 6) @ (6, 3) product per point: values and x/y gradients
-        w = np.ascontiguousarray(w.reshape(18, n).T).reshape(n, 6, 3)
-        out = np.matmul(self.sub_ordinates.reshape(-1, 9, 6)[cell], w)
-        return self.element_dofs[elem], out[:, :, 0], out[:, :, 1:]
+    def bernstein(self, eta):
+        return np.concatenate([eta * eta, 2.0 * eta[_PAIR_I] * eta[_PAIR_J]])
 
     def constraint_rows(self, constraints):
         rows = {0: [], 1: []}
@@ -479,9 +478,8 @@ class PSBasis(BasisSet):
                     f"tangent {c.tangent} is not axis-aligned")
             dofs = np.arange(3 * c.vertex, 3 * c.vertex + 3)
             trip = self.triplets[c.vertex]
-            rows[c.component].append((dofs, trip[:, 0].copy(), c.value))
-            rows[c.component].append(
-                (dofs, trip[:, 1] * tx + trip[:, 2] * ty, c.tangent_value))
+            rows[c.component].append((dofs, trip[:, 0].copy()))
+            rows[c.component].append((dofs, trip[:, 1] * tx + trip[:, 2] * ty))
         return rows
 
 

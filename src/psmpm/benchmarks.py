@@ -129,8 +129,7 @@ def rectangle_constraints(tri: Triangulation, fixed: dict):
             if abs(tri.nodes[v][axis] - target) <= tol:
                 for comp in comps:
                     out.append(DirichletConstraint(
-                        vertex=int(v), component=comp, value=0.0,
-                        tangent=tangent, tangent_value=0.0))
+                        vertex=int(v), component=comp, tangent=tangent))
     return out
 
 
@@ -342,7 +341,6 @@ class MmsRunResult:
     h_typical: float
     traced_index: int = -1
     traced_sigma_xx: np.ndarray | None = None
-    traced_positions: np.ndarray | None = None
     traced_rms: float = 0.0
 
 
@@ -353,18 +351,16 @@ def run_mms(spec: BenchmarkSpec, trace_point=None,
     ``rms`` is ``sqrt(sum |x - xhat|^2 / (n_p * n_t))`` over every particle
     and every end-of-step time, with ``xhat`` the exact positions.
     If ``trace_point`` is given, the particle starting nearest to it has its
-    stress and position recorded every step.
+    stress recorded every step and its own RMS error reported.
     """
     system, particles = build_system(spec)
     n_steps = spec.n_steps
 
-    traced = -1
-    sig = pos = None
+    traced, sig = -1, None
     if trace_point is not None:
         traced = int(np.argmin(np.hypot(particles.x0[:, 0] - trace_point[0],
                                         particles.x0[:, 1] - trace_point[1])))
         sig = np.empty(n_steps)
-        pos = np.empty((n_steps, 2))
 
     acc = {"err2": 0.0, "traced_err2": 0.0}
 
@@ -373,7 +369,6 @@ def run_mms(spec: BenchmarkSpec, trace_point=None,
         acc["err2"] += float(np.sum(diff ** 2))
         if traced >= 0:
             sig[i] = parts.sigma[traced, 0, 0]
-            pos[i] = parts.x[traced]
             acc["traced_err2"] += float(np.sum(diff[traced] ** 2))
 
     system.run(particles, n_steps, on_step=on_step)
@@ -381,8 +376,7 @@ def run_mms(spec: BenchmarkSpec, trace_point=None,
     traced_rms = float(np.sqrt(acc["traced_err2"] / n_steps)) if traced >= 0 else 0.0
     return MmsRunResult(rms=rms, dt=spec.dt, n_steps=n_steps,
                         h_typical=spec.h_typical, traced_index=traced,
-                        traced_sigma_xx=sig, traced_positions=pos,
-                        traced_rms=traced_rms)
+                        traced_sigma_xx=sig, traced_rms=traced_rms)
 
 
 @dataclass

@@ -630,21 +630,16 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
 
-    p_run = sub.add_parser("run", help="time-step a configured simulation")
-    p_run.add_argument("config")
-    common(p_run)
-    p_run.add_argument("--mass-mode", default=None,
+    for name, func, text in (
+            ("run", _cmd_run, "time-step a configured simulation"),
+            ("converge", _cmd_converge, "run the convergence study")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("config")
+        common(p)
+        p.add_argument("--mass-mode", default=None,
                        choices=("consistent", "lumped", "partial"))
-    p_run.add_argument("--basis", default=None, choices=("hat", "ps"))
-    p_run.set_defaults(func=_cmd_run)
-
-    p_conv = sub.add_parser("converge", help="run the convergence study")
-    p_conv.add_argument("config")
-    common(p_conv)
-    p_conv.add_argument("--mass-mode", default=None,
-                        choices=("consistent", "lumped", "partial"))
-    p_conv.add_argument("--basis", default=None, choices=("hat", "ps"))
-    p_conv.set_defaults(func=_cmd_converge)
+        p.add_argument("--basis", default=None, choices=("hat", "ps"))
+        p.set_defaults(func=func)
 
     p_chk = sub.add_parser("basis-check",
                            help="verify spline invariants on a mesh file")

@@ -300,6 +300,25 @@ def ps_refine(tri: Triangulation) -> PSRefinement:
     return PSRefinement(tri, centers, edge_points)
 
 
+def _quick_margins(ref):
+    """(n_e, 6) least smallest-eta at which a point stays in its hint sub.
+
+    With every barycentric in sub s at least m, a point is ``m h`` inside s
+    (h: least height of s), so that far from any other sub r; points with
+    every barycentric of r at least -d lie within ``3 d R`` of r (R: r's
+    largest corner-to-centroid distance).  So at the margin
+    ``max(6 LOCATE_TOL R / h over r <= s, LOCATE_TOL)`` a point is in its
+    element and below ``-2 LOCATE_TOL`` in every lower sub r, which leaves
+    LOCATE_TOL to spare for rounding.
+    """
+    c = ref.sub_coords                                  # (n_e, 6, 3, 2)
+    radius = np.linalg.norm(c - c.mean(axis=2, keepdims=True), axis=-1)
+    edge = np.linalg.norm(c - np.roll(c, 1, axis=2), axis=-1).max(axis=-1)
+    h = np.abs(cross2(c[:, :, 1] - c[:, :, 0], c[:, :, 2] - c[:, :, 0])) / edge
+    lower = np.maximum.accumulate(radius.max(axis=-1), axis=1)  # r <= s
+    return np.maximum(6.0 * LOCATE_TOL * lower / h, LOCATE_TOL)
+
+
 class PointLocator:
     """Bin-grid accelerated point location down to the sub-triangle.
 
@@ -352,6 +371,18 @@ class PointLocator:
         self.neighbor_table = _padded_table(
             pairs // tri.n_elements, pairs % tri.n_elements, tri.n_elements)
 
+        # cells: sub-triangle 6 e + s of the refinement, else element e
+        if refinement is None:
+            self.cell_inv = self.elem_inv
+            self.quick_margin = np.full(tri.n_elements, -LOCATE_TOL)
+        else:
+            self.cell_inv = refinement.sub_inv.reshape(-1, 3, 3)
+            self.quick_margin = _quick_margins(refinement).ravel()
+
+    def cell_of(self, elem, sub):
+        """Cell ids of located points: ``6 * elem + sub``, or ``elem``."""
+        return elem if self.refinement is None else 6 * elem + sub
+
     def _bin_rows(self, pts):
         """Which points lie in the mesh's bounding box, and their bin-table
         rows.  Points on the top or right side of the box go to the last
@@ -397,62 +428,57 @@ class PointLocator:
     def locate_many(self, points, hint=None):
         """Vectorised location of many points.
 
-        A point with a hint is tested against its hint element, then
-        against the hint's row of ``neighbor_table``.  Points still
-        unlocated, and all points without a hint, are tested against their
-        bin's row of ``bin_table``.  Both passes test every point's row at
-        once, in chunks of ``LOCATE_CHUNK`` points, and take the first
-        containing element in row order.  Rows list elements in ascending
-        order, so without a hint ties on shared edges resolve to the lowest
-        element index.  The sub-triangle of each located point comes from
-        :meth:`locate_in`, in the same chunks.
+        A point with a hint ``(elem, sub)`` from a previous call stays in
+        its hint cell when its smallest barycentric there is at least the
+        cell's ``quick_margin`` (``-LOCATE_TOL`` for an element; see
+        :func:`_quick_margins` for a sub-triangle, where the result is the
+        full pass's to the bit).  Other hinted points are tested against
+        the hint element, then its row of ``neighbor_table`` (a CFL-bounded
+        move); the rest against their bin's row of ``bin_table``.  Both go
+        in chunks of ``LOCATE_CHUNK`` and take the first containing element
+        of the ascending row, so without a hint ties on shared edges go to
+        the lowest element.  Sub-triangles then come from :meth:`locate_in`.
 
-        Args:
-            points: (n, 2) array.
-            hint: optional (n,) array of element ids from a previous call;
-                points are first tested against the hint element and its
-                vertex neighbours, which covers a CFL-bounded move.
-
-        Returns:
-            (elem, sub, eta): (n,) int, (n,) int, (n, 3) float.  ``elem`` is
-            -1 for points outside the mesh; ``sub`` is -1 when no refinement
-            is attached.
+        Returns (elem, sub, eta): (n,) int, (n,) int, (n, 3) float; ``elem``
+        is -1 outside the mesh and ``sub`` -1 without a refinement.
         """
         pts = np.asarray(points, dtype=float)
         n = len(pts)
-        elem = np.full(n, -1, dtype=int)
         ph = np.column_stack([pts, np.ones(n)])
+        if hint is None:
+            elem, sub = np.full(n, -1), np.full(n, -1)
+            eta, todo = np.zeros((n, 3)), np.ones(n, dtype=bool)
+        else:
+            # points without a hint are run through cell 0 and never kept
+            h_elem, h_sub = (np.maximum(np.asarray(a, dtype=int), 0)
+                             for a in hint)
+            cell = self.cell_of(h_elem, h_sub)
+            eta = np.einsum('pij,pj->pi', self.cell_inv[cell], ph)
+            hinted = np.asarray(hint[0]) >= 0
+            todo = ~((_min3(eta) >= self.quick_margin[cell]) & hinted)
+            elem = np.where(todo, -1, h_elem)
+            sub = np.where(todo, -1, np.asarray(hint[1]))
+            miss = np.nonzero(todo & hinted)[0]
+            t = np.einsum('pij,pj->pi', self.elem_inv[h_elem[miss]], ph[miss])
+            inside = _min3(t) >= -LOCATE_TOL
+            elem[miss[inside]] = h_elem[miss[inside]]
+            miss = miss[~inside]
+            elem[miss] = self._first_containing(
+                self.neighbor_table, h_elem[miss], ph[miss])
 
-        pending = np.arange(n)
-        if hint is not None and n:
-            hint = np.asarray(hint, dtype=int)
-            idx = np.nonzero(hint >= 0)[0]
-            if len(idx):
-                eta = np.einsum('pij,pj->pi', self.elem_inv[hint[idx]], ph[idx])
-                inside = _min3(eta) >= -LOCATE_TOL
-                elem[idx[inside]] = hint[idx[inside]]
-                miss = idx[~inside]
-                elem[miss] = self._first_containing(
-                    self.neighbor_table, hint[miss], ph[miss])
-            pending = np.nonzero(elem < 0)[0]
-
+        pending = np.nonzero(todo & (elem < 0))[0]
         in_box, rows = self._bin_rows(pts[pending])
         pending = pending[in_box]
         elem[pending] = self._first_containing(self.bin_table, rows,
                                                ph[pending])
 
-        found = elem >= 0
+        found = np.nonzero(todo & (elem >= 0))[0]
         if self.refinement is None:
-            eta = np.zeros((n, 3))
-            if found.any():
-                eta[found] = np.einsum('pij,pj->pi',
-                                       self.elem_inv[elem[found]], ph[found])
-            return elem, np.full(n, -1, dtype=int), eta
-
-        # points outside the mesh are run through element 0, then reset; no
-        # gather of the located points, which are all points in a step
-        sub, eta = self.locate_in(np.maximum(elem, 0), pts)
-        sub[~found], eta[~found] = -1, 0.0
+            eta[found] = np.einsum('pij,pj->pi', self.elem_inv[elem[found]],
+                                   ph[found])
+        else:
+            sub[found], eta[found] = self.locate_in(elem[found], pts[found])
+        eta[elem < 0] = 0.0
         return elem, sub, eta
 
     def locate_in(self, elem, points):

@@ -1,12 +1,12 @@
 """Particle state, particle-dof transfers, mass-matrix modes and the step.
 
-Each step builds one sparse particle-dof operator (``Transfer``) from the
-located basis evaluation: ``N`` holds the basis values and ``Gx``/``Gy``
-the basis gradients at the particles.  Every transfer is a product with
-these matrices: lumped mass ``N^T m``, consistent mass ``N^T diag(m) N``,
-internal force ``Gx^T (V sigma)_x + Gy^T (V sigma)_y``, body force
-``N^T (m b)`` and momentum ``N^T (m v)``; grid coefficients come back to
-the particles as ``N @ c`` and velocity gradients as ``[Gx @ v, Gy @ v]``.
+Transfers work per cell (a sub-triangle for splines, an element for
+hats), where every active function is an extraction table times the
+Bernstein polynomials of the cell barycentrics and its gradient is linear
+in them.  Particle-to-grid transfers are per-cell sums over the cell's
+particles (moments ``sum m B_k B_l``, ``sum m B_k``, ``sum V sigma eta_m``,
+``sum m b B_k``, ``sum m v B_k``) contracted with the cell's tables;
+grid-to-particle gathers go through per-cell coefficients.
 
 One time step projects particle mass and internal/body forces onto the
 basis, solves for grid accelerations, increments particle velocities,
@@ -28,6 +28,7 @@ solves.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,29 +266,6 @@ def init_particles(locator, layout: ParticleLayout, rho0) -> Particles:
     return particles
 
 
-class Transfer:
-    """Particle-dof operator of one step.
-
-    ``N`` holds the basis values and ``Gx``/``Gy`` the x/y basis gradients
-    at the particles, each an (n_p, n_bf) CSR matrix; all three share one
-    int32 pattern, the dofs active at each particle.
-    """
-
-    def __init__(self, n_bf, dofs, vals, grads):
-        n, k = dofs.shape
-        self.shape = (n, n_bf)
-        self.indices = np.asarray(dofs, dtype=np.int32).ravel()
-        self.indptr = np.arange(0, n * k + 1, k, dtype=np.int32)
-        self.N = self.with_values(vals)
-        self.Gx = self.with_values(grads[:, :, 0])
-        self.Gy = self.with_values(grads[:, :, 1])
-
-    def with_values(self, values):
-        """CSR matrix on the shared pattern with per-particle ``values``."""
-        return sp.csr_matrix((np.ravel(values), self.indices, self.indptr),
-                             shape=self.shape)
-
-
 class MassOperator:
     """Assembled grid mass in one of the three modes.
 
@@ -312,44 +290,128 @@ class MassOperator:
         return float(self.lumped.sum())
 
 
+# One step's view of the located particles: element and cell ids (n,),
+# cell barycentrics (3, n), Bernstein values (K, n) and an (n,) work buffer.
+CellPoints = namedtuple("CellPoints", "elem cell eta bern work")
+
+
 class GridAssembler:
-    """Projection of particle mass, forces and momentum onto the basis,
-    each a product with the step's ``Transfer``."""
+    """Particle-grid transfers through per-cell Bernstein moments.
+
+    On cell c the active functions are ``N = O_c B(eta)`` (``ords``) and
+    ``grad N = sum_m eta_m Z_c[:, m]`` (``grad_ops``).  These tables, the
+    cell dofs and the CSR pattern of the element mass blocks, with the slot
+    of every block entry, are built once.  Moments are summed one row at a
+    time by ``np.bincount`` on the cell ids; particles are never reordered.
+    """
 
     def __init__(self, basis):
         self.basis = basis
-        self.n_bf = basis.n_bf
+        self.n_bf = n_bf = basis.n_bf
+        self.ords = basis.cell_ordinates
+        self.n_cells, _, self.n_bern = self.ords.shape
+        ed = basis.element_dofs
+        self.cell_dofs = np.repeat(ed, self.n_cells // len(ed), axis=0)
+        # grad_ops[c, d, 2 m + b]: d N_d / d x_b = sum_m eta_m grad_ops[...]
+        self.grad_ops = np.einsum(
+            'cdk,klm,clb->cdmb', self.ords, basis.bernstein_derivative,
+            basis.locator.cell_inv[:, :, :2], optimize=True
+        ).reshape(self.n_cells, -1, 6)
+        keys, slots = np.unique(ed[:, :, None] * np.int64(n_bf) + ed[:, None],
+                                return_inverse=True)
+        self.slots = slots.reshape(len(ed), -1)
+        self.slot_row = keys // n_bf
+        self.indices = (keys % n_bf).astype(np.int32)
+        self.indptr = np.searchsorted(self.slot_row,
+                                      np.arange(n_bf + 1)).astype(np.int32)
+        self.diag_slot = np.searchsorted(keys, np.arange(n_bf) * (n_bf + 1))
 
-    def mass(self, transfer: Transfer, elem, masses,
-             mode: MassMode) -> MassOperator:
-        lumped = transfer.N.T @ masses
+    def located(self, elem, sub, eta) -> CellPoints:
+        eta = np.ascontiguousarray(np.asarray(eta).T)
+        return CellPoints(elem, self.basis.locator.cell_of(elem, sub), eta,
+                          self.basis.bernstein(eta), np.empty(len(elem)))
+
+    def _moment(self, pts: CellPoints, a, b):    # per-cell sums of a * b
+        np.multiply(a, b, out=pts.work)
+        return np.bincount(pts.cell, weights=pts.work, minlength=self.n_cells)
+
+    def _to_dofs(self, per_cell):
+        """(n_bf, j) sums of per-cell dof values (n_cells, n_active, j)."""
+        return np.column_stack([
+            np.bincount(self.cell_dofs.ravel(), weights=col.ravel(),
+                        minlength=self.n_bf)
+            for col in np.moveaxis(per_cell, -1, 0)])
+
+    def _project(self, pts: CellPoints, w):
+        """(n_bf, 2) sums ``sum_p N(x_p) w_p`` of per-particle w (n, 2)."""
+        q = np.array([[self._moment(pts, wa, b) for b in pts.bern]
+                      for wa in np.ascontiguousarray(w.T)])
+        return self._to_dofs(self.ords @ q.transpose(2, 1, 0))
+
+    @staticmethod
+    def _gather(pts: CellPoints, weights, table):
+        """``sum_r weights[r] * table[..., r, cell]`` per particle."""
+        table, work = np.ascontiguousarray(table), pts.work
+        out = np.zeros(table.shape[:-2] + (len(pts.cell),))
+        for idx in np.ndindex(table.shape[:-2]):
+            for r, w in enumerate(weights):
+                np.take(table[idx + (r,)], pts.cell, out=work)
+                work *= w
+                out[idx] += work
+        return out
+
+    def mass(self, pts: CellPoints, masses, mode: MassMode) -> MassOperator:
+        b = np.stack([self._moment(pts, masses, r) for r in pts.bern], axis=-1)
+        lumped = self._to_dofs(self.ords @ b[..., None])[:, 0]
         if mode is MassMode.LUMPED:
             return MassOperator(mode, lumped, sp.diags(lumped, format="csr"))
-        vals = transfer.N.data.reshape(len(masses), -1)
-        matrix = transfer.N.T @ transfer.with_values(masses[:, None] * vals)
-        if mode is MassMode.CONSISTENT:
-            return MassOperator(mode, lumped, matrix)
-
-        empty = np.bincount(elem, minlength=self.basis.tri.n_elements) == 0
-        marked = np.zeros(self.n_bf, dtype=bool)
-        marked[self.basis.element_dofs[empty]] = True
-        matrix = (sp.diags((~marked).astype(float)) @ matrix
-                  + sp.diags(np.where(marked, lumped, 0.0)))
+        mb, k_b = masses * pts.bern, self.n_bern
+        s = np.empty((self.n_cells, k_b, k_b))
+        for k in range(k_b):
+            for l in range(k, k_b):
+                s[:, k, l] = s[:, l, k] = self._moment(pts, mb[k], pts.bern[l])
+        blocks = self.ords @ s @ self.ords.transpose(0, 2, 1)
+        blocks = blocks.reshape((len(self.slots), -1) + blocks.shape[1:])
+        data = np.bincount(self.slots.ravel(), blocks.sum(axis=1).ravel(),
+                           minlength=len(self.indices))
+        marked = None
+        if mode is MassMode.PARTIAL:
+            empty = np.bincount(pts.elem, minlength=len(self.slots)) == 0
+            marked = np.zeros(self.n_bf, dtype=bool)
+            marked[self.basis.element_dofs[empty]] = True
+            data[marked[self.slot_row]] = 0.0
+            data[self.diag_slot[marked]] = lumped[marked]
+        matrix = sp.csr_matrix((data, self.indices, self.indptr),
+                               shape=(self.n_bf, self.n_bf))
         return MassOperator(mode, lumped, matrix, marked)
 
-    def forces(self, transfer: Transfer, particles, body=None):
-        """Internal and body force vectors, each (n_bf, 2)."""
-        stress = particles.V[:, None, None] * particles.sigma
-        f_int = (transfer.Gx.T @ stress[:, 0, :]
-                 + transfer.Gy.T @ stress[:, 1, :])
+    def forces(self, pts: CellPoints, particles, body=None):
+        """Internal and body force vectors, each (n_bf, 2).  The internal
+        force takes the nine moments ``sum V sigma_ab eta_m`` of each cell
+        (sigma is symmetric)."""
+        t = np.empty((self.n_cells, 3, 2, 2))       # [c, m, b, a]
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            vs = particles.V * particles.sigma[:, a, b]
+            for m, e in enumerate(pts.eta):
+                t[:, m, a, b] = t[:, m, b, a] = self._moment(pts, vs, e)
+        f_int = self._to_dofs(self.grad_ops @ t.reshape(self.n_cells, 6, 2))
         if body is None:
-            f_body = np.zeros((self.n_bf, 2))
-        else:
-            f_body = transfer.N.T @ (particles.m[:, None] * body)
-        return f_int, f_body
+            return f_int, np.zeros((self.n_bf, 2))
+        return f_int, self._project(pts, particles.m[:, None] * body)
 
-    def momentum(self, transfer: Transfer, particles):
-        return transfer.N.T @ (particles.m[:, None] * particles.v)
+    def momentum(self, pts: CellPoints, particles):
+        return self._project(pts, particles.m[:, None] * particles.v)
+
+    def values(self, pts: CellPoints, coeffs):
+        """(n, 2) fields ``sum_d N_d coeffs[d]`` at the particles."""
+        table = self.ords.transpose(0, 2, 1) @ coeffs[self.cell_dofs]
+        return self._gather(pts, pts.bern, table.T).T
+
+    def gradients(self, pts: CellPoints, coeffs):
+        """(2, 2, n) gradients ``d field_a / d x_b`` at the particles."""
+        table = self.grad_ops.transpose(0, 2, 1) @ coeffs[self.cell_dofs]
+        return self._gather(pts, pts.eta,
+                            table.reshape(-1, 3, 2, 2).transpose(3, 2, 1, 0))
 
 
 class ConstraintReduction:
@@ -362,49 +424,28 @@ class ConstraintReduction:
     unconstrained dofs as-is, so a reduced consistent matrix stays
     symmetric positive definite.  A reduction built with no rows is the
     identity.
-
-    Raises:
-        ValidationError: on a row with a nonzero right-hand side.  Grid
-            solves work in the span of ``P``, which holds only fields that
-            satisfy the rows homogeneously; this is the one place where
-            inhomogeneous rows are rejected.
     """
 
     def __init__(self, n_bf, rows):
         grouped = {}
-        for dofs, coeffs, rhs in rows:
-            key = tuple(int(d) for d in dofs)
-            if rhs != 0.0:
-                raise ValidationError(
-                    f"constraint on dofs {key} has right-hand side {rhs}; "
-                    "only homogeneous (zero) constraints are supported")
-            grouped.setdefault(key, []).append(np.asarray(coeffs, float))
-
-        constrained = set()
-        blocks = []               # (dofs array, nullspace (k, m))
+        for dofs, coeffs in rows:
+            grouped.setdefault(tuple(int(d) for d in dofs), []).append(coeffs)
+        free = np.ones(n_bf, dtype=bool)
+        nulls = []                # (block dofs, one free direction)
         for key in sorted(grouped):
-            a = np.array(grouped[key])
+            a = np.array(grouped[key], dtype=float)
             _, s, vt = np.linalg.svd(a, full_matrices=True)
-            tol = max(a.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
-            rank = int((s > tol).sum())
-            blocks.append((np.asarray(key, dtype=int), vt[rank:].T))
-            constrained.update(key)
-
-        self.free_dofs = np.asarray(
-            [d for d in range(n_bf) if d not in constrained], dtype=int)
-
-        free = self.free_dofs
-        data, rix, cix = [np.ones(len(free))], [free], [np.arange(len(free))]
-        ci = len(free)
-        for dofs, null in blocks:
-            for j in range(null.shape[1]):
-                data.append(null[:, j])
-                rix.append(dofs)
-                cix.append(np.full(len(dofs), ci))
-                ci += 1
-        self.P = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rix), np.concatenate(cix))),
-            shape=(n_bf, ci))
+            rank = int((s > max(a.shape) * np.finfo(float).eps * s[0]).sum())
+            nulls += [(np.asarray(key), v) for v in vt[rank:]]
+            free[list(key)] = False
+        self.free_dofs = np.nonzero(free)[0]
+        n_free = len(self.free_dofs)
+        self.P = sp.csr_matrix((
+            np.concatenate([np.ones(n_free)] + [v for _, v in nulls]),
+            (np.concatenate([self.free_dofs] + [d for d, _ in nulls]),
+             np.concatenate([np.arange(n_free)] + [np.full(len(d), n_free + j)
+                                                   for j, (d, _) in enumerate(nulls)]))),
+            shape=(n_bf, n_free + len(nulls)))
 
     @property
     def n_reduced(self):
@@ -503,10 +544,10 @@ class MpmSystem:
 
     ``body_force`` is a callable ``(reference_coords, t) -> (n, 2)`` or
     None; manufactured-solution forcing uses the reference coordinates.
-    ``constraints`` must be homogeneous: ``ConstraintReduction`` raises
-    ``ValidationError`` on a nonzero value.  ``step`` advances particles in
-    place, reuses the location cache and raises ``ParticleLeftDomain`` when
-    a particle leaves the mesh.
+    ``constraints`` pin field values (and, for splines, tangential
+    derivatives) to zero.  ``step`` advances particles in place, reuses
+    the location cache and raises ``ParticleLeftDomain`` when a particle
+    leaves the mesh.
     """
 
     def __init__(self, basis, material: MaterialModel, dt,
@@ -525,7 +566,8 @@ class MpmSystem:
                            for k in (0, 1)]
 
     def step(self, particles: Particles, t=0.0):
-        """Advance one time step; mutates ``particles``."""
+        """Advance one time step; mutates ``particles``.  The cached location
+        is the next location's hint: staying in a cell costs one test."""
         basis = self.basis
         if particles.loc is None:
             elem, sub, eta = basis.locator.locate_many(particles.x)
@@ -533,17 +575,16 @@ class MpmSystem:
                 raise ParticleOutsideMesh("unlocatable particle at step start")
             particles.loc = (elem, sub, eta)
         elem, sub, eta = particles.loc
-        transfer = Transfer(basis.n_bf,
-                            *basis.evaluate_located(elem, sub, eta))
+        asm = self.assembler
+        pts = asm.located(elem, sub, eta)
 
         mean_mass = float(particles.m.mean())
-        mass_op = self.assembler.mass(transfer, elem, particles.m,
-                                      self.mass_mode)
+        mass_op = asm.mass(pts, particles.m, self.mass_mode)
 
         body = None
         if self.body_force is not None:
             body = np.asarray(self.body_force(particles.x0, t), dtype=float)
-        f_int, f_body = self.assembler.forces(transfer, particles, body=body)
+        f_int, f_body = asm.forces(pts, particles, body=body)
         rhs = f_body - f_int
 
         a_hat = np.empty((basis.n_bf, 2))
@@ -551,7 +592,7 @@ class MpmSystem:
             a_hat[:, k] = solve_grid(mass_op, rhs[:, k], self.reductions[k],
                                      mean_mass, context=f"acceleration[{k}]")
 
-        dv = self.dt * (transfer.N @ a_hat)
+        dv = self.dt * asm.values(pts, a_hat)
         if self.mass_mode is not MassMode.LUMPED:
             wave = self.material.wave_speed(float(particles.rho.mean()))
             kick = float(np.abs(dv).max())
@@ -564,18 +605,16 @@ class MpmSystem:
                     f"({VELOCITY_BLOWUP_FACTOR:g} wave speeds)")
         particles.v += dv
 
-        momentum = self.assembler.momentum(transfer, particles)
+        momentum = asm.momentum(pts, particles)
         v_hat = np.empty((basis.n_bf, 2))
         for k in range(2):
             v_hat[:, k] = solve_grid(mass_op, momentum[:, k],
                                      self.reductions[k], mean_mass,
                                      context=f"velocity[{k}]")
 
-        # columns of Gx @ v_hat: d v_x / dx, d v_y / dx (Gy alike for y)
-        dvx = transfer.Gx @ v_hat
-        dvy = transfer.Gy @ v_hat
-        exx, eyy = dvx[:, 0], dvy[:, 1]
-        exy = 0.5 * (dvy[:, 0] + dvx[:, 1])
+        grad = asm.gradients(pts, v_hat)          # grad[a, b] = d v_a / d x_b
+        exx, eyy = grad[0, 0], grad[1, 1]
+        exy = 0.5 * (grad[0, 1] + grad[1, 0])
         if self.mass_mode is not MassMode.LUMPED:
             increment = self.dt * float(np.maximum(
                 np.maximum(np.abs(exx), np.abs(eyy)), np.abs(exy)).max())
@@ -595,12 +634,12 @@ class MpmSystem:
         particles.V = particles.J * particles.V0
         particles.rho = particles.m / particles.V
 
-        vel = transfer.N @ v_hat
+        vel = asm.values(pts, v_hat)
         particles.x = particles.x + self.dt * vel
         particles.u = particles.u + self.dt * vel
 
         new_elem, new_sub, new_eta = basis.locator.locate_many(
-            particles.x, hint=elem)
+            particles.x, hint=(elem, sub))
         if np.any(new_elem < 0):
             bad = int(np.nonzero(new_elem < 0)[0][0])
             raise ParticleLeftDomain(

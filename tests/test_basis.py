@@ -604,10 +604,10 @@ class TestDirichlet:
         tri = unit_square_mesh()
         basis = hat_basis(tri)
         rows = basis.constraint_rows(
-            [DirichletConstraint(vertex=1, component=0, value=0.0)])
+            [DirichletConstraint(vertex=1, component=0)])
         assert len(rows[0]) == 1 and len(rows[1]) == 0
-        dofs, coeffs, rhs = rows[0][0]
-        assert dofs.tolist() == [1] and coeffs.tolist() == [1.0] and rhs == 0.0
+        dofs, coeffs = rows[0][0]
+        assert dofs.tolist() == [1] and coeffs.tolist() == [1.0]
 
     def test_interior_vertex_rejected(self):
         tri = generate_mesh("structured", 0.5, (0.0, 0.0, 1.0, 1.0))
@@ -622,7 +622,7 @@ class TestDirichlet:
         tri = jittered(seed=18)
         basis = ps_basis(ps_refine(tri))
         left = [v for v in tri.boundary_nodes if tri.nodes[v][0] < 1e-9]
-        constraints = [DirichletConstraint(vertex=v, component=0, value=0.0,
+        constraints = [DirichletConstraint(vertex=v, component=0,
                                            tangent=(0.0, 1.0))
                        for v in left]
         rows = basis.constraint_rows(constraints)
@@ -644,16 +644,17 @@ class TestDirichlet:
         tri = jittered(seed=19)
         basis = ps_basis(ps_refine(tri))
         bottom = [v for v in tri.boundary_nodes if tri.nodes[v][1] < 1e-9]
-        constraints = [DirichletConstraint(vertex=v, component=0, value=2.5,
-                                           tangent=(1.0, 0.0),
-                                           tangent_value=0.0)
+        constraints = [DirichletConstraint(vertex=v, component=0,
+                                           tangent=(1.0, 0.0))
                        for v in bottom]
         rows = basis.constraint_rows(constraints)
-        # minimum-norm coefficients that satisfy each vertex block's rows
+        # each constraint gives a value row, then a tangential-derivative
+        # row; minimum-norm coefficients with value 2.5 and derivative 0
         coeff = np.zeros(basis.n_bf)
         blocks = {}
-        for dofs, coeffs, rhs in rows[0]:
-            blocks.setdefault(tuple(dofs), []).append((coeffs, rhs))
+        for i, (dofs, coeffs) in enumerate(rows[0]):
+            blocks.setdefault(tuple(dofs), []).append(
+                (coeffs, 2.5 if i % 2 == 0 else 0.0))
         for dofs, block in blocks.items():
             a = np.array([c for c, _ in block])
             b = np.array([r for _, r in block])

@@ -199,14 +199,104 @@ class TestLocate:
         pts = rng.uniform(0.02, 0.98, size=(300, 2))
         elem, sub, eta = loc.locate_many(pts)
         moved = np.clip(pts + rng.uniform(-0.02, 0.02, pts.shape), 0.01, 0.99)
-        e1, s1, t1 = loc.locate_many(moved, hint=elem)
+        e1, s1, t1 = loc.locate_many(moved, hint=(elem, sub))
         e2, s2, t2 = loc.locate_many(moved)
         assert np.array_equal(e1, e2)
         assert np.array_equal(s1, s2)
         assert_allclose(t1, t2, atol=1e-13)
 
 
+# Reference: the hinted locate_many before the quick test of the hint's
+# sub-triangle.  It tests the hint element, its neighbours, then the bins,
+# and takes the sub-triangle of every point from locate_in.
+def ref_locate_hinted(loc, points, hint):
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    elem = np.full(n, -1, dtype=int)
+    ph = np.column_stack([pts, np.ones(n)])
+    idx = np.nonzero(hint >= 0)[0]
+    eta = np.einsum('pij,pj->pi', loc.elem_inv[hint[idx]], ph[idx])
+    inside = mesh._min3(eta) >= -mesh.LOCATE_TOL
+    elem[idx[inside]] = hint[idx[inside]]
+    miss = idx[~inside]
+    elem[miss] = loc._first_containing(loc.neighbor_table, hint[miss],
+                                       ph[miss])
+    pending = np.nonzero(elem < 0)[0]
+    in_box, rows = loc._bin_rows(pts[pending])
+    pending = pending[in_box]
+    elem[pending] = loc._first_containing(loc.bin_table, rows, ph[pending])
+    found = elem >= 0
+    if loc.refinement is None:
+        eta = np.zeros((n, 3))
+        eta[found] = np.einsum('pij,pj->pi', loc.elem_inv[elem[found]],
+                               ph[found])
+        return elem, np.full(n, -1, dtype=int), eta
+    sub, eta = loc.locate_in(np.maximum(elem, 0), pts)
+    sub[~found], eta[~found] = -1, 0.0
+    return elem, sub, eta
+
+
+def hinted_sample(tri, ref, rng):
+    """Points on shared sub-edges, element edges and vertices, random and
+    outside points, each paired with four hints: its own (element, sub),
+    the two neighbouring subs of that element and a random sub of a vertex
+    neighbour element (a move of one sub or one element)."""
+    a = tri.nodes[tri.edges[:, 0]]
+    b = tri.nodes[tri.edges[:, 1]]
+    t = rng.random((len(a), 1))
+    pts = [tri.nodes, t * a + (1.0 - t) * b,
+           rng.uniform(-0.1, 1.1, size=(300, 2))]
+    if ref is not None:
+        c = ref.sub_coords.reshape(-1, 3, 2)
+        t = rng.random((len(c), 3, 1))
+        pts += [ref.edge_points, ref.interior_points,
+                (t * c + (1.0 - t) * np.roll(c, 1, axis=1)).reshape(-1, 2)]
+    pts = np.concatenate(pts)
+    loc = PointLocator(tri, ref)
+    elem, sub, _ = loc.locate_many(pts)
+    elem = np.where(elem < 0, rng.integers(-1, tri.n_elements, len(pts)), elem)
+    sub = np.where(sub < 0, rng.integers(0, 6, len(pts)), sub)
+    row = loc.neighbor_table[np.maximum(elem, 0)]
+    pick = rng.integers(0, (row >= 0).sum(axis=1))
+    hints = [(elem, sub), (elem, (sub + 1) % 6), (elem, (sub + 5) % 6),
+             (np.where(elem < 0, -1, row[np.arange(len(pts)), pick]),
+              rng.integers(0, 6, len(pts)))]
+    if ref is None:
+        hints = [(e, np.full(len(pts), -1)) for e, _ in hints]
+    return loc, pts, hints
+
+
 class TestLocateProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]),
+           refined=st.booleans())
+    def test_quick_path_matches_reference_bitwise(self, seed, h, refined):
+        tri = generate_mesh("jittered", h, (0.0, 0.0, 1.0, 1.0), seed=seed)
+        ref = ps_refine(tri) if refined else None
+        loc, pts, hints = hinted_sample(tri, ref, np.random.default_rng(seed))
+        for hint in hints:
+            got = loc.locate_many(pts, hint=hint)
+            want = ref_locate_hinted(loc, pts, hint[0])
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]))
+    def test_hat_hinted_matches_unhinted_bitwise(self, seed, h):
+        # random points lie inside one element, where the hint test's
+        # barycentrics must be the ones the un-hinted pass computes
+        tri = generate_mesh("jittered", h, (0.0, 0.0, 1.0, 1.0), seed=seed)
+        loc = PointLocator(tri)
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, size=(500, 2))
+        elem, sub, eta = loc.locate_many(pts)
+        row = loc.neighbor_table[elem]
+        nb = row[np.arange(len(pts)), rng.integers(0, (row >= 0).sum(axis=1))]
+        for hint in (elem, nb):
+            got = loc.locate_many(pts, hint=(hint, sub))
+            for g, w in zip(got, (elem, sub, eta)):
+                assert g.tobytes() == w.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]),
            refined=st.booleans())
