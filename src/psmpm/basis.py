@@ -276,8 +276,9 @@ class BasisSet:
         n_active: active functions per element (3 for hats, 9 for splines).
         element_dofs: (n_e, n_active) global dof ids active on each element.
         cell_ordinates: (n_cells, n_active, K) extraction table per cell.
-        bernstein_derivative: (K, 3, 3) tensor D with
-            ``d B_k / d eta_l = sum_m D[k, l, m] eta_m``.
+        bernstein_derivative: (K, 3, W) tensor D with
+            ``d B_k / d eta_l = sum_w D[k, l, w] weights_w``, where
+            ``weights = gradient_weights(eta)``.
     """
 
     n_bf: int
@@ -288,6 +289,10 @@ class BasisSet:
 
     def bernstein(self, eta):
         """(K, n) Bernstein polynomials of the (3, n) cell barycentrics."""
+        raise NotImplementedError
+
+    def gradient_weights(self, eta):
+        """(W, n) rows that the Bernstein derivatives are linear in."""
         raise NotImplementedError
 
     def evaluate_located(self, elem, sub, eta):
@@ -304,7 +309,8 @@ class BasisSet:
         cell = self.locator.cell_of(elem, np.asarray(sub))
         ords = self.cell_ordinates[cell]                     # (n, k, K)
         vals = np.matmul(ords, self.bernstein(eta.T).T[:, :, None])[:, :, 0]
-        slope = np.einsum('klm,nm->nkl', self.bernstein_derivative, eta)
+        slope = np.einsum('klw,wn->nkl', self.bernstein_derivative,
+                          self.gradient_weights(eta.T))
         grads = ords @ (slope @ self.locator.cell_inv[cell, :, :2])
         return self.element_dofs[elem], vals, grads
 
@@ -340,8 +346,8 @@ class HatBasis(BasisSet):
     """
 
     n_active = 3
-    # d eta_k / d eta_l = delta_kl = delta_kl * sum_m eta_m
-    bernstein_derivative = np.repeat(np.eye(3)[:, :, None], 3, axis=2)
+    # d eta_k / d eta_l = delta_kl, weighted by a single row of ones
+    bernstein_derivative = np.eye(3)[:, :, None]
 
     def __init__(self, tri: Triangulation):
         self.tri = tri
@@ -352,6 +358,9 @@ class HatBasis(BasisSet):
 
     def bernstein(self, eta):
         return eta
+
+    def gradient_weights(self, eta):
+        return np.ones((1, eta.shape[1]))
 
     def constraint_rows(self, constraints):
         rows = {0: [], 1: []}
@@ -461,6 +470,9 @@ class PSBasis(BasisSet):
 
     def bernstein(self, eta):
         return np.concatenate([eta * eta, 2.0 * eta[_PAIR_I] * eta[_PAIR_J]])
+
+    def gradient_weights(self, eta):
+        return eta
 
     def constraint_rows(self, constraints):
         rows = {0: [], 1: []}

@@ -369,11 +369,10 @@ class OutputFrame:
 def write_particle_csv(frame: OutputFrame, path):
     """CSV with the exact spec header and 17-significant-digit floats."""
     cols = frame.columns()
+    row = "%d," + ",".join(["%.17g"] * cols.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(len(cols)):
-            fh.write(str(i) + "," + ",".join(f"{v:.17g}" for v in cols[i])
-                     + "\n")
+        fh.write("".join([row % (i, *r) for i, r in enumerate(cols.tolist())]))
 
 
 def read_particle_csv(path):
@@ -403,21 +402,18 @@ def write_vtk(frame: OutputFrame, path):
     """Legacy ASCII POLYDATA file with the particles as vertices."""
     cols = frame.columns()
     n = len(cols)
+    out = ["# vtk DataFile Version 3.0\n",
+           f"psmpm particles step={frame.step} time={frame.time:.17g}\n",
+           "ASCII\nDATASET POLYDATA\n", f"POINTS {n} double\n"]
+    out += ["%.17g %.17g 0\n" % (x, y) for x, y in cols[:, :2].tolist()]
+    out.append(f"VERTICES {n} {2 * n}\n")
+    out += ["1 %d\n" % i for i in range(n)]
+    out.append(f"POINT_DATA {n}\n")
+    for j, name in enumerate(_VTK_FIELDS, start=2):
+        out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        out += ["%.17g\n" % v for v in cols[:, j].tolist()]
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"psmpm particles step={frame.step} time={frame.time:.17g}\n")
-        fh.write("ASCII\nDATASET POLYDATA\n")
-        fh.write(f"POINTS {n} double\n")
-        for i in range(n):
-            fh.write(f"{cols[i, 0]:.17g} {cols[i, 1]:.17g} 0\n")
-        fh.write(f"VERTICES {n} {2 * n}\n")
-        for i in range(n):
-            fh.write(f"1 {i}\n")
-        fh.write(f"POINT_DATA {n}\n")
-        for j, name in enumerate(_VTK_FIELDS, start=2):
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for i in range(n):
-                fh.write(f"{cols[i, j]:.17g}\n")
+        fh.write("".join(out))
 
 
 # ---------------------------------------------------------------------------
@@ -531,31 +527,43 @@ def _cmd_run(args) -> int:
                            os.path.join(out_dir, f"frame_{step:06d}.csv"))
         return frame
 
+    def write_summary(status):
+        runtime = time.perf_counter() - t_start
+        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+            fh.write(f"benchmark = {spec.name}\n")
+            fh.write(f"basis = {spec.basis_kind}\n")
+            fh.write(f"mass_mode = {spec.mass_mode.value}\n")
+            fh.write(f"n_steps = {n_steps}\n")
+            fh.write(f"dt = {spec.dt:.17g}\n")
+            fh.write(f"t_end = {n_steps * spec.dt:.17g}\n")
+            fh.write(f"n_particles = {particles.n}\n")
+            fh.write(f"courant = {spec.courant:.17g}\n")
+            fh.write(f"total_mass = {particles.total_mass():.17g}\n")
+            fh.write(f"mass_drift = {particles.total_mass() - mass0:.17g}\n")
+            fh.write(f"min_J = {particles.J.min():.17g}\n")
+            fh.write(f"runtime_s = {runtime:.3f}\n")
+            fh.write(status)
+        return runtime
+
     write_frame(0, 0.0)
     last = None
     for i in range(n_steps):
-        system.step(particles, i * spec.dt)
+        try:
+            system.step(particles, i * spec.dt)
+        except PsmpmError as exc:
+            # the failing step's number, its start time and the reason
+            message = " ".join(str(exc).split())
+            write_summary(f"status = failed\nerror = {type(exc).__name__}\n"
+                          f"step = {i + 1}\nt = {i * spec.dt:.17g}\n"
+                          f"message = {message}\n")
+            raise
         t = (i + 1) * spec.dt
         if (i + 1) % cfg.output_every == 0 or i + 1 == n_steps:
             last = write_frame(i + 1, t)
         if not args.quiet and (i + 1) % max(1, n_steps // 10) == 0:
             print(f"step {i + 1}/{n_steps}  t={t:.6g}", file=sys.stderr)
     write_vtk(last, os.path.join(out_dir, "final.vtk"))
-
-    runtime = time.perf_counter() - t_start
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write(f"benchmark = {spec.name}\n")
-        fh.write(f"basis = {spec.basis_kind}\n")
-        fh.write(f"mass_mode = {spec.mass_mode.value}\n")
-        fh.write(f"n_steps = {n_steps}\n")
-        fh.write(f"dt = {spec.dt:.17g}\n")
-        fh.write(f"t_end = {n_steps * spec.dt:.17g}\n")
-        fh.write(f"n_particles = {particles.n}\n")
-        fh.write(f"courant = {spec.courant:.17g}\n")
-        fh.write(f"total_mass = {particles.total_mass():.17g}\n")
-        fh.write(f"mass_drift = {particles.total_mass() - mass0:.17g}\n")
-        fh.write(f"min_J = {particles.J.min():.17g}\n")
-        fh.write(f"runtime_s = {runtime:.3f}\n")
+    runtime = write_summary("status = ok\n")
     if not args.quiet:
         print(f"wrote {out_dir}/ ({n_steps} steps, {runtime:.1f}s)")
     return 0

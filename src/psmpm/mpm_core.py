@@ -3,10 +3,11 @@
 Transfers work per cell (a sub-triangle for splines, an element for
 hats), where every active function is an extraction table times the
 Bernstein polynomials of the cell barycentrics and its gradient is linear
-in them.  Particle-to-grid transfers are per-cell sums over the cell's
-particles (moments ``sum m B_k B_l``, ``sum m B_k``, ``sum V sigma eta_m``,
-``sum m b B_k``, ``sum m v B_k``) contracted with the cell's tables;
-grid-to-particle gathers go through per-cell coefficients.
+in the basis's gradient weights (the barycentrics for splines, a single
+row of ones for hats).  Particle-to-grid transfers are per-cell sums over
+the cell's particles (moments ``sum m B_k B_l``, ``sum m B_k``,
+``sum V sigma w``, ``sum m b B_k``, ``sum m v B_k``) contracted with the
+cell's tables; grid-to-particle gathers go through per-cell coefficients.
 
 One time step projects particle mass and internal/body forces onto the
 basis, solves for grid accelerations, increments particle velocities,
@@ -18,11 +19,15 @@ The mass matrix is consistent, fully lumped (row sums on the diagonal),
 or partially lumped: only rows whose basis function has at least one
 particle-free element in its support are replaced by their lumped
 diagonal, which preserves every row sum (hence the total mass).  Each
-mode is one effective sparse matrix and every grid solve takes one path:
-reduce the matrix under the constraint change of unknowns, drop the
-unknowns without mass, factorise the rest once per step with a sparse LU,
-and reuse that factor for the acceleration and the velocity-projection
-solves.
+mode is one effective sparse matrix on a pattern fixed at setup: the union
+of the element mass blocks (consistent and partial) or the diagonal
+(lumped).  Every grid solve takes one path.  For each (mass pattern,
+constraint reduction) pair a ``ReducedPattern`` is built once, on first
+use: the fixed pattern of ``P^T M P`` and the sparse map ``R`` with
+``(P^T M P).data = R @ M.data``.  A step applies the map, turns the
+unknowns without mass into identity rows and columns of that pattern,
+factorises the shifted result once with a sparse LU, and reuses that
+factor for the acceleration and the velocity-projection solves.
 """
 
 from __future__ import annotations
@@ -266,11 +271,80 @@ def init_particles(locator, layout: ParticleLayout, rho0) -> Particles:
     return particles
 
 
+class SparsePattern:
+    """Fixed CSR pattern of an n x n grid matrix.
+
+    Built from the sorted keys ``row * n + col`` of its stored entries;
+    ``row`` holds every slot's row and ``diag_slot`` the slot of every
+    diagonal entry, which must be stored.  ``reduced`` memoises one
+    ``ReducedPattern`` per constraint reduction in ``maps``, so each map is
+    built on first use and shared by every later step.
+    """
+
+    def __init__(self, n, keys):
+        self.n = n
+        self.row = keys // n
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(self.row,
+                                      np.arange(n + 1)).astype(np.int32)
+        self.diag_slot = np.searchsorted(keys, np.arange(n) * (n + 1))
+        self.maps = {}
+
+    def matrix(self, data):
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
+
+    def reduced(self, reduction):
+        rp = self.maps.get(reduction)
+        if rp is None:
+            rp = self.maps[reduction] = ReducedPattern(self, reduction)
+        return rp
+
+
+class ReducedPattern:
+    """``A = P^T M P`` as a linear map of the data of M on a fixed pattern.
+
+    ``P`` is the reduction's prolongation.  Every entry of ``A`` is a fixed
+    combination ``sum P_ki P_lj M_kl`` of the stored entries of ``M``, so
+    ``A.data = R @ M.data`` on the CSR pattern ``pattern``.  ``csc_perm``
+    reorders that data into the CSC arrays ``csc_indices``/``csc_indptr``
+    the sparse LU takes, and ``csc_diag`` are the diagonal slots in CSC
+    order.
+    """
+
+    def __init__(self, mass_pattern: SparsePattern, reduction):
+        p = reduction.P
+        n_red = p.shape[1]
+        rows, cols = mass_pattern.row, mass_pattern.indices
+        # every (P row k entry, P row l entry) pair of every slot (k, l)
+        nk = np.diff(p.indptr)[rows]
+        nl = np.diff(p.indptr)[cols]
+        count = nk * nl
+        slot = np.repeat(np.arange(len(rows)), count)
+        pair = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                  count)
+        ik = p.indptr[rows][slot] + pair // nl[slot]
+        jl = p.indptr[cols][slot] + pair % nl[slot]
+        keys, entry = np.unique(
+            p.indices[ik].astype(np.int64) * n_red + p.indices[jl],
+            return_inverse=True)
+        self.pattern = SparsePattern(n_red, keys)
+        self.R = sp.csr_matrix((p.data[ik] * p.data[jl], (entry, slot)),
+                               shape=(len(keys), len(rows)))
+        a = self.pattern
+        self.csc_perm = np.lexsort((a.row, a.indices))
+        self.csc_indices = a.row[self.csc_perm].astype(np.int32)
+        self.csc_indptr = np.searchsorted(
+            a.indices[self.csc_perm], np.arange(n_red + 1)).astype(np.int32)
+        self.csc_diag = np.argsort(self.csc_perm)[a.diag_slot]
+
+
 class MassOperator:
     """Assembled grid mass in one of the three modes.
 
     ``lumped`` holds the row sums (equal to the consistent row sums by
-    partition of unity) and ``matrix`` the effective operator:
+    partition of unity) and ``data`` the effective operator on the fixed
+    ``pattern`` of its mode (``matrix`` builds it as a CSR matrix):
     ``diag(lumped)`` in lumped mode, the consistent matrix in consistent
     mode and, in partial mode, the consistent matrix with the rows flagged
     by ``marked`` replaced by ``lumped[i] * e_i``.  Every mode keeps every
@@ -279,30 +353,40 @@ class MassOperator:
     operator lives for one step.
     """
 
-    def __init__(self, mode, lumped, matrix, marked=None):
+    def __init__(self, mode, lumped, data, pattern: SparsePattern,
+                 marked=None):
         self.mode = mode
         self.lumped = lumped
-        self.matrix = matrix
+        self.data = data
+        self.pattern = pattern
         self.marked = marked
         self.factors = {}
+
+    @property
+    def matrix(self):
+        return self.pattern.matrix(self.data)
 
     def total_mass(self):
         return float(self.lumped.sum())
 
 
 # One step's view of the located particles: element and cell ids (n,),
-# cell barycentrics (3, n), Bernstein values (K, n) and an (n,) work buffer.
-CellPoints = namedtuple("CellPoints", "elem cell eta bern work")
+# cell barycentrics (3, n), Bernstein values (K, n), gradient weights (W, n)
+# and an (n,) work buffer.
+CellPoints = namedtuple("CellPoints", "elem cell eta bern weights work")
 
 
 class GridAssembler:
     """Particle-grid transfers through per-cell Bernstein moments.
 
     On cell c the active functions are ``N = O_c B(eta)`` (``ords``) and
-    ``grad N = sum_m eta_m Z_c[:, m]`` (``grad_ops``).  These tables, the
-    cell dofs and the CSR pattern of the element mass blocks, with the slot
-    of every block entry, are built once.  Moments are summed one row at a
-    time by ``np.bincount`` on the cell ids; particles are never reordered.
+    ``grad N = sum_w weights_w Z_c[:, w]`` (``grad_ops``), with the basis's
+    gradient weights: the barycentrics for splines, one row of ones for
+    hats, whose gradients are constant per cell.  These tables, the cell
+    dofs, the CSR pattern of the element mass blocks (with the slot of every
+    block entry) and the diagonal pattern of lumped mass are built once.
+    Moments are summed one row at a time by ``np.bincount`` on the cell ids;
+    particles are never reordered.
     """
 
     def __init__(self, basis):
@@ -312,24 +396,23 @@ class GridAssembler:
         self.n_cells, _, self.n_bern = self.ords.shape
         ed = basis.element_dofs
         self.cell_dofs = np.repeat(ed, self.n_cells // len(ed), axis=0)
-        # grad_ops[c, d, 2 m + b]: d N_d / d x_b = sum_m eta_m grad_ops[...]
+        # grad_ops[c, d, 2 w + b] = d N_d / d x_b per gradient weight w
         self.grad_ops = np.einsum(
-            'cdk,klm,clb->cdmb', self.ords, basis.bernstein_derivative,
+            'cdk,klw,clb->cdwb', self.ords, basis.bernstein_derivative,
             basis.locator.cell_inv[:, :, :2], optimize=True
-        ).reshape(self.n_cells, -1, 6)
+        ).reshape(self.n_cells, ed.shape[1], -1)
         keys, slots = np.unique(ed[:, :, None] * np.int64(n_bf) + ed[:, None],
                                 return_inverse=True)
         self.slots = slots.reshape(len(ed), -1)
-        self.slot_row = keys // n_bf
-        self.indices = (keys % n_bf).astype(np.int32)
-        self.indptr = np.searchsorted(self.slot_row,
-                                      np.arange(n_bf + 1)).astype(np.int32)
-        self.diag_slot = np.searchsorted(keys, np.arange(n_bf) * (n_bf + 1))
+        self.pattern = SparsePattern(n_bf, keys)
+        self.diag_pattern = SparsePattern(n_bf, np.arange(n_bf) * (n_bf + 1))
 
     def located(self, elem, sub, eta) -> CellPoints:
         eta = np.ascontiguousarray(np.asarray(eta).T)
-        return CellPoints(elem, self.basis.locator.cell_of(elem, sub), eta,
-                          self.basis.bernstein(eta), np.empty(len(elem)))
+        basis = self.basis
+        return CellPoints(elem, basis.locator.cell_of(elem, sub), eta,
+                          basis.bernstein(eta), basis.gradient_weights(eta),
+                          np.empty(len(elem)))
 
     def _moment(self, pts: CellPoints, a, b):    # per-cell sums of a * b
         np.multiply(a, b, out=pts.work)
@@ -364,7 +447,7 @@ class GridAssembler:
         b = np.stack([self._moment(pts, masses, r) for r in pts.bern], axis=-1)
         lumped = self._to_dofs(self.ords @ b[..., None])[:, 0]
         if mode is MassMode.LUMPED:
-            return MassOperator(mode, lumped, sp.diags(lumped, format="csr"))
+            return MassOperator(mode, lumped, lumped, self.diag_pattern)
         mb, k_b = masses * pts.bern, self.n_bern
         s = np.empty((self.n_cells, k_b, k_b))
         for k in range(k_b):
@@ -372,29 +455,31 @@ class GridAssembler:
                 s[:, k, l] = s[:, l, k] = self._moment(pts, mb[k], pts.bern[l])
         blocks = self.ords @ s @ self.ords.transpose(0, 2, 1)
         blocks = blocks.reshape((len(self.slots), -1) + blocks.shape[1:])
+        pattern = self.pattern
         data = np.bincount(self.slots.ravel(), blocks.sum(axis=1).ravel(),
-                           minlength=len(self.indices))
+                           minlength=len(pattern.indices))
         marked = None
         if mode is MassMode.PARTIAL:
             empty = np.bincount(pts.elem, minlength=len(self.slots)) == 0
             marked = np.zeros(self.n_bf, dtype=bool)
             marked[self.basis.element_dofs[empty]] = True
-            data[marked[self.slot_row]] = 0.0
-            data[self.diag_slot[marked]] = lumped[marked]
-        matrix = sp.csr_matrix((data, self.indices, self.indptr),
-                               shape=(self.n_bf, self.n_bf))
-        return MassOperator(mode, lumped, matrix, marked)
+            data[marked[pattern.row]] = 0.0
+            data[pattern.diag_slot[marked]] = lumped[marked]
+        return MassOperator(mode, lumped, data, pattern, marked)
 
     def forces(self, pts: CellPoints, particles, body=None):
         """Internal and body force vectors, each (n_bf, 2).  The internal
-        force takes the nine moments ``sum V sigma_ab eta_m`` of each cell
-        (sigma is symmetric)."""
-        t = np.empty((self.n_cells, 3, 2, 2))       # [c, m, b, a]
+        force takes the moments ``sum V sigma_ab w`` of each cell for the
+        three components of the symmetric sigma and every gradient weight
+        row w."""
+        n_w = len(pts.weights)
+        t = np.empty((self.n_cells, n_w, 2, 2))      # [c, w, b, a]
         for a, b in ((0, 0), (0, 1), (1, 1)):
             vs = particles.V * particles.sigma[:, a, b]
-            for m, e in enumerate(pts.eta):
-                t[:, m, a, b] = t[:, m, b, a] = self._moment(pts, vs, e)
-        f_int = self._to_dofs(self.grad_ops @ t.reshape(self.n_cells, 6, 2))
+            for w, row in enumerate(pts.weights):
+                t[:, w, a, b] = t[:, w, b, a] = self._moment(pts, vs, row)
+        f_int = self._to_dofs(
+            self.grad_ops @ t.reshape(self.n_cells, 2 * n_w, 2))
         if body is None:
             return f_int, np.zeros((self.n_bf, 2))
         return f_int, self._project(pts, particles.m[:, None] * body)
@@ -410,8 +495,9 @@ class GridAssembler:
     def gradients(self, pts: CellPoints, coeffs):
         """(2, 2, n) gradients ``d field_a / d x_b`` at the particles."""
         table = self.grad_ops.transpose(0, 2, 1) @ coeffs[self.cell_dofs]
-        return self._gather(pts, pts.eta,
-                            table.reshape(-1, 3, 2, 2).transpose(3, 2, 1, 0))
+        return self._gather(pts, pts.weights,
+                            table.reshape(self.n_cells, -1, 2, 2)
+                            .transpose(3, 2, 1, 0))
 
 
 class ConstraintReduction:
@@ -446,6 +532,8 @@ class ConstraintReduction:
              np.concatenate([np.arange(n_free)] + [np.full(len(d), n_free + j)
                                                    for j, (d, _) in enumerate(nulls)]))),
             shape=(n_bf, n_free + len(nulls)))
+        self.PT = self.P.T.tocsr()
+        self.abs_PT = abs(self.PT)
 
     @property
     def n_reduced(self):
@@ -454,24 +542,29 @@ class ConstraintReduction:
 
 def _factorised(mass_op: MassOperator, reduction: ConstraintReduction, tol,
                 context):
-    """Active mask, active reduced matrix and its shifted LU factor.
+    """Active mask, reduced matrix and its shifted LU factor.
 
+    The reduced matrix ``A = P^T M P`` is the fixed-pattern map of the mass
+    pattern under the reduction (``SparsePattern.reduced``, built on first
+    use).  Unknowns whose diagonal is at most ``tol`` are decoupled in
+    place: their rows and columns are zeroed and their diagonal set to 1.
     Memoised on ``mass_op`` per reduction, so every solve of a step under
     one reduction shares one factorisation.
     """
     key = (reduction, tol)
     if key in mass_op.factors:
         return mass_op.factors[key]
-    p = reduction.P
-    a = (p.T @ mass_op.matrix @ p).tocsr()
-    diag = a.diagonal()
+    rp = mass_op.pattern.reduced(reduction)
+    pattern = rp.pattern
+    data = rp.R @ mass_op.data
+    diag = data[pattern.diag_slot]
     active = diag > tol
     if mass_op.mode is not MassMode.LUMPED:
         checked = active
         if mass_op.marked is not None:
             # reduced unknowns on unmarked dofs (constraint blocks and marks
             # are both per vertex, so no unknown straddles the two)
-            checked = active & (abs(p).T @ mass_op.marked == 0)
+            checked = active & (reduction.abs_PT @ mass_op.marked == 0)
         dsub = diag[checked]
         if dsub.size and dsub.max() > ILL_CONDITION_RATIO * dsub.min():
             raise SolverDiverged(
@@ -479,13 +572,19 @@ def _factorised(mass_op: MassOperator, reduction: ConstraintReduction, tol,
                 f"(diagonal ratio {dsub.max() / dsub.min():.1e} in "
                 f"{context or 'solve'}); a basis function has (almost) "
                 "no particle support")
-    asub = a[active][:, active]
     lu = None
-    if asub.shape[0]:
+    if active.any():
+        inactive = ~active
+        if inactive.any():
+            data[inactive[pattern.row] | inactive[pattern.indices]] = 0.0
+            data[pattern.diag_slot[inactive]] = 1.0
+        shifted = data[rp.csc_perm]
+        shifted[rp.csc_diag] += FACTOR_SHIFT * shifted[rp.csc_diag]
+        n = pattern.n
         lu = spla.splu(sp.csc_matrix(
-            asub + FACTOR_SHIFT * sp.diags(diag[active])))
-    mass_op.factors[key] = (active, asub, lu)
-    return active, asub, lu
+            (shifted, rp.csc_indices, rp.csc_indptr), shape=(n, n)))
+    mass_op.factors[key] = factor = (active, pattern.matrix(data), lu)
+    return factor
 
 
 def solve_grid(mass_op: MassOperator, rhs, reduction: ConstraintReduction,
@@ -494,14 +593,17 @@ def solve_grid(mass_op: MassOperator, rhs, reduction: ConstraintReduction,
 
     ``M`` is the mass operator's effective matrix in every mode, so partial
     mode solves exactly the row-replaced operator of the partial-lumping
-    rule.  With ``P`` the reduction's prolongation, ``A = P^T M P`` keeps
-    the unknowns whose diagonal exceeds the zero-mass tolerance (the others
-    get zero coefficients).  ``A + FACTOR_SHIFT * diag(A)`` is factorised
-    once per step with a sparse LU, and each solve refines the factor's
-    answer once against ``A``: exact to rounding on a well-posed system,
-    and still defined when too few particles leave a combination of basis
-    functions without mass.  The solution ``P x`` satisfies the reduction's
-    (homogeneous) constraint rows.
+    rule.  With ``P`` the reduction's prolongation, ``A = P^T M P`` is
+    mapped from the data of ``M`` onto a pattern fixed per (mass pattern,
+    reduction) pair.  Unknowns whose diagonal is at most the zero-mass
+    tolerance become identity rows and columns with a zero right-hand
+    side, so their coefficients come back exactly zero.
+    ``A + FACTOR_SHIFT * diag(A)`` is factorised once per step with a
+    sparse LU, and each solve refines the factor's answer once against
+    ``A``: exact to rounding on a well-posed system, and still defined when
+    too few particles leave a combination of basis functions without mass.
+    The solution ``P x`` satisfies the reduction's (homogeneous) constraint
+    rows.
 
     Raises:
         SolverDiverged: when the diagonal ratio of the consistent rows of
@@ -510,20 +612,20 @@ def solve_grid(mass_op: MassOperator, rhs, reduction: ConstraintReduction,
     """
     active, a, lu = _factorised(
         mass_op, reduction, ZERO_MASS_REL_TOL * mean_particle_mass, context)
-    x = np.zeros(reduction.n_reduced)
-    if lu is not None:
-        b = (reduction.P.T @ rhs)[active]
-        y = lu.solve(b)
-        y += lu.solve(b - a @ y)
-        resid = np.linalg.norm(b - a @ y)
-        if resid > RESIDUAL_RTOL * np.linalg.norm(b):
-            raise SolverDiverged(
-                f"solve residual {resid / np.linalg.norm(b):.1e} exceeds "
-                f"{RESIDUAL_RTOL:.0e} of the right-hand side in "
-                f"{context or 'solve'}; the mass matrix is singular along "
-                "the right-hand side")
-        x[active] = y
-    return reduction.P @ x
+    if lu is None:
+        return np.zeros(len(rhs))
+    b = reduction.PT @ rhs
+    b[~active] = 0.0
+    y = lu.solve(b)
+    y += lu.solve(b - a @ y)
+    resid = np.linalg.norm(b - a @ y)
+    if resid > RESIDUAL_RTOL * np.linalg.norm(b):
+        raise SolverDiverged(
+            f"solve residual {resid / np.linalg.norm(b):.1e} exceeds "
+            f"{RESIDUAL_RTOL:.0e} of the right-hand side in "
+            f"{context or 'solve'}; the mass matrix is singular along "
+            "the right-hand side")
+    return reduction.P @ y
 
 
 def deformation_update(D, dt, exx, eyy, exy):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from psmpm.cli_io import (OutputFrame, cli, dump_config, generate_mesh,
-                          load_config, parse_config, read_particle_csv,
-                          write_mesh_file, write_particle_csv, write_vtk)
-from psmpm.errors import ParseError, ValidationError
+from psmpm.benchmarks import build_system
+from psmpm.cli_io import (OutputFrame, cli, config_to_spec, dump_config,
+                          generate_mesh, load_config, parse_config,
+                          read_particle_csv, write_mesh_file,
+                          write_particle_csv, write_vtk)
+from psmpm.errors import ParseError, SolverDiverged, ValidationError
 from psmpm.mesh import Triangulation
 from psmpm.mpm_core import Particles
 
@@ -155,6 +157,56 @@ class TestParticleFiles:
         assert np.array_equal(ids, np.arange(37))
         assert np.array_equal(cols, frame.columns())   # bitwise
 
+    def test_writers_match_per_value_reference(self, tmp_path):
+        # the one-value-at-a-time writers the row templates replaced
+        def ref_csv(frame, path):
+            cols = frame.columns()
+            with open(path, "w") as fh:
+                fh.write("id,x,y,ux,uy,vx,vy,sxx,syy,sxy,V,rho\n")
+                for i in range(len(cols)):
+                    fh.write(str(i) + "," + ",".join(f"{v:.17g}"
+                                                     for v in cols[i]) + "\n")
+
+        def ref_vtk(frame, path):
+            cols = frame.columns()
+            n = len(cols)
+            with open(path, "w") as fh:
+                fh.write("# vtk DataFile Version 3.0\n")
+                fh.write(f"psmpm particles step={frame.step} "
+                         f"time={frame.time:.17g}\n")
+                fh.write("ASCII\nDATASET POLYDATA\n")
+                fh.write(f"POINTS {n} double\n")
+                for i in range(n):
+                    fh.write(f"{cols[i, 0]:.17g} {cols[i, 1]:.17g} 0\n")
+                fh.write(f"VERTICES {n} {2 * n}\n")
+                for i in range(n):
+                    fh.write(f"1 {i}\n")
+                fh.write(f"POINT_DATA {n}\n")
+                for j, name in enumerate(("ux", "uy", "vx", "vy", "sxx",
+                                          "syy", "sxy", "V", "rho"), start=2):
+                    fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                    for i in range(n):
+                        fh.write(f"{cols[i, j]:.17g}\n")
+
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+                            -2.2250738585072014e-308 / 3, 1e300, -1e-300,
+                            1e-300, np.pi, 1.0 / 3.0])
+        rng = np.random.default_rng(8)
+        n = 50
+        values = rng.normal(size=(n, 12)) * 10.0 ** rng.integers(-300, 300,
+                                                                  (n, 12))
+        values.ravel()[rng.permutation(values.size)[:120]] = np.resize(
+            special, 120)
+        frame = OutputFrame(step=7, time=-0.0, x=values[:, 0:2],
+                            u=values[:, 2:4], v=values[:, 4:6],
+                            sigma=values[:, 6:10].reshape(n, 2, 2),
+                            volume=values[:, 10], rho=values[:, 11])
+        for write, ref in ((write_particle_csv, ref_csv), (write_vtk, ref_vtk)):
+            write(frame, tmp_path / "new")
+            ref(frame, tmp_path / "ref")
+            assert (tmp_path / "new").read_bytes() == \
+                (tmp_path / "ref").read_bytes()
+
     def test_vtk_structure(self, tmp_path):
         path = tmp_path / "p.vtk"
         write_vtk(zero_frame(3), path)
@@ -240,6 +292,36 @@ class TestCli:
         assert "summary.txt" in files
         summary = (out / "summary.txt").read_text()
         assert "mass_drift = 0\n" in summary
+        assert summary.endswith("status = ok\n")
+
+    def test_failed_run_still_writes_summary(self, tmp_path):
+        cfg = tmp_path / "soil.cfg"
+        cfg.write_text("[run]\nbenchmark = soil\nbasis = ps\n"
+                       "mass_mode = consistent\nt_end = 0.05\n")
+        # the step at which an in-process run of the same spec raises
+        spec = config_to_spec(load_config(cfg))
+        system, parts = build_system(spec)
+        done = []
+        with pytest.raises(SolverDiverged):
+            system.run(parts, spec.n_steps,
+                       on_step=lambda i, t, p: done.append(i))
+        failed = len(done) + 1
+        assert failed <= spec.n_steps
+
+        out = tmp_path / "out"
+        assert cli(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 1
+        lines = (out / "summary.txt").read_text().splitlines()
+        summary = dict(line.split(" = ", 1) for line in lines)
+        assert [line.split(" = ")[0] for line in lines] == [
+            "benchmark", "basis", "mass_mode", "n_steps", "dt", "t_end",
+            "n_particles", "courant", "total_mass", "mass_drift", "min_J",
+            "runtime_s", "status", "error", "step", "t", "message"]
+        assert summary["status"] == "failed"
+        assert summary["error"] == "SolverDiverged"
+        assert int(summary["step"]) == failed
+        assert float(summary["t"]) == (failed - 1) * spec.dt
+        assert summary["mass_mode"] == "consistent"
+        assert "check" in summary["message"]
 
     def test_run_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -302,18 +302,19 @@ class TestCellOperator:
             parts.loc = basis.locator.locate_many(parts.x)
             op = asm.mass(asm.located(*parts.loc), parts.m, mode)
             assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32
-            assert np.shares_memory(op.matrix.indices, asm.indices)
-            assert np.shares_memory(op.matrix.indptr, asm.indptr)
+            assert op.pattern is asm.pattern
+            assert np.shares_memory(op.matrix.indices, asm.pattern.indices)
+            assert np.shares_memory(op.matrix.indptr, asm.pattern.indptr)
         ed = basis.element_dofs
-        pattern = sp.csr_matrix((np.ones(len(asm.indices)), asm.indices,
-                                 asm.indptr), shape=(basis.n_bf,) * 2)
+        pattern = asm.pattern.matrix(np.ones(len(asm.pattern.indices)))
         blocks = sp.coo_matrix(
             (np.ones(ed.shape[1] ** 2 * len(ed)),
              (np.repeat(ed, ed.shape[1], axis=1).ravel(),
               np.tile(ed, ed.shape[1]).ravel())), shape=pattern.shape)
         assert np.array_equal((blocks.tocsr() > 0).toarray(),
                               pattern.toarray() > 0)
-        assert np.array_equal(asm.indices[asm.diag_slot], np.arange(basis.n_bf))
+        assert np.array_equal(asm.pattern.indices[asm.pattern.diag_slot],
+                              np.arange(basis.n_bf))
 
 
 # Reference: the sparse particle-dof operator (``Transfer``: CSR ``N``,
@@ -372,13 +373,14 @@ def ref_transfers(basis, parts, mode, body, a_hat, v_hat):
 def summed_magnitudes(basis, parts, body, a_hat, v_hat):
     """Each compared quantity with every factor of every term taken by
     absolute value: extraction entries, Bernstein values, the derivative
-    tensor, barycentrics and their gradients, and the particle data."""
+    tensor, gradient weights, barycentric gradients and the particle data."""
     elem, sub, eta = parts.loc
     cell = basis.locator.cell_of(elem, sub)
     o = np.abs(basis.cell_ordinates[cell])                   # (n, k, K)
     nabs = np.einsum('pdk,kp->pd', o, np.abs(basis.bernstein(eta.T)))
-    dabs = np.einsum('klm,pm,plb->pklb', np.abs(basis.bernstein_derivative),
-                     np.abs(eta), np.abs(basis.locator.cell_inv[cell, :, :2]))
+    dabs = np.einsum('klw,wp,plb->pklb', np.abs(basis.bernstein_derivative),
+                     np.abs(basis.gradient_weights(eta.T)),
+                     np.abs(basis.locator.cell_inv[cell, :, :2]))
     gabs = np.einsum('pdk,pklb->pdb', o, dabs)               # (n, k, 2)
     full = np.zeros((parts.n, basis.n_bf))
     np.put_along_axis(full, basis.element_dofs[elem], nabs, axis=1)
@@ -593,6 +595,45 @@ class TestSolves:
         assert_allclose(asm.values(pts, v_hat), parts.v, rtol=0, atol=1e-10)
 
 
+def marked_dofs(basis, mode, empty):
+    """The rows a mass mode lumps, given the particle-free elements."""
+    marked = np.full(basis.n_bf, mode is MassMode.LUMPED)
+    if mode is MassMode.PARTIAL:
+        marked[np.unique(basis.element_dofs[empty])] = True
+    return marked
+
+
+def element_subset(basis, rng, drop):
+    """(kept, particles): the ppe = 16 particles of a random subset of the
+    elements, each dropped with probability ``drop``; at least one is."""
+    kept = rng.random(basis.tri.n_elements) > drop
+    kept[rng.integers(basis.tri.n_elements)] = False
+    full = init_particles(basis.locator,
+                          ParticleLayout(kind="ppe", ppe=16), rho0=1.0)
+    keep = kept[full.loc[0]]
+    parts = Particles(full.x[keep], full.V[keep], 1.0)
+    parts.loc = tuple(a[keep] for a in full.loc)
+    return kept, parts
+
+
+def dense_reduced_solve(basis, parts, marked, red, rhs):
+    """Dense oracle of ``solve_grid``: the row-replaced matrix, reduced,
+    solved on the unknowns whose diagonal exceeds the zero-mass tolerance."""
+    dofs, vals, _ = basis.evaluate_located(*parts.loc)
+    n_mat = np.zeros((parts.n, basis.n_bf))
+    np.put_along_axis(n_mat, dofs, vals, axis=1)
+    consistent = n_mat.T @ (parts.m[:, None] * n_mat)
+    lumped = consistent.sum(axis=1)
+    effective = np.where(marked[:, None], np.diag(lumped), consistent)
+    p = red.P.toarray()
+    a = p.T @ effective @ p
+    active = np.diag(a) > 1e-12 * parts.m.mean()
+    x = np.zeros(p.shape[1])
+    x[active] = np.linalg.solve(a[np.ix_(active, active)],
+                                (p.T @ rhs)[active])
+    return p @ x
+
+
 class TestSolveProperty:
     @settings(max_examples=30, deadline=None)
     @given(mesh_seed=st.integers(0, 7), subset_seed=st.integers(0, 2 ** 32 - 1),
@@ -602,14 +643,7 @@ class TestSolveProperty:
         basis = cached_ps_basis(mesh_seed)
         tri = basis.tri
         rng = np.random.default_rng(subset_seed)
-        # particles of a random subset of elements; at least one is empty
-        kept = rng.random(tri.n_elements) > 0.3
-        kept[rng.integers(tri.n_elements)] = False
-        full = init_particles(basis.locator,
-                              ParticleLayout(kind="ppe", ppe=16), rho0=1.0)
-        keep = kept[full.loc[0]]
-        parts = Particles(full.x[keep], full.V[keep], 1.0)
-        parts.loc = tuple(a[keep] for a in full.loc)
+        kept, parts = element_subset(basis, rng, 0.3)
         pts = located(basis, parts)
         op = GridAssembler(basis).mass(pts, parts.m, mode)
         rows = basis.constraint_rows(rectangle_constraints(tri, PLATE_SIDES))
@@ -617,25 +651,104 @@ class TestSolveProperty:
         rhs = rng.normal(size=basis.n_bf)
         got = solve_grid(op, rhs, red, parts.m.mean())
 
-        # dense oracle: the row-replaced matrix, reduced, on the active dofs
-        dofs, vals, _ = basis.evaluate_located(*parts.loc)
-        n_mat = np.zeros((parts.n, basis.n_bf))
-        np.put_along_axis(n_mat, dofs, vals, axis=1)
-        consistent = n_mat.T @ (parts.m[:, None] * n_mat)
-        lumped = consistent.sum(axis=1)
-        marked = np.full(basis.n_bf, mode is MassMode.LUMPED)
+        marked = marked_dofs(basis, mode, ~kept)
         if mode is MassMode.PARTIAL:
-            marked[np.unique(basis.element_dofs[~kept])] = True
             assert np.array_equal(op.marked, marked)
-        effective = np.where(marked[:, None], np.diag(lumped), consistent)
-        p = red.P.toarray()
-        a = p.T @ effective @ p
-        active = np.diag(a) > 1e-12 * parts.m.mean()
-        x = np.zeros(p.shape[1])
-        x[active] = np.linalg.solve(a[np.ix_(active, active)],
-                                    (p.T @ rhs)[active])
-        want = p @ x
+        want = dense_reduced_solve(basis, parts, marked, red, rhs)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+@lru_cache(maxsize=None)
+def cached_hat_basis(seed):
+    return hat_basis(generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0),
+                                   seed=seed))
+
+
+class TestReducedPattern:
+    @settings(max_examples=30, deadline=None)
+    @given(mesh_seed=st.integers(0, 7), subset_seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["hat", "ps"]),
+           mode=st.sampled_from(list(MassMode)), comp=st.sampled_from((0, 1)),
+           drop=st.floats(0.1, 0.8))
+    def test_map_matches_dense_triple_product(self, mesh_seed, subset_seed,
+                                              kind, mode, comp, drop):
+        basis = (cached_hat_basis if kind == "hat" else cached_ps_basis)(
+            mesh_seed)
+        tri = basis.tri
+        rng = np.random.default_rng(subset_seed)
+        _, parts = element_subset(basis, rng, drop)
+        op = GridAssembler(basis).mass(located(basis, parts), parts.m, mode)
+        rows = basis.constraint_rows(rectangle_constraints(tri, PLATE_SIDES))
+        red = ConstraintReduction(basis.n_bf, rows[comp])
+
+        rp = op.pattern.reduced(red)
+        assert op.pattern.reduced(red) is rp
+        got = rp.pattern.matrix(rp.R @ op.data).toarray()
+        p, m = red.P.toarray(), op.matrix.toarray()
+        want = p.T @ m @ p
+        # recursive summation (Higham, section 3.1) on both sides: no entry
+        # sums more than 2 n_bf rounded products
+        bound = 2 * (2 * basis.n_bf + 2) * np.finfo(float).eps * (
+            np.abs(p).T @ np.abs(m) @ np.abs(p))
+        assert np.all(np.abs(got - want) <= bound)
+
+        tol = mpm_core.ZERO_MASS_REL_TOL * parts.m.mean()
+        active, _, _ = mpm_core._factorised(op, red, tol, "")
+        assert np.array_equal(active, np.diag(got) > tol)
+        x = solve_grid(op, rng.normal(size=basis.n_bf), red, parts.m.mean())
+        dead = np.abs(red.P) @ active == 0   # dofs of inactive unknowns only
+        assert np.all(x[dead] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["hat", "ps"])
+    @pytest.mark.parametrize("mode", list(MassMode))
+    def test_maps_built_once_and_follow_active_set(self, kind, mode):
+        basis = (cached_hat_basis if kind == "hat" else cached_ps_basis)(3)
+        tri = basis.tri
+        mat = MaterialModel("linear-elastic", E=100.0, nu=0.1)
+        system = MpmSystem(basis, mat, dt=1e-3, mass_mode=mode,
+                           constraints=rectangle_constraints(tri, PLATE_SIDES))
+        parts = init_particles(basis.locator,
+                               ParticleLayout(kind="ppe", ppe=16), rho0=1.0)
+        parts.v = 0.01 * np.sin(np.pi * parts.x)
+        asm = system.assembler
+        tol = mpm_core.ZERO_MASS_REL_TOL * parts.m.mean()
+
+        def mass_op():
+            return asm.mass(asm.located(*parts.loc), parts.m, mode)
+
+        system.step(parts, 0.0)
+        pattern = mass_op().pattern
+        maps = dict(pattern.maps)
+        assert set(maps) == set(system.reductions)
+        assert all(mpm_core._factorised(mass_op(), red, tol, "")[0].all()
+                   for red in system.reductions)
+
+        # empty the elements around the vertex nearest the centre: its
+        # functions lose every particle and their unknowns turn inactive
+        centre = int(np.argmin(np.linalg.norm(tri.nodes - 0.5, axis=1)))
+        emptied = np.any(tri.elements == centre, axis=1)
+        moved = emptied[parts.loc[0]]
+        parts.x[moved] = np.random.default_rng(4).uniform(
+            0.02, 0.2, size=(int(moved.sum()), 2))
+        parts.loc = basis.locator.locate_many(parts.x)
+        for i in range(1, 4):
+            system.step(parts, i * system.dt)
+        assert pattern.maps.keys() == maps.keys()
+        assert all(pattern.maps[red] is maps[red] for red in maps)
+
+        op = mass_op()
+        assert op.pattern is pattern
+        empty = np.bincount(parts.loc[0], minlength=tri.n_elements) == 0
+        assert empty[emptied].all()
+        rng = np.random.default_rng(5)
+        for red in system.reductions:
+            assert not mpm_core._factorised(op, red, tol, "")[0].all()
+            rhs = rng.normal(size=basis.n_bf)
+            got = solve_grid(op, rhs, red, parts.m.mean())
+            want = dense_reduced_solve(basis, parts,
+                                       marked_dofs(basis, mode, empty),
+                                       red, rhs)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 class TestConstraintReduction:
