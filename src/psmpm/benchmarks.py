@@ -53,40 +53,40 @@ class MmsParams:
 MMS = MmsParams()
 
 
-def mms_exact(x0, y0, t, params: MmsParams = MMS):
+def mms_exact(x0, y0, t):
     """Displacement and diagonal deformation-gradient entries at (x0, y0, t).
 
     The two displacement components are single-axis sine waves in the
     reference coordinates, oscillating in antiphase.
     """
-    w = params.omega
+    w = MMS.omega
     sx = np.sin(w * t)
     sy = np.sin(w * t + np.pi)
-    ux = params.u0 * np.sin(2.0 * np.pi * np.asarray(x0)) * sx
-    uy = params.u0 * np.sin(2.0 * np.pi * np.asarray(y0)) * sy
-    dxx = 1.0 + 2.0 * params.u0 * np.pi * np.cos(2.0 * np.pi * np.asarray(x0)) * sx
-    dyy = 1.0 + 2.0 * params.u0 * np.pi * np.cos(2.0 * np.pi * np.asarray(y0)) * sy
+    ux = MMS.u0 * np.sin(2.0 * np.pi * np.asarray(x0)) * sx
+    uy = MMS.u0 * np.sin(2.0 * np.pi * np.asarray(y0)) * sy
+    dxx = 1.0 + 2.0 * MMS.u0 * np.pi * np.cos(2.0 * np.pi * np.asarray(x0)) * sx
+    dyy = 1.0 + 2.0 * MMS.u0 * np.pi * np.cos(2.0 * np.pi * np.asarray(y0)) * sy
     return ux, uy, dxx, dyy
 
 
-def mms_velocity(x0, y0, t, params: MmsParams = MMS):
+def mms_velocity(x0, y0, t):
     """Time derivative of the manufactured displacement."""
-    w = params.omega
-    vx = params.u0 * np.sin(2.0 * np.pi * np.asarray(x0)) * w * np.cos(w * t)
-    vy = params.u0 * np.sin(2.0 * np.pi * np.asarray(y0)) * w * np.cos(w * t + np.pi)
+    w = MMS.omega
+    vx = MMS.u0 * np.sin(2.0 * np.pi * np.asarray(x0)) * w * np.cos(w * t)
+    vy = MMS.u0 * np.sin(2.0 * np.pi * np.asarray(y0)) * w * np.cos(w * t + np.pi)
     return vx, vy
 
 
-def mms_body_force(x0, y0, t, params: MmsParams = MMS):
+def mms_body_force(x0, y0, t):
     """Per-mass body force that makes the manufactured fields exact.
 
     Evaluated in reference coordinates; the bracket combines the shear and
     dilatational contributions of the neo-Hookean stress divergence.
     """
-    ux, uy, dxx, dyy = mms_exact(x0, y0, t, params)
-    material = params.material
+    ux, uy, dxx, dyy = mms_exact(x0, y0, t)
+    material = MMS.material
     lam, mu = material.lam, material.mu
-    rho0, e = params.rho0, params.E
+    rho0, e = MMS.rho0, MMS.E
     ln_j = np.log(dxx * dyy)
     gx = np.pi ** 2 * ux * (4.0 * mu / rho0 - e / rho0
                             - 4.0 * (lam * (ln_j - 1.0) - mu) / (rho0 * dxx ** 2))
@@ -95,9 +95,9 @@ def mms_body_force(x0, y0, t, params: MmsParams = MMS):
     return gx, gy
 
 
-def mms_exact_positions(x0, t, params: MmsParams = MMS):
+def mms_exact_positions(x0, t):
     """Exact particle positions for reference coordinates (n, 2)."""
-    ux, uy, _, _ = mms_exact(x0[:, 0], x0[:, 1], t, params)
+    ux, uy, _, _ = mms_exact(x0[:, 0], x0[:, 1], t)
     return x0 + np.column_stack([ux, uy])
 
 
@@ -277,8 +277,8 @@ def mms_family_defaults(basis_kind):
     return MassMode.LUMPED, 0.36
 
 
-def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None, mass_mode=None,
-                   params: MmsParams = MMS) -> BenchmarkSpec:
+def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None,
+                   mass_mode=None) -> BenchmarkSpec:
     """Manufactured vibrating plate on a jittered unit-square mesh, run for
     one period.
 
@@ -302,26 +302,26 @@ def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None, mass_mode=None,
         h_typ = refinement.mean_sub_edge_length()
     else:
         h_typ = tri.mean_edge_length()
-    wave = np.sqrt(params.E / params.rho0)
-    t_end = params.period
+    wave = np.sqrt(MMS.E / MMS.rho0)
+    t_end = MMS.period
     dt = courant * h_typ / wave
     n_steps = max(1, int(round(t_end / dt)))
     dt = t_end / n_steps
 
     n_lattice = max(1, int(round(np.sqrt(ppe * tri.n_elements))))
-    material = params.material
+    material = MMS.material
 
     def body_force(x0, t):
-        gx, gy = mms_body_force(x0[:, 0], x0[:, 1], t, params)
+        gx, gy = mms_body_force(x0[:, 0], x0[:, 1], t)
         return np.column_stack([gx, gy])
 
     def initial_velocity(x0):
-        vx, vy = mms_velocity(x0[:, 0], x0[:, 1], 0.0, params)
+        vx, vy = mms_velocity(x0[:, 0], x0[:, 1], 0.0)
         return np.column_stack([vx, vy])
 
     return BenchmarkSpec(
         name="mms", tri=tri, basis_kind=basis_kind, material=material,
-        rho0=params.rho0, dt=dt, t_end=t_end, mass_mode=mass_mode,
+        rho0=MMS.rho0, dt=dt, t_end=t_end, mass_mode=mass_mode,
         layout=ParticleLayout(kind="lattice", nx=n_lattice, ny=n_lattice,
                               domain=(0.0, 0.0, 1.0, 1.0)),
         fixed_sides={"left": (0,), "right": (0,), "bottom": (1,), "top": (1,)},
@@ -344,8 +344,7 @@ class MmsRunResult:
     traced_rms: float = 0.0
 
 
-def run_mms(spec: BenchmarkSpec, trace_point=None,
-            params: MmsParams = MMS) -> MmsRunResult:
+def run_mms(spec: BenchmarkSpec, trace_point=None) -> MmsRunResult:
     """Run one manufactured-solution case, streaming the RMS accumulation.
 
     ``rms`` is ``sqrt(sum |x - xhat|^2 / (n_p * n_t))`` over every particle
@@ -365,7 +364,7 @@ def run_mms(spec: BenchmarkSpec, trace_point=None,
     acc = {"err2": 0.0, "traced_err2": 0.0}
 
     def on_step(i, t, parts):
-        diff = parts.x - mms_exact_positions(parts.x0, t, params)
+        diff = parts.x - mms_exact_positions(parts.x0, t)
         acc["err2"] += float(np.sum(diff ** 2))
         if traced >= 0:
             sig[i] = parts.sigma[traced, 0, 0]

@@ -21,11 +21,11 @@ particle-free element in its support are replaced by their lumped
 diagonal, which preserves every row sum (hence the total mass).  Each
 mode is one effective sparse matrix on a pattern fixed at setup: the union
 of the element mass blocks (consistent and partial) or the diagonal
-(lumped).  Every grid solve takes one path.  For each (mass pattern,
-constraint reduction) pair a ``ReducedPattern`` is built once, on first
-use: the fixed pattern of ``P^T M P`` and the sparse map ``R`` with
-``(P^T M P).data = R @ M.data``.  A step applies the map, turns the
-unknowns without mass into identity rows and columns of that pattern,
+(lumped).  Every grid solve takes one path.  A system builds one
+``GridSolver`` per field component on the pattern of its mode: the fixed
+CSC pattern of ``P^T M P`` under the component's constraint reduction and
+the sparse map ``R`` with ``(P^T M P).data = R @ M.data``.  A step applies
+each map, turns the unknowns without mass into identity rows and columns,
 factorises the shifted result once with a sparse LU, and reuses that
 factor for the acceleration and the velocity-projection solves.
 """
@@ -272,71 +272,26 @@ def init_particles(locator, layout: ParticleLayout, rho0) -> Particles:
 
 
 class SparsePattern:
-    """Fixed CSR pattern of an n x n grid matrix.
+    """Fixed compressed pattern of an n x n grid matrix.
 
-    Built from the sorted keys ``row * n + col`` of its stored entries;
-    ``row`` holds every slot's row and ``diag_slot`` the slot of every
-    diagonal entry, which must be stored.  ``reduced`` memoises one
-    ``ReducedPattern`` per constraint reduction in ``maps``, so each map is
-    built on first use and shared by every later step.
+    Built from the sorted keys ``major * n + minor`` of its stored entries:
+    a CSR pattern (``major`` is every slot's row) or, with ``csc``, a CSC
+    one (``major`` is every slot's column).  ``diag_slot`` is the slot of
+    every diagonal entry, which must be stored.
     """
 
-    def __init__(self, n, keys):
+    def __init__(self, n, keys, csc=False):
         self.n = n
-        self.row = keys // n
+        self.compressed = sp.csc_matrix if csc else sp.csr_matrix
+        self.major = keys // n
         self.indices = (keys % n).astype(np.int32)
-        self.indptr = np.searchsorted(self.row,
+        self.indptr = np.searchsorted(self.major,
                                       np.arange(n + 1)).astype(np.int32)
         self.diag_slot = np.searchsorted(keys, np.arange(n) * (n + 1))
-        self.maps = {}
 
     def matrix(self, data):
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.n, self.n))
-
-    def reduced(self, reduction):
-        rp = self.maps.get(reduction)
-        if rp is None:
-            rp = self.maps[reduction] = ReducedPattern(self, reduction)
-        return rp
-
-
-class ReducedPattern:
-    """``A = P^T M P`` as a linear map of the data of M on a fixed pattern.
-
-    ``P`` is the reduction's prolongation.  Every entry of ``A`` is a fixed
-    combination ``sum P_ki P_lj M_kl`` of the stored entries of ``M``, so
-    ``A.data = R @ M.data`` on the CSR pattern ``pattern``.  ``csc_perm``
-    reorders that data into the CSC arrays ``csc_indices``/``csc_indptr``
-    the sparse LU takes, and ``csc_diag`` are the diagonal slots in CSC
-    order.
-    """
-
-    def __init__(self, mass_pattern: SparsePattern, reduction):
-        p = reduction.P
-        n_red = p.shape[1]
-        rows, cols = mass_pattern.row, mass_pattern.indices
-        # every (P row k entry, P row l entry) pair of every slot (k, l)
-        nk = np.diff(p.indptr)[rows]
-        nl = np.diff(p.indptr)[cols]
-        count = nk * nl
-        slot = np.repeat(np.arange(len(rows)), count)
-        pair = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
-                                                  count)
-        ik = p.indptr[rows][slot] + pair // nl[slot]
-        jl = p.indptr[cols][slot] + pair % nl[slot]
-        keys, entry = np.unique(
-            p.indices[ik].astype(np.int64) * n_red + p.indices[jl],
-            return_inverse=True)
-        self.pattern = SparsePattern(n_red, keys)
-        self.R = sp.csr_matrix((p.data[ik] * p.data[jl], (entry, slot)),
-                               shape=(len(keys), len(rows)))
-        a = self.pattern
-        self.csc_perm = np.lexsort((a.row, a.indices))
-        self.csc_indices = a.row[self.csc_perm].astype(np.int32)
-        self.csc_indptr = np.searchsorted(
-            a.indices[self.csc_perm], np.arange(n_red + 1)).astype(np.int32)
-        self.csc_diag = np.argsort(self.csc_perm)[a.diag_slot]
+        return self.compressed((data, self.indices, self.indptr),
+                               shape=(self.n, self.n))
 
 
 class MassOperator:
@@ -348,9 +303,7 @@ class MassOperator:
     ``diag(lumped)`` in lumped mode, the consistent matrix in consistent
     mode and, in partial mode, the consistent matrix with the rows flagged
     by ``marked`` replaced by ``lumped[i] * e_i``.  Every mode keeps every
-    row sum and hence the total mass.  ``factors`` memoises the factorised
-    reduced systems of ``solve_grid``, one per constraint reduction; an
-    operator lives for one step.
+    row sum and hence the total mass.  An operator lives for one step.
     """
 
     def __init__(self, mode, lumped, data, pattern: SparsePattern,
@@ -360,14 +313,10 @@ class MassOperator:
         self.data = data
         self.pattern = pattern
         self.marked = marked
-        self.factors = {}
 
     @property
     def matrix(self):
         return self.pattern.matrix(self.data)
-
-    def total_mass(self):
-        return float(self.lumped.sum())
 
 
 # One step's view of the located particles: element and cell ids (n,),
@@ -406,6 +355,9 @@ class GridAssembler:
         self.slots = slots.reshape(len(ed), -1)
         self.pattern = SparsePattern(n_bf, keys)
         self.diag_pattern = SparsePattern(n_bf, np.arange(n_bf) * (n_bf + 1))
+
+    def mass_pattern(self, mode: MassMode) -> SparsePattern:
+        return self.diag_pattern if mode is MassMode.LUMPED else self.pattern
 
     def located(self, elem, sub, eta) -> CellPoints:
         eta = np.ascontiguousarray(np.asarray(eta).T)
@@ -446,8 +398,9 @@ class GridAssembler:
     def mass(self, pts: CellPoints, masses, mode: MassMode) -> MassOperator:
         b = np.stack([self._moment(pts, masses, r) for r in pts.bern], axis=-1)
         lumped = self._to_dofs(self.ords @ b[..., None])[:, 0]
+        pattern = self.mass_pattern(mode)
         if mode is MassMode.LUMPED:
-            return MassOperator(mode, lumped, lumped, self.diag_pattern)
+            return MassOperator(mode, lumped, lumped, pattern)
         mb, k_b = masses * pts.bern, self.n_bern
         s = np.empty((self.n_cells, k_b, k_b))
         for k in range(k_b):
@@ -455,7 +408,6 @@ class GridAssembler:
                 s[:, k, l] = s[:, l, k] = self._moment(pts, mb[k], pts.bern[l])
         blocks = self.ords @ s @ self.ords.transpose(0, 2, 1)
         blocks = blocks.reshape((len(self.slots), -1) + blocks.shape[1:])
-        pattern = self.pattern
         data = np.bincount(self.slots.ravel(), blocks.sum(axis=1).ravel(),
                            minlength=len(pattern.indices))
         marked = None
@@ -463,7 +415,7 @@ class GridAssembler:
             empty = np.bincount(pts.elem, minlength=len(self.slots)) == 0
             marked = np.zeros(self.n_bf, dtype=bool)
             marked[self.basis.element_dofs[empty]] = True
-            data[marked[pattern.row]] = 0.0
+            data[marked[pattern.major]] = 0.0
             data[pattern.diag_slot[marked]] = lumped[marked]
         return MassOperator(mode, lumped, data, pattern, marked)
 
@@ -488,9 +440,11 @@ class GridAssembler:
         return self._project(pts, particles.m[:, None] * particles.v)
 
     def values(self, pts: CellPoints, coeffs):
-        """(n, 2) fields ``sum_d N_d coeffs[d]`` at the particles."""
+        """(n, 2) fields ``sum_d N_d coeffs[d]`` at the particles, in C
+        order: positions updated from them locate to the bit as fresh
+        ones."""
         table = self.ords.transpose(0, 2, 1) @ coeffs[self.cell_dofs]
-        return self._gather(pts, pts.bern, table.T).T
+        return np.ascontiguousarray(self._gather(pts, pts.bern, table.T).T)
 
     def gradients(self, pts: CellPoints, coeffs):
         """(2, 2, n) gradients ``d field_a / d x_b`` at the particles."""
@@ -535,85 +489,99 @@ class ConstraintReduction:
         self.PT = self.P.T.tocsr()
         self.abs_PT = abs(self.PT)
 
-    @property
-    def n_reduced(self):
-        return self.P.shape[1]
 
+class GridSolver:
+    """The reduced system ``A = P^T M P`` of one field component.
 
-def _factorised(mass_op: MassOperator, reduction: ConstraintReduction, tol,
-                context):
-    """Active mask, reduced matrix and its shifted LU factor.
-
-    The reduced matrix ``A = P^T M P`` is the fixed-pattern map of the mass
-    pattern under the reduction (``SparsePattern.reduced``, built on first
-    use).  Unknowns whose diagonal is at most ``tol`` are decoupled in
-    place: their rows and columns are zeroed and their diagonal set to 1.
-    Memoised on ``mass_op`` per reduction, so every solve of a step under
-    one reduction shares one factorisation.
+    ``P`` is the component's constraint prolongation and ``M`` any mass
+    operator on ``mass_pattern``.  Every entry of ``A`` is a fixed
+    combination ``sum P_ki P_lj M_kl`` of the stored entries of ``M``, so
+    ``A.data = R @ M.data`` on ``pattern``, whose keys are column-major:
+    ``A`` comes out in the CSC order the sparse LU takes.  A system builds
+    one solver per component; each step factorises it once.
     """
-    key = (reduction, tol)
-    if key in mass_op.factors:
-        return mass_op.factors[key]
-    rp = mass_op.pattern.reduced(reduction)
-    pattern = rp.pattern
-    data = rp.R @ mass_op.data
-    diag = data[pattern.diag_slot]
-    active = diag > tol
-    if mass_op.mode is not MassMode.LUMPED:
-        checked = active
-        if mass_op.marked is not None:
-            # reduced unknowns on unmarked dofs (constraint blocks and marks
-            # are both per vertex, so no unknown straddles the two)
-            checked = active & (reduction.abs_PT @ mass_op.marked == 0)
-        dsub = diag[checked]
-        if dsub.size and dsub.max() > ILL_CONDITION_RATIO * dsub.min():
-            raise SolverDiverged(
-                f"consistent mass matrix is ill-conditioned "
-                f"(diagonal ratio {dsub.max() / dsub.min():.1e} in "
-                f"{context or 'solve'}); a basis function has (almost) "
-                "no particle support")
-    lu = None
-    if active.any():
-        inactive = ~active
-        if inactive.any():
-            data[inactive[pattern.row] | inactive[pattern.indices]] = 0.0
+
+    def __init__(self, mass_pattern: SparsePattern,
+                 reduction: ConstraintReduction):
+        self.reduction = reduction
+        p = reduction.P
+        n_red = p.shape[1]
+        rows, cols = mass_pattern.major, mass_pattern.indices
+        # every (P row k entry, P row l entry) pair of every slot (k, l)
+        nk = np.diff(p.indptr)[rows]
+        nl = np.diff(p.indptr)[cols]
+        count = nk * nl
+        slot = np.repeat(np.arange(len(rows)), count)
+        pair = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                  count)
+        ik = p.indptr[rows][slot] + pair // nl[slot]
+        jl = p.indptr[cols][slot] + pair % nl[slot]
+        keys, entry = np.unique(
+            p.indices[jl].astype(np.int64) * n_red + p.indices[ik],
+            return_inverse=True)
+        self.pattern = SparsePattern(n_red, keys, csc=True)
+        self.R = sp.csr_matrix((p.data[ik] * p.data[jl], (entry, slot)),
+                               shape=(len(keys), len(rows)))
+
+    def factorise(self, mass_op: MassOperator, tol, context):
+        """``(active, A, lu)``: the unknowns whose diagonal exceeds ``tol``,
+        ``A`` with the others turned into identity rows and columns, and
+        the LU factor of ``A + FACTOR_SHIFT * diag(A)`` (None when no
+        unknown is active).
+
+        Raises:
+            SolverDiverged: when the diagonal ratio of the consistent rows
+                of ``A`` exceeds ``ILL_CONDITION_RATIO``.
+        """
+        pattern = self.pattern
+        data = self.R @ mass_op.data
+        diag = data[pattern.diag_slot]
+        active = diag > tol
+        if mass_op.mode is not MassMode.LUMPED:
+            checked = active
+            if mass_op.marked is not None:
+                # reduced unknowns on unmarked dofs (constraint blocks and
+                # marks are both per vertex, so no unknown straddles the two)
+                checked = active & (
+                    self.reduction.abs_PT @ mass_op.marked == 0)
+            dsub = diag[checked]
+            if dsub.size and dsub.max() > ILL_CONDITION_RATIO * dsub.min():
+                raise SolverDiverged(
+                    f"consistent mass matrix is ill-conditioned "
+                    f"(diagonal ratio {dsub.max() / dsub.min():.1e} in "
+                    f"{context or 'solve'}); a basis function has (almost) "
+                    "no particle support")
+        lu = None
+        if active.any():
+            inactive = ~active
+            data[inactive[pattern.major] | inactive[pattern.indices]] = 0.0
             data[pattern.diag_slot[inactive]] = 1.0
-        shifted = data[rp.csc_perm]
-        shifted[rp.csc_diag] += FACTOR_SHIFT * shifted[rp.csc_diag]
-        n = pattern.n
-        lu = spla.splu(sp.csc_matrix(
-            (shifted, rp.csc_indices, rp.csc_indptr), shape=(n, n)))
-    mass_op.factors[key] = factor = (active, pattern.matrix(data), lu)
-    return factor
+            shifted, d = data.copy(), pattern.diag_slot
+            shifted[d] += FACTOR_SHIFT * shifted[d]
+            lu = spla.splu(pattern.matrix(shifted))
+        return active, pattern.matrix(data), lu
 
 
-def solve_grid(mass_op: MassOperator, rhs, reduction: ConstraintReduction,
-               mean_particle_mass, context=""):
-    """Solve the grid system M c = rhs under the constraint reduction.
+def solve_grid(solver: GridSolver, factor, rhs, context=""):
+    """Solve the grid system M c = rhs with ``solver.factorise(M, ...)``.
 
     ``M`` is the mass operator's effective matrix in every mode, so partial
     mode solves exactly the row-replaced operator of the partial-lumping
-    rule.  With ``P`` the reduction's prolongation, ``A = P^T M P`` is
-    mapped from the data of ``M`` onto a pattern fixed per (mass pattern,
-    reduction) pair.  Unknowns whose diagonal is at most the zero-mass
-    tolerance become identity rows and columns with a zero right-hand
-    side, so their coefficients come back exactly zero.
-    ``A + FACTOR_SHIFT * diag(A)`` is factorised once per step with a
-    sparse LU, and each solve refines the factor's answer once against
-    ``A``: exact to rounding on a well-posed system, and still defined when
-    too few particles leave a combination of basis functions without mass.
-    The solution ``P x`` satisfies the reduction's (homogeneous) constraint
-    rows.
+    rule.  The reduced right-hand side ``P^T rhs`` is zeroed on inactive
+    unknowns, so their coefficients come back exactly zero.  The shifted
+    factor's answer is refined once against ``A``: exact to rounding on a
+    well-posed system, and still defined when too few particles leave a
+    combination of basis functions without mass.  The solution ``P x``
+    satisfies the reduction's (homogeneous) constraint rows.
 
     Raises:
-        SolverDiverged: when the diagonal ratio of the consistent rows of
-            ``A`` exceeds ``ILL_CONDITION_RATIO``, or when the residual
-            ``|A x - b|`` exceeds ``RESIDUAL_RTOL * |b|``.
+        SolverDiverged: when the residual ``|A x - b|`` exceeds
+            ``RESIDUAL_RTOL * |b|``.
     """
-    active, a, lu = _factorised(
-        mass_op, reduction, ZERO_MASS_REL_TOL * mean_particle_mass, context)
+    active, a, lu = factor
     if lu is None:
         return np.zeros(len(rhs))
+    reduction = solver.reduction
     b = reduction.PT @ rhs
     b[~active] = 0.0
     y = lu.solve(b)
@@ -647,9 +615,9 @@ class MpmSystem:
     ``body_force`` is a callable ``(reference_coords, t) -> (n, 2)`` or
     None; manufactured-solution forcing uses the reference coordinates.
     ``constraints`` pin field values (and, for splines, tangential
-    derivatives) to zero.  ``step`` advances particles in place, reuses
-    the location cache and raises ``ParticleLeftDomain`` when a particle
-    leaves the mesh.
+    derivatives) to zero; ``solvers`` holds one ``GridSolver`` per velocity
+    component.  ``step`` advances particles in place, reuses the location
+    cache and raises ``ParticleLeftDomain`` when a particle leaves the mesh.
     """
 
     def __init__(self, basis, material: MaterialModel, dt,
@@ -664,8 +632,10 @@ class MpmSystem:
         self.assembler = GridAssembler(basis)
 
         rows = basis.constraint_rows(constraints) if constraints else {0: [], 1: []}
-        self.reductions = [ConstraintReduction(basis.n_bf, rows[k])
-                           for k in (0, 1)]
+        pattern = self.assembler.mass_pattern(self.mass_mode)
+        self.solvers = [GridSolver(pattern,
+                                   ConstraintReduction(basis.n_bf, rows[k]))
+                        for k in (0, 1)]
 
     def step(self, particles: Particles, t=0.0):
         """Advance one time step; mutates ``particles``.  The cached location
@@ -674,14 +644,19 @@ class MpmSystem:
         if particles.loc is None:
             elem, sub, eta = basis.locator.locate_many(particles.x)
             if np.any(elem < 0):
-                raise ParticleOutsideMesh("unlocatable particle at step start")
+                bad = int(np.nonzero(elem < 0)[0][0])
+                raise ParticleOutsideMesh(
+                    f"particle {bad} at {tuple(particles.x[bad])} is "
+                    f"outside the mesh at step start (t={t:.6g})")
             particles.loc = (elem, sub, eta)
         elem, sub, eta = particles.loc
         asm = self.assembler
         pts = asm.located(elem, sub, eta)
 
-        mean_mass = float(particles.m.mean())
         mass_op = asm.mass(pts, particles.m, self.mass_mode)
+        tol = ZERO_MASS_REL_TOL * float(particles.m.mean())
+        factors = [solver.factorise(mass_op, tol, f"component {k}")
+                   for k, solver in enumerate(self.solvers)]
 
         body = None
         if self.body_force is not None:
@@ -690,9 +665,9 @@ class MpmSystem:
         rhs = f_body - f_int
 
         a_hat = np.empty((basis.n_bf, 2))
-        for k in range(2):
-            a_hat[:, k] = solve_grid(mass_op, rhs[:, k], self.reductions[k],
-                                     mean_mass, context=f"acceleration[{k}]")
+        for k, solver in enumerate(self.solvers):
+            a_hat[:, k] = solve_grid(solver, factors[k], rhs[:, k],
+                                     f"acceleration[{k}]")
 
         dv = self.dt * asm.values(pts, a_hat)
         if self.mass_mode is not MassMode.LUMPED:
@@ -709,10 +684,9 @@ class MpmSystem:
 
         momentum = asm.momentum(pts, particles)
         v_hat = np.empty((basis.n_bf, 2))
-        for k in range(2):
-            v_hat[:, k] = solve_grid(mass_op, momentum[:, k],
-                                     self.reductions[k], mean_mass,
-                                     context=f"velocity[{k}]")
+        for k, solver in enumerate(self.solvers):
+            v_hat[:, k] = solve_grid(solver, factors[k], momentum[:, k],
+                                     f"velocity[{k}]")
 
         grad = asm.gradients(pts, v_hat)          # grad[a, b] = d v_a / d x_b
         exx, eyy = grad[0, 0], grad[1, 1]

@@ -631,7 +631,7 @@ class TestDirichlet:
         # both the value and the tangential derivative of the reconstructed
         # field vanish
         red = ConstraintReduction(basis.n_bf, rows[0])
-        coeff = red.P @ np.random.default_rng(0).normal(size=red.n_reduced)
+        coeff = red.P @ np.random.default_rng(0).normal(size=red.P.shape[1])
         for v in left[:3]:
             p = tri.nodes[v].copy()
             p[1] = min(max(p[1], 1e-6), 1.0 - 1e-6)

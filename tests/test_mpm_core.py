@@ -16,9 +16,9 @@ from psmpm.errors import (NonPositiveJacobian, ParticleLeftDomain,
                           ParticleOutsideMesh, SolverDiverged,
                           ValidationError)
 from psmpm.mesh import Triangulation, ps_refine
-from psmpm.mpm_core import (ConstraintReduction, GridAssembler, MassMode,
-                            MaterialModel, MpmSystem, ParticleLayout,
-                            Particles, deformation_update,
+from psmpm.mpm_core import (ConstraintReduction, GridAssembler, GridSolver,
+                            MassMode, MaterialModel, MpmSystem,
+                            ParticleLayout, Particles, deformation_update,
                             init_particles, solve_grid)
 
 
@@ -35,6 +35,14 @@ def square_ps_basis(h=0.25, seed=7):
 def located(basis, particles):
     """The transfers' view (cells, Bernstein values) of ``particles``."""
     return GridAssembler(basis).located(*particles.loc)
+
+
+def solve(op, rhs, red, mean_mass):
+    """``solve_grid`` of ``rhs`` under ``red`` on a fresh ``GridSolver`` for
+    the pattern of ``op``, factorised as a step does."""
+    solver = GridSolver(op.pattern, red)
+    tol = mpm_core.ZERO_MASS_REL_TOL * mean_mass
+    return solve_grid(solver, solver.factorise(op, tol, ""), rhs)
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +235,7 @@ class TestMassAssembly:
         for mode in MassMode:
             op = asm.mass(pts, parts.m, mode)
             assert_allclose(op.matrix.sum(), parts.m.sum(), rtol=1e-12)
-            assert_allclose(op.total_mass(), parts.m.sum(), rtol=1e-12)
+            assert_allclose(op.lumped.sum(), parts.m.sum(), rtol=1e-12)
 
     def test_consistent_symmetry(self):
         basis = square_ps_basis(seed=10)
@@ -286,7 +294,7 @@ class TestMassProperty:
         pts = located(basis, parts)
         for mode in MassMode:
             op = GridAssembler(basis).mass(pts, parts.m, mode)
-            assert_allclose(op.total_mass(), parts.m.sum(), rtol=1e-12)
+            assert_allclose(op.lumped.sum(), parts.m.sum(), rtol=1e-12)
 
 
 class TestCellOperator:
@@ -497,13 +505,13 @@ class TestSolves:
     def test_zero_rhs_zero_solution(self):
         for mode in MassMode:
             basis, parts, op, red = self.make(mode)
-            x = solve_grid(op, np.zeros(basis.n_bf), red, parts.m.mean())
+            x = solve(op, np.zeros(basis.n_bf), red, parts.m.mean())
             assert_allclose(x, 0.0)
 
     def test_lumped_is_direct_division(self):
         basis, parts, op, red = self.make(MassMode.LUMPED)
         rhs = np.random.default_rng(3).normal(size=basis.n_bf)
-        x = solve_grid(op, rhs, red, parts.m.mean())
+        x = solve(op, rhs, red, parts.m.mean())
         ok = op.lumped > 1e-12 * parts.m.mean()
         assert_allclose(x[ok], rhs[ok] / op.lumped[ok], rtol=1e-14)
         assert_allclose(x[~ok], 0.0)
@@ -511,7 +519,7 @@ class TestSolves:
     def test_consistent_residual(self):
         basis, parts, op, red = self.make(MassMode.CONSISTENT)
         rhs = op.matrix @ np.random.default_rng(4).normal(size=basis.n_bf)
-        x = solve_grid(op, rhs, red, parts.m.mean())
+        x = solve(op, rhs, red, parts.m.mean())
         resid = np.linalg.norm(op.matrix @ x - rhs) / np.linalg.norm(rhs)
         assert resid < 1e-9
 
@@ -527,8 +535,8 @@ class TestSolves:
         rhs = np.zeros(basis.n_bf)
         active = op.lumped > 1e-12 * parts.m.mean()
         rhs[active] = np.random.default_rng(6).normal(size=int(active.sum()))
-        x = solve_grid(op, rhs, ConstraintReduction(basis.n_bf, []),
-                       parts.m.mean())
+        x = solve(op, rhs, ConstraintReduction(basis.n_bf, []),
+                  parts.m.mean())
         resid = op.matrix @ x - rhs
         assert np.abs(resid[active]).max() < 1e-8 * max(1.0, np.abs(rhs).max())
 
@@ -544,8 +552,8 @@ class TestSolves:
         rhs = np.zeros(basis.n_bf)
         rhs[basis.element_dofs[parts.loc[0][0]]] = 1.0
         with pytest.raises(SolverDiverged, match="solve residual"):
-            solve_grid(op, rhs, ConstraintReduction(basis.n_bf, []),
-                       parts.m.mean())
+            solve(op, rhs, ConstraintReduction(basis.n_bf, []),
+                  parts.m.mean())
 
 
     def test_diagonal_ratio_checks_consistent_rows_only(self):
@@ -562,14 +570,14 @@ class TestSolves:
         rhs = np.ones(basis.n_bf)
         op = asm.mass(pts, parts.m, MassMode.CONSISTENT)
         with pytest.raises(SolverDiverged, match="diagonal ratio"):
-            solve_grid(op, rhs, red, parts.m.mean())
+            solve(op, rhs, red, parts.m.mean())
         # element 1 is empty: partial mode lumps vertex 2's row and checks
         # vertex 1's alone; lumped mode checks no row
         op = asm.mass(pts, parts.m, MassMode.PARTIAL)
         assert op.marked.tolist() == [True, False, True, True]
-        assert np.isfinite(solve_grid(op, rhs, red, parts.m.mean())).all()
+        assert np.isfinite(solve(op, rhs, red, parts.m.mean())).all()
         op = asm.mass(pts, parts.m, MassMode.LUMPED)
-        assert np.isfinite(solve_grid(op, rhs, red, parts.m.mean())).all()
+        assert np.isfinite(solve(op, rhs, red, parts.m.mean())).all()
 
     def test_undersampled_projection_is_solved(self):
         # a 10 x 10 lattice leaves three particles in each corner element:
@@ -590,7 +598,7 @@ class TestSolves:
         momentum = asm.momentum(pts, parts)
         red = ConstraintReduction(basis.n_bf, [])
         v_hat = np.column_stack([
-            solve_grid(op, momentum[:, k], red, parts.m.mean())
+            solve(op, momentum[:, k], red, parts.m.mean())
             for k in range(2)])
         assert_allclose(asm.values(pts, v_hat), parts.v, rtol=0, atol=1e-10)
 
@@ -649,7 +657,7 @@ class TestSolveProperty:
         rows = basis.constraint_rows(rectangle_constraints(tri, PLATE_SIDES))
         red = ConstraintReduction(basis.n_bf, rows[comp])
         rhs = rng.normal(size=basis.n_bf)
-        got = solve_grid(op, rhs, red, parts.m.mean())
+        got = solve(op, rhs, red, parts.m.mean())
 
         marked = marked_dofs(basis, mode, ~kept)
         if mode is MassMode.PARTIAL:
@@ -665,6 +673,8 @@ def cached_hat_basis(seed):
 
 
 class TestReducedPattern:
+    """A ``GridSolver``'s map of ``P^T M P`` and the active set it yields."""
+
     @settings(max_examples=30, deadline=None)
     @given(mesh_seed=st.integers(0, 7), subset_seed=st.integers(0, 2 ** 32 - 1),
            kind=st.sampled_from(["hat", "ps"]),
@@ -681,9 +691,8 @@ class TestReducedPattern:
         rows = basis.constraint_rows(rectangle_constraints(tri, PLATE_SIDES))
         red = ConstraintReduction(basis.n_bf, rows[comp])
 
-        rp = op.pattern.reduced(red)
-        assert op.pattern.reduced(red) is rp
-        got = rp.pattern.matrix(rp.R @ op.data).toarray()
+        solver = GridSolver(op.pattern, red)
+        got = solver.pattern.matrix(solver.R @ op.data).toarray()
         p, m = red.P.toarray(), op.matrix.toarray()
         want = p.T @ m @ p
         # recursive summation (Higham, section 3.1) on both sides: no entry
@@ -693,15 +702,16 @@ class TestReducedPattern:
         assert np.all(np.abs(got - want) <= bound)
 
         tol = mpm_core.ZERO_MASS_REL_TOL * parts.m.mean()
-        active, _, _ = mpm_core._factorised(op, red, tol, "")
-        assert np.array_equal(active, np.diag(got) > tol)
-        x = solve_grid(op, rng.normal(size=basis.n_bf), red, parts.m.mean())
-        dead = np.abs(red.P) @ active == 0   # dofs of inactive unknowns only
+        factor = solver.factorise(op, tol, "")
+        assert np.array_equal(factor[0], np.diag(got) > tol)
+        x = solve_grid(solver, factor, rng.normal(size=basis.n_bf))
+        dead = np.abs(red.P) @ factor[0] == 0   # dofs of inactive unknowns
         assert np.all(x[dead] == 0.0)
 
     @pytest.mark.parametrize("kind", ["hat", "ps"])
     @pytest.mark.parametrize("mode", list(MassMode))
-    def test_maps_built_once_and_follow_active_set(self, kind, mode):
+    def test_maps_built_once_and_follow_active_set(self, kind, mode,
+                                                   monkeypatch):
         basis = (cached_hat_basis if kind == "hat" else cached_ps_basis)(3)
         tri = basis.tri
         mat = MaterialModel("linear-elastic", E=100.0, nu=0.1)
@@ -712,16 +722,22 @@ class TestReducedPattern:
         parts.v = 0.01 * np.sin(np.pi * parts.x)
         asm = system.assembler
         tol = mpm_core.ZERO_MASS_REL_TOL * parts.m.mean()
+        built = []
+
+        class Counting(GridSolver):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(mpm_core, "GridSolver", Counting)
 
         def mass_op():
             return asm.mass(asm.located(*parts.loc), parts.m, mode)
 
+        solvers = list(system.solvers)
         system.step(parts, 0.0)
-        pattern = mass_op().pattern
-        maps = dict(pattern.maps)
-        assert set(maps) == set(system.reductions)
-        assert all(mpm_core._factorised(mass_op(), red, tol, "")[0].all()
-                   for red in system.reductions)
+        assert all(solver.factorise(mass_op(), tol, "")[0].all()
+                   for solver in solvers)
 
         # empty the elements around the vertex nearest the centre: its
         # functions lose every particle and their unknowns turn inactive
@@ -733,21 +749,22 @@ class TestReducedPattern:
         parts.loc = basis.locator.locate_many(parts.x)
         for i in range(1, 4):
             system.step(parts, i * system.dt)
-        assert pattern.maps.keys() == maps.keys()
-        assert all(pattern.maps[red] is maps[red] for red in maps)
+        assert not built
+        assert all(a is b for a, b in zip(system.solvers, solvers))
 
         op = mass_op()
-        assert op.pattern is pattern
+        assert op.pattern is asm.mass_pattern(mode)
         empty = np.bincount(parts.loc[0], minlength=tri.n_elements) == 0
         assert empty[emptied].all()
         rng = np.random.default_rng(5)
-        for red in system.reductions:
-            assert not mpm_core._factorised(op, red, tol, "")[0].all()
+        for solver in solvers:
+            factor = solver.factorise(op, tol, "")
+            assert not factor[0].all()
             rhs = rng.normal(size=basis.n_bf)
-            got = solve_grid(op, rhs, red, parts.m.mean())
+            got = solve_grid(solver, factor, rhs)
             want = dense_reduced_solve(basis, parts,
                                        marked_dofs(basis, mode, empty),
-                                       red, rhs)
+                                       solver.reduction, rhs)
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
@@ -757,7 +774,7 @@ class TestConstraintReduction:
                 (np.array([3, 4, 5]), np.array([0.0, 1.0, 0.0])),
                 (np.array([3, 4, 5]), np.array([0.0, 0.0, 1.0]))]
         red = ConstraintReduction(9, rows)
-        assert red.n_reduced == 6
+        assert red.P.shape[1] == 6
         assert set(red.free_dofs) == {0, 1, 2, 6, 7, 8}
 
     def test_solution_satisfies_constraints(self):
@@ -766,9 +783,9 @@ class TestConstraintReduction:
         rows = [(np.array([1, 2, 3]), coeffs[0]),
                 (np.array([1, 2, 3]), coeffs[1])]
         red = ConstraintReduction(6, rows)
-        assert red.n_reduced == 4
+        assert red.P.shape[1] == 4
         for _ in range(5):
-            c = red.P @ rng.normal(size=red.n_reduced)
+            c = red.P @ rng.normal(size=red.P.shape[1])
             assert abs(np.dot(coeffs[0], c[1:4])) < 1e-12
             assert abs(np.dot(coeffs[1], c[1:4])) < 1e-12
 
@@ -818,9 +835,8 @@ class TestStepContracts:
         assert_allclose(momentum.sum(axis=0), target, rtol=1e-10)
         op = system.assembler.mass(pts, parts.m, MassMode.CONSISTENT)
         v_hat = np.column_stack([
-            solve_grid(op, momentum[:, k],
-                       ConstraintReduction(system.basis.n_bf, []),
-                       parts.m.mean())
+            solve(op, momentum[:, k],
+                  ConstraintReduction(system.basis.n_bf, []), parts.m.mean())
             for k in range(2)])
         assert_allclose((op.matrix @ v_hat).sum(axis=0), target, rtol=1e-8)
 
@@ -885,14 +901,14 @@ class TestStepContracts:
         op = system.assembler.mass(pts, parts_b.m, MassMode.CONSISTENT)
         f_int, f_body = system.assembler.forces(pts, parts_b)
         rhs = f_body - f_int
-        red = system.reductions
+        red = [solver.reduction for solver in system.solvers]
         a_hat = np.column_stack([
-            solve_grid(op, rhs[:, k], red[k], parts_b.m.mean())
+            solve(op, rhs[:, k], red[k], parts_b.m.mean())
             for k in range(2)])
         parts_b.v += system.dt * np.einsum('pf,pfk->pk', vals, a_hat[dofs])
         momentum = system.assembler.momentum(pts, parts_b)
         v_hat = np.column_stack([
-            solve_grid(op, momentum[:, k], red[k], parts_b.m.mean())
+            solve(op, momentum[:, k], red[k], parts_b.m.mean())
             for k in range(2)])
         grad_v = np.einsum('pfk,pfl->pkl', v_hat[dofs], grads)
         eps = 0.5 * (grad_v + np.swapaxes(grad_v, 1, 2))
@@ -956,6 +972,31 @@ class TestStepContracts:
         assert msg.startswith("strain-increment check at t=0.5:")
         assert "strain increment of 0.6," in msg
         assert "threshold 0.5" in msg
+
+    @pytest.mark.parametrize("kind", ["hat", "ps"])
+    def test_stepped_positions_locate_as_fresh_ones(self, kind):
+        # a step's hinted location of the positions it moved must be the
+        # full search's to the bit, which needs C-ordered positions (numpy
+        # lays out a C-plus-F sum in F order only for large arrays, hence
+        # 32 761 particles)
+        system, parts = build_system(mms_plate_spec(kind, 0.25, 1024, seed=7))
+        for i in range(3):
+            system.step(parts, i * system.dt)
+            assert parts.x.flags.c_contiguous and parts.u.flags.c_contiguous
+            fresh = system.basis.locator.locate_many(parts.x)
+            for got, want in zip(parts.loc, fresh):
+                assert got.tobytes() == want.tobytes()
+
+    def test_step_start_locate_check_names_particle(self):
+        system, parts = self.make_system()
+        parts.x[7] = [1.5, 0.5]
+        parts.loc = None
+        with pytest.raises(ParticleOutsideMesh) as err:
+            system.step(parts, 0.25)
+        msg = str(err.value)
+        assert msg.startswith("particle 7 at (")
+        assert msg.endswith("is outside the mesh at step start (t=0.25)")
+        assert "1.5" in msg
 
     def test_particle_exit_aborts(self):
         basis = square_ps_basis(seed=20)
