@@ -318,7 +318,8 @@ class BasisSet:
         """Single-point evaluation; raises OutsideDomain off the mesh."""
         loc = self.locator.locate(p)
         if loc is None:
-            raise OutsideDomain(f"point {tuple(p)} is outside the mesh")
+            where = tuple(np.asarray(p, dtype=float).tolist())
+            raise OutsideDomain(f"point {where} is outside the mesh")
         e, s, eta = loc
         dofs, vals, grads = self.evaluate_located(
             np.array([e]), np.array([s]), eta[None, :])

@@ -320,25 +320,29 @@ def _quick_margins(ref):
 
 
 class PointLocator:
-    """Bin-grid accelerated point location down to the sub-triangle.
+    """Point location down to the sub-triangle, for moving points.
 
     For an unrefined triangulation pass ``refinement=None``; queries then
     report only the element and its barycentric coordinates.
+    ``edge_neighbor[e, i]`` is the element across the edge opposite vertex
+    i of e, -1 on the boundary.  A point walked into e stays there when its
+    smallest barycentric is at least ``walk_margin[e]``, which is
+    ``max(6 LOCATE_TOL R / h_e, LOCATE_TOL)`` (h_e: least height of e; R:
+    the mesh's largest corner-to-centroid distance).  By the distance
+    argument of :func:`_quick_margins`, such a point is ``m h_e`` from
+    every other element, so each of them reads below ``-2 LOCATE_TOL``.
     """
 
     def __init__(self, tri: Triangulation, refinement: PSRefinement | None = None):
         self.tri = tri
         self.refinement = refinement
 
-        nodes = tri.nodes
-        el = tri.elements
-        coords = nodes[el]                              # (n_e, 3, 2)
+        coords = tri.nodes[tri.elements]                # (n_e, 3, 2)
         m = np.ones((tri.n_elements, 3, 3))
         m[:, :2, :] = coords.transpose(0, 2, 1)
         self.elem_inv = np.linalg.inv(m)
 
-        lo, hi = tri.bbox()
-        self.lo, self.hi = lo, hi
+        self.lo, self.hi = lo, hi = tri.bbox()
         span = np.maximum(hi - lo, 1e-300)
         diam = np.linalg.norm(
             coords - np.roll(coords, 1, axis=1), axis=2).max(axis=1)
@@ -363,13 +367,20 @@ class PointLocator:
 
         # element -> elements sharing at least one vertex (includes self),
         # ascending: the candidate set for incrementally moving points
-        flat = el.ravel()
+        flat = tri.elements.ravel()
         other = np.concatenate([tri.vertex_elements[v] for v in flat])
         owner = np.repeat(np.arange(len(flat)) // 3,
                           np.bincount(flat, minlength=tri.n_nodes)[flat])
         pairs = np.unique(owner * tri.n_elements + other)
         self.neighbor_table = _padded_table(
             pairs // tri.n_elements, pairs % tri.n_elements, tri.n_elements)
+        pair = tri.edge_elements[tri.element_edges[:, [1, 2, 0]]]
+        own = pair[..., 0] == np.arange(tri.n_elements)[:, None]
+        self.edge_neighbor = np.where(own, pair[..., 1], pair[..., 0])
+        centred = coords - coords.mean(axis=1, keepdims=True)
+        r_max = np.hypot(centred[..., 0], centred[..., 1]).max(initial=0.0)
+        self.walk_margin = np.maximum(  # h_e = 2 area / longest edge
+            3.0 * LOCATE_TOL * r_max * diam / tri.areas, LOCATE_TOL)
 
         # cells: sub-triangle 6 e + s of the refinement, else element e
         if refinement is None:
@@ -431,18 +442,21 @@ class PointLocator:
         A point with a hint ``(elem, sub)`` from a previous call stays in
         its hint cell when its smallest barycentric there is at least the
         cell's ``quick_margin`` (``-LOCATE_TOL`` for an element; see
-        :func:`_quick_margins` for a sub-triangle, where the result is the
-        full pass's to the bit).  Other hinted points are tested against
-        the hint element, then its row of ``neighbor_table`` (a CFL-bounded
-        move); the rest against their bin's row of ``bin_table``.  Both go
-        in chunks of ``LOCATE_CHUNK`` and take the first containing element
-        of the ascending row, so without a hint ties on shared edges go to
-        the lowest element.  Sub-triangles then come from :meth:`locate_in`.
+        :func:`_quick_margins` for a sub-triangle).  Otherwise, unless it is
+        in the hint element, it walks to the ``edge_neighbor`` across the
+        edge opposite its most negative barycentric there and stays if
+        ``walk_margin`` keeps it; both margins give the full search's answer
+        to the bit.  Other hinted points are tested against the hint
+        element's row of ``neighbor_table``; the rest against their bin's
+        row of ``bin_table``.  Both go in chunks of ``LOCATE_CHUNK`` and
+        take the first containing element of the ascending row, so without
+        a hint ties on shared edges go to the lowest element.  Sub-triangles
+        then come from :meth:`locate_in`.  Points are read in C order.
 
         Returns (elem, sub, eta): (n,) int, (n,) int, (n, 3) float; ``elem``
         is -1 outside the mesh and ``sub`` -1 without a refinement.
         """
-        pts = np.asarray(points, dtype=float)
+        pts = np.ascontiguousarray(points, dtype=float)
         n = len(pts)
         ph = np.column_stack([pts, np.ones(n)])
         if hint is None:
@@ -459,10 +473,20 @@ class PointLocator:
             elem = np.where(todo, -1, h_elem)
             sub = np.where(todo, -1, np.asarray(hint[1]))
             miss = np.nonzero(todo & hinted)[0]
-            t = np.einsum('pij,pj->pi', self.elem_inv[h_elem[miss]], ph[miss])
+            # for hats the hint test already was the element test
+            t = eta[miss] if self.refinement is None else np.einsum(
+                'pij,pj->pi', self.elem_inv[h_elem[miss]], ph[miss])
             inside = _min3(t) >= -LOCATE_TOL
             elem[miss[inside]] = h_elem[miss[inside]]
-            miss = miss[~inside]
+            miss, t = miss[~inside], t[~inside]
+            # walk; w = -1 (boundary) reads the last element's map, dropped
+            w = self.edge_neighbor[h_elem[miss], t.argmin(axis=1)]
+            t = np.einsum('pij,pj->pi', self.elem_inv[w], ph[miss])
+            keep = (w >= 0) & (_min3(t) >= self.walk_margin[w])
+            elem[miss[keep]] = w[keep]
+            if self.refinement is None:
+                eta[miss[keep]], todo[miss[keep]] = t[keep], False
+            miss = miss[~keep]
             elem[miss] = self._first_containing(
                 self.neighbor_table, h_elem[miss], ph[miss])
 

@@ -266,7 +266,7 @@ def init_particles(locator, layout: ParticleLayout, rho0) -> Particles:
     if np.any(elem < 0):
         bad = int(np.nonzero(elem < 0)[0][0])
         raise ParticleOutsideMesh(
-            f"particle {bad} at {tuple(pos[bad])} is outside the mesh")
+            f"particle {bad} at {tuple(pos[bad].tolist())} is outside the mesh")
     particles.loc = (elem, sub, eta)
     return particles
 
@@ -646,8 +646,8 @@ class MpmSystem:
             if np.any(elem < 0):
                 bad = int(np.nonzero(elem < 0)[0][0])
                 raise ParticleOutsideMesh(
-                    f"particle {bad} at {tuple(particles.x[bad])} is "
-                    f"outside the mesh at step start (t={t:.6g})")
+                    f"particle {bad} at {tuple(particles.x[bad].tolist())}"
+                    f" is outside the mesh at step start (t={t:.6g})")
             particles.loc = (elem, sub, eta)
         elem, sub, eta = particles.loc
         asm = self.assembler
@@ -720,7 +720,7 @@ class MpmSystem:
             bad = int(np.nonzero(new_elem < 0)[0][0])
             raise ParticleLeftDomain(
                 f"particle {bad} left the mesh at t={t + self.dt:.6g} "
-                f"(position {tuple(particles.x[bad])})")
+                f"(position {tuple(particles.x[bad].tolist())})")
         particles.loc = (new_elem, new_sub, new_eta)
 
     def run(self, particles: Particles, n_steps, t0=0.0, on_step=None):

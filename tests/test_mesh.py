@@ -240,12 +240,23 @@ def hinted_sample(tri, ref, rng):
     """Points on shared sub-edges, element edges and vertices, random and
     outside points, each paired with four hints: its own (element, sub),
     the two neighbouring subs of that element and a random sub of a vertex
-    neighbour element (a move of one sub or one element)."""
+    neighbour element (a move of one sub or one element).  The first
+    ``6 n_e`` points are moved out of an element e, across the edge
+    opposite each vertex (off the mesh on the boundary) and past each
+    vertex, by 1e-14 to 0.3 of their distance from e's centroid; their
+    own element is e."""
+    w = tri.nodes[tri.elements]                             # (n_e, 3, 2)
+    centroid = w.mean(axis=1, keepdims=True)
+    t = rng.random((len(w), 3, 1))
+    edge = t * np.roll(w, -1, axis=1) + (1.0 - t) * np.roll(w, -2, axis=1)
+    scale = 10.0 ** rng.uniform(-14.0, np.log10(0.3), (2, len(w), 3, 1))
+    moved = [edge + scale[0] * (edge - centroid),
+             w + scale[1] * (w - centroid)]
     a = tri.nodes[tri.edges[:, 0]]
     b = tri.nodes[tri.edges[:, 1]]
     t = rng.random((len(a), 1))
-    pts = [tri.nodes, t * a + (1.0 - t) * b,
-           rng.uniform(-0.1, 1.1, size=(300, 2))]
+    pts = [m.reshape(-1, 2) for m in moved] + [
+        tri.nodes, t * a + (1.0 - t) * b, rng.uniform(-0.1, 1.1, size=(300, 2))]
     if ref is not None:
         c = ref.sub_coords.reshape(-1, 3, 2)
         t = rng.random((len(c), 3, 1))
@@ -255,6 +266,7 @@ def hinted_sample(tri, ref, rng):
     loc = PointLocator(tri, ref)
     elem, sub, _ = loc.locate_many(pts)
     elem = np.where(elem < 0, rng.integers(-1, tri.n_elements, len(pts)), elem)
+    elem[:6 * len(w)] = np.tile(np.repeat(np.arange(len(w)), 3), 2)
     sub = np.where(sub < 0, rng.integers(0, 6, len(pts)), sub)
     row = loc.neighbor_table[np.maximum(elem, 0)]
     pick = rng.integers(0, (row >= 0).sum(axis=1))
@@ -264,6 +276,26 @@ def hinted_sample(tri, ref, rng):
     if ref is None:
         hints = [(e, np.full(len(pts), -1)) for e, _ in hints]
     return loc, pts, hints
+
+
+class TestEdgeNeighbor:
+    @pytest.mark.parametrize("kind", ["jittered", "structured"])
+    def test_matches_brute_force(self, kind):
+        tri = generate_mesh(kind, 0.125, (0.0, 0.0, 1.0, 2.0), seed=3)
+        nb = PointLocator(tri).edge_neighbor
+        holds = np.zeros((tri.n_elements, tri.n_nodes), dtype=bool)
+        holds[np.arange(tri.n_elements)[:, None], tri.elements] = True
+        boundary = {frozenset(ab) for *ab, _ in tri.boundary_edges}
+        for e, verts in enumerate(tri.elements):
+            for i in range(3):
+                pair = np.delete(verts, i)
+                sharing = np.nonzero(holds[:, pair].all(axis=1))[0]
+                others = sharing[sharing != e].tolist()
+                assert others == ([] if nb[e, i] < 0 else [nb[e, i]])
+                assert (nb[e, i] < 0) == (frozenset(pair.tolist()) in boundary)
+                if nb[e, i] >= 0:
+                    common = set(verts) & set(tri.elements[nb[e, i]])
+                    assert common == set(pair)
 
 
 class TestLocateProperty:
@@ -277,6 +309,17 @@ class TestLocateProperty:
         for hint in hints:
             got = loc.locate_many(pts, hint=hint)
             want = ref_locate_hinted(loc, pts, hint[0])
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_fortran_ordered_points_locate_as_c_ordered(self, refined):
+        tri = generate_mesh("jittered", 0.125, (0.0, 0.0, 1.0, 1.0), seed=9)
+        ref = ps_refine(tri) if refined else None
+        loc, pts, hints = hinted_sample(tri, ref, np.random.default_rng(9))
+        for hint in [None] + hints:
+            got = loc.locate_many(np.asfortranarray(pts), hint=hint)
+            want = loc.locate_many(pts, hint=hint)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
 

@@ -1,5 +1,6 @@
 """Particle init, assembly, mass modes, solves, and step-level contracts."""
 
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -12,9 +13,9 @@ from psmpm import mpm_core
 from psmpm.basis import HatBasis, hat_basis, ps_basis
 from psmpm.benchmarks import build_system, mms_plate_spec, rectangle_constraints
 from psmpm.cli_io import generate_mesh
-from psmpm.errors import (NonPositiveJacobian, ParticleLeftDomain,
-                          ParticleOutsideMesh, SolverDiverged,
-                          ValidationError)
+from psmpm.errors import (NonPositiveJacobian, OutsideDomain,
+                          ParticleLeftDomain, ParticleOutsideMesh,
+                          SolverDiverged, ValidationError)
 from psmpm.mesh import Triangulation, ps_refine
 from psmpm.mpm_core import (ConstraintReduction, GridAssembler, GridSolver,
                             MassMode, MaterialModel, MpmSystem,
@@ -997,6 +998,30 @@ class TestStepContracts:
         assert msg.startswith("particle 7 at (")
         assert msg.endswith("is outside the mesh at step start (t=0.25)")
         assert "1.5" in msg
+
+    def test_locate_messages_print_plain_floats(self):
+        # numpy 2 prints a tuple of array scalars as (np.float64(1.5), ...)
+        basis = square_ps_basis(seed=16)
+        with pytest.raises(ParticleOutsideMesh) as init:
+            init_particles(basis.locator, ParticleLayout(
+                kind="lattice", nx=2, ny=1, domain=(0.0, 0.0, 3.0, 1.0)),
+                rho0=1.0)
+        system, parts = self.make_system(MassMode.LUMPED, basis)
+        parts.x[7], parts.loc = [1.5, 0.5], None
+        with pytest.raises(ParticleOutsideMesh) as start:
+            system.step(parts, 0.25)
+        system, parts = self.make_system(MassMode.LUMPED, basis)
+        parts.v[:] = [100.0, 0.0]    # the right column leaves in one step
+        with pytest.raises(ParticleLeftDomain) as left:
+            system.step(parts, 0.0)
+        with pytest.raises(OutsideDomain) as point:
+            basis.eval_at((3.0, 3.0))
+        msgs = [str(err.value) for err in (init, start, left, point)]
+        assert "at (2.25, 0.5) is outside the mesh" in msgs[0]
+        assert "at (1.5, 0.5) is outside the mesh at step start" in msgs[1]
+        assert re.search(r"\(position \([0-9.e-]+, [0-9.e-]+\)\)$", msgs[2])
+        assert "point (3.0, 3.0) is outside the mesh" in msgs[3]
+        assert not any("float64" in m for m in msgs)
 
     def test_particle_exit_aborts(self):
         basis = square_ps_basis(seed=20)
