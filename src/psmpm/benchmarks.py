@@ -11,9 +11,6 @@ empty out).
 from __future__ import annotations
 
 import io
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,8 +240,7 @@ def soil_column_spec(mass_mode, n_rows=16, dt=5e-4, t_end=2.5,
     return BenchmarkSpec(
         name="soil", tri=tri, basis_kind=basis_kind, material=material,
         rho0=1e3, dt=dt, t_end=t_end,
-        mass_mode=mass_mode if isinstance(mass_mode, MassMode)
-        else MassMode.parse(mass_mode),
+        mass_mode=MassMode.parse(mass_mode),
         layout=ParticleLayout(kind="lattice", nx=16, ny=3 * n_rows,
                               domain=(0.0, 0.0, width, height)),
         fixed_sides={"bottom": (0, 1), "left": (0,), "right": (0,)},
@@ -449,31 +445,18 @@ class ErrorReport:
         return buf.getvalue()
 
 
-def _study_row(job) -> ErrorRow:
-    basis_kind, h, ppe, seed, courant, mass_mode = job
-    spec = mms_plate_spec(basis_kind, h, ppe, seed=seed, courant=courant,
-                          mass_mode=mass_mode)
-    result = run_mms(spec)
-    return ErrorRow(benchmark="mms", basis=basis_kind, h=result.h_typical,
-                    ppe=int(ppe), dt=result.dt, rms=result.rms)
-
-
 def convergence_study(basis_kind, h_list, ppe_list, seed=7,
                       courant=None, mass_mode=None) -> ErrorReport:
     """Run the manufactured-solution sweep over mesh sizes and particle
     densities for one basis family (family-default mass mode and Courant
-    number unless overridden).
-
-    The environment variable ``PSMPM_THREADS`` (default 1) sets how many
-    worker processes run the cells; rows keep the sweep order, so the
-    report does not depend on it.
-    """
-    jobs = [(basis_kind, h, ppe, seed, courant, mass_mode)
-            for h in h_list for ppe in ppe_list]
-    workers = int(os.environ.get("PSMPM_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            return ErrorReport(pool.map(_study_row, jobs))
-    return ErrorReport(map(_study_row, jobs))
+    number unless overridden), in sweep order."""
+    report = ErrorReport()
+    for h in h_list:
+        for ppe in ppe_list:
+            result = run_mms(mms_plate_spec(basis_kind, h, ppe, seed=seed,
+                                            courant=courant,
+                                            mass_mode=mass_mode))
+            report.add(ErrorRow(benchmark="mms", basis=basis_kind,
+                                h=result.h_typical, ppe=int(ppe),
+                                dt=result.dt, rms=result.rms))
+    return report

@@ -522,10 +522,14 @@ def _cmd_run(args) -> int:
     t_start = time.perf_counter()
 
     def write_frame(step, t):
-        frame = OutputFrame.from_particles(step, t, particles)
-        write_particle_csv(frame,
+        write_particle_csv(OutputFrame.from_particles(step, t, particles),
                            os.path.join(out_dir, f"frame_{step:06d}.csv"))
-        return frame
+
+    def on_step(i, t, _):
+        if (i + 1) % cfg.output_every == 0 or i + 1 == n_steps:
+            write_frame(i + 1, t)
+        if not args.quiet and (i + 1) % max(1, n_steps // 10) == 0:
+            print(f"step {i + 1}/{n_steps}  t={t:.6g}", file=sys.stderr)
 
     def write_summary(status):
         runtime = time.perf_counter() - t_start
@@ -546,23 +550,17 @@ def _cmd_run(args) -> int:
         return runtime
 
     write_frame(0, 0.0)
-    last = None
-    for i in range(n_steps):
-        try:
-            system.step(particles, i * spec.dt)
-        except PsmpmError as exc:
-            # the failing step's number, its start time and the reason
-            message = " ".join(str(exc).split())
-            write_summary(f"status = failed\nerror = {type(exc).__name__}\n"
-                          f"step = {i + 1}\nt = {i * spec.dt:.17g}\n"
-                          f"message = {message}\n")
-            raise
-        t = (i + 1) * spec.dt
-        if (i + 1) % cfg.output_every == 0 or i + 1 == n_steps:
-            last = write_frame(i + 1, t)
-        if not args.quiet and (i + 1) % max(1, n_steps // 10) == 0:
-            print(f"step {i + 1}/{n_steps}  t={t:.6g}", file=sys.stderr)
-    write_vtk(last, os.path.join(out_dir, "final.vtk"))
+    try:
+        system.run(particles, n_steps, on_step=on_step)
+    except PsmpmError as exc:
+        # the failing step's number, its start time and the reason
+        message = " ".join(str(exc).split())
+        write_summary(f"status = failed\nerror = {type(exc).__name__}\n"
+                      f"step = {exc.step}\nt = {exc.t:.17g}\n"
+                      f"message = {message}\n")
+        raise
+    final = OutputFrame.from_particles(n_steps, n_steps * spec.dt, particles)
+    write_vtk(final, os.path.join(out_dir, "final.vtk"))
     runtime = write_summary("status = ok\n")
     if not args.quiet:
         print(f"wrote {out_dir}/ ({n_steps} steps, {runtime:.1f}s)")

@@ -4,6 +4,8 @@
 class PsmpmError(Exception):
     """Base class for all errors raised by this package."""
 
+    step = t = None     # set by ``MpmSystem.run`` on an error from a step
+
 
 class DegenerateTriangle(PsmpmError):
     """Triangle area is below the degeneracy tolerance."""

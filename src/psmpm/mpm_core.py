@@ -9,11 +9,10 @@ the cell's particles (moments ``sum m B_k B_l``, ``sum m B_k``,
 ``sum V sigma w``, ``sum m b B_k``, ``sum m v B_k``) contracted with the
 cell's tables; grid-to-particle gathers go through per-cell coefficients.
 
-One time step projects particle mass and internal/body forces onto the
-basis, solves for grid accelerations, increments particle velocities,
-re-projects momentum for the end-of-step velocity field (density-weighted
-L2 projection), and finally updates deformation, stress, volume, density
-and positions from that field.  Grid quantities are rebuilt every step.
+``MpmSystem.run`` is the time loop.  A step runs the phases relocate, mass
+and factorise, accelerate, project momentum (density-weighted L2) and
+update; grid quantities are rebuilt every step.  A failed check raises a
+``PsmpmError`` to which ``run`` adds the step number and start time.
 
 The mass matrix is consistent, fully lumped (row sums on the diagonal),
 or partially lumped: only rows whose basis function has at least one
@@ -41,7 +40,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (NonPositiveJacobian, ParticleLeftDomain,
-                     ParticleOutsideMesh, SolverDiverged, ValidationError)
+                     ParticleOutsideMesh, PsmpmError, SolverDiverged,
+                     ValidationError)
 
 # Grid dofs with lumped mass below this fraction of the mean particle mass
 # are excluded from solves (their coefficients are set to zero).
@@ -88,6 +88,9 @@ class MassMode(enum.Enum):
 
     @classmethod
     def parse(cls, name):
+        """The mode named ``name`` (a ``MassMode`` comes back unchanged)."""
+        if isinstance(name, cls):
+            return name
         try:
             return cls(str(name).strip().lower())
         except ValueError:
@@ -262,13 +265,19 @@ def init_particles(locator, layout: ParticleLayout, rho0) -> Particles:
         raise ValidationError(f"unknown particle layout {layout.kind!r}")
 
     particles = Particles(pos, vol, rho0)
-    elem, sub, eta = locator.locate_many(pos)
-    if np.any(elem < 0):
-        bad = int(np.nonzero(elem < 0)[0][0])
-        raise ParticleOutsideMesh(
-            f"particle {bad} at {tuple(pos[bad].tolist())} is outside the mesh")
-    particles.loc = (elem, sub, eta)
+    particles.loc = locate_all(locator, pos, ParticleOutsideMesh,
+                               "particle {} at {} is outside the mesh")
     return particles
+
+
+def locate_all(locator, points, error, message, hint=None):
+    """``locator.locate_many(points, hint)``; raises ``error`` with ``message``
+    formatted by the first off-mesh point's index and position."""
+    loc = locator.locate_many(points, hint=hint)
+    if np.any(loc[0] < 0):
+        bad = int(np.nonzero(loc[0] < 0)[0][0])
+        raise error(message.format(bad, tuple(points[bad].tolist())))
+    return loc
 
 
 class SparsePattern:
@@ -616,8 +625,7 @@ class MpmSystem:
     None; manufactured-solution forcing uses the reference coordinates.
     ``constraints`` pin field values (and, for splines, tangential
     derivatives) to zero; ``solvers`` holds one ``GridSolver`` per velocity
-    component.  ``step`` advances particles in place, reuses the location
-    cache and raises ``ParticleLeftDomain`` when a particle leaves the mesh.
+    component.  ``run`` is the time loop; ``step`` runs its phases in place.
     """
 
     def __init__(self, basis, material: MaterialModel, dt,
@@ -626,50 +634,58 @@ class MpmSystem:
         self.basis = basis
         self.material = material
         self.dt = float(dt)
-        self.mass_mode = mass_mode if isinstance(mass_mode, MassMode) \
-            else MassMode.parse(mass_mode)
+        self.mass_mode = MassMode.parse(mass_mode)
         self.body_force = body_force
         self.assembler = GridAssembler(basis)
 
-        rows = basis.constraint_rows(constraints) if constraints else {0: [], 1: []}
+        rows = basis.constraint_rows(constraints)
         pattern = self.assembler.mass_pattern(self.mass_mode)
         self.solvers = [GridSolver(pattern,
                                    ConstraintReduction(basis.n_bf, rows[k]))
                         for k in (0, 1)]
 
     def step(self, particles: Particles, t=0.0):
-        """Advance one time step; mutates ``particles``.  The cached location
-        is the next location's hint: staying in a cell costs one test."""
-        basis = self.basis
+        """Advance one time step from time ``t``; mutates ``particles``.
+        Phases: relocate, factorise, accelerate, project momentum, update."""
+        pts = self._relocate(particles, t)
+        factors = self._factorise(pts, particles)
+        self._accelerate(pts, factors, particles, t)
+        v_hat = self._solve(factors, self.assembler.momentum(pts, particles),
+                            "velocity")           # project momentum
+        self._update(pts, v_hat, particles, t)
+
+    def _relocate(self, particles, t):
+        """Cell view of the particles at the location the last step cached
+        (its hinted locate), or at a full search's when none is cached."""
         if particles.loc is None:
-            elem, sub, eta = basis.locator.locate_many(particles.x)
-            if np.any(elem < 0):
-                bad = int(np.nonzero(elem < 0)[0][0])
-                raise ParticleOutsideMesh(
-                    f"particle {bad} at {tuple(particles.x[bad].tolist())}"
-                    f" is outside the mesh at step start (t={t:.6g})")
-            particles.loc = (elem, sub, eta)
-        elem, sub, eta = particles.loc
-        asm = self.assembler
-        pts = asm.located(elem, sub, eta)
+            particles.loc = locate_all(
+                self.basis.locator, particles.x, ParticleOutsideMesh,
+                f"particle {{}} at {{}} is outside the mesh at step start "
+                f"(t={t:.6g})")
+        return self.assembler.located(*particles.loc)
 
-        mass_op = asm.mass(pts, particles.m, self.mass_mode)
+    def _factorise(self, pts, particles):
+        """Assemble the mass operator; factorise it once per component."""
+        mass_op = self.assembler.mass(pts, particles.m, self.mass_mode)
         tol = ZERO_MASS_REL_TOL * float(particles.m.mean())
-        factors = [solver.factorise(mass_op, tol, f"component {k}")
-                   for k, solver in enumerate(self.solvers)]
+        return [solver.factorise(mass_op, tol, f"component {k}")
+                for k, solver in enumerate(self.solvers)]
 
-        body = None
-        if self.body_force is not None:
-            body = np.asarray(self.body_force(particles.x0, t), dtype=float)
-        f_int, f_body = asm.forces(pts, particles, body=body)
-        rhs = f_body - f_int
+    def _solve(self, factors, rhs, name):
+        """Grid coefficients (n_bf, 2) of ``rhs``, one component each."""
+        return np.column_stack([
+            solve_grid(solver, factor, rhs[:, k], f"{name}[{k}]")
+            for k, (solver, factor) in enumerate(zip(self.solvers, factors))])
 
-        a_hat = np.empty((basis.n_bf, 2))
-        for k, solver in enumerate(self.solvers):
-            a_hat[:, k] = solve_grid(solver, factors[k], rhs[:, k],
-                                     f"acceleration[{k}]")
-
-        dv = self.dt * asm.values(pts, a_hat)
+    def _accelerate(self, pts, factors, particles, t):
+        """Kick the particle velocities by the grid acceleration of the body
+        and internal forces.  Outside lumped mode a kick above
+        ``VELOCITY_BLOWUP_FACTOR`` wave speeds raises ``SolverDiverged``."""
+        body = None if self.body_force is None else np.asarray(
+            self.body_force(particles.x0, t), dtype=float)
+        f_int, f_body = self.assembler.forces(pts, particles, body=body)
+        a_hat = self._solve(factors, f_body - f_int, "acceleration")
+        dv = self.dt * self.assembler.values(pts, a_hat)
         if self.mass_mode is not MassMode.LUMPED:
             wave = self.material.wave_speed(float(particles.rho.mean()))
             kick = float(np.abs(dv).max())
@@ -682,13 +698,11 @@ class MpmSystem:
                     f"({VELOCITY_BLOWUP_FACTOR:g} wave speeds)")
         particles.v += dv
 
-        momentum = asm.momentum(pts, particles)
-        v_hat = np.empty((basis.n_bf, 2))
-        for k, solver in enumerate(self.solvers):
-            v_hat[:, k] = solve_grid(solver, factors[k], momentum[:, k],
-                                     f"velocity[{k}]")
-
-        grad = asm.gradients(pts, v_hat)          # grad[a, b] = d v_a / d x_b
+    def _update(self, pts, v_hat, particles, t):
+        """Check the strain increment (outside lumped mode), then update D,
+        J, sigma, V, rho and positions from the projected velocity ``v_hat``
+        and locate the moved particles with their old location as hint."""
+        grad = self.assembler.gradients(pts, v_hat)   # d v_a / d x_b
         exx, eyy = grad[0, 0], grad[1, 1]
         exy = 0.5 * (grad[0, 1] + grad[1, 0])
         if self.mass_mode is not MassMode.LUMPED:
@@ -710,26 +724,24 @@ class MpmSystem:
         particles.V = particles.J * particles.V0
         particles.rho = particles.m / particles.V
 
-        vel = asm.values(pts, v_hat)
+        vel = self.assembler.values(pts, v_hat)
         particles.x = particles.x + self.dt * vel
         particles.u = particles.u + self.dt * vel
+        particles.loc = locate_all(
+            self.basis.locator, particles.x, ParticleLeftDomain,
+            f"particle {{}} left the mesh at t={t + self.dt:.6g} "
+            f"(position {{}})", hint=particles.loc[:2])
 
-        new_elem, new_sub, new_eta = basis.locator.locate_many(
-            particles.x, hint=(elem, sub))
-        if np.any(new_elem < 0):
-            bad = int(np.nonzero(new_elem < 0)[0][0])
-            raise ParticleLeftDomain(
-                f"particle {bad} left the mesh at t={t + self.dt:.6g} "
-                f"(position {tuple(particles.x[bad].tolist())})")
-        particles.loc = (new_elem, new_sub, new_eta)
-
-    def run(self, particles: Particles, n_steps, t0=0.0, on_step=None):
-        """Step ``n_steps`` times; ``on_step(i, t, particles)`` runs after
-        each step with t the end-of-step time."""
-        t = t0
+    def run(self, particles: Particles, n_steps, on_step=None):
+        """The time loop: ``n_steps`` steps from t = 0, each followed by
+        ``on_step(i, t, particles)`` (t: end of step).  A ``PsmpmError`` from
+        step i leaves with ``step = i + 1`` and ``t = i * dt`` set on it."""
         for i in range(n_steps):
-            self.step(particles, t)
-            t = t0 + (i + 1) * self.dt
+            try:
+                self.step(particles, i * self.dt)
+            except PsmpmError as exc:
+                exc.step, exc.t = i + 1, i * self.dt
+                raise
             if on_step is not None:
-                on_step(i, t, particles)
+                on_step(i, (i + 1) * self.dt, particles)
         return particles

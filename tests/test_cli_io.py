@@ -391,32 +391,3 @@ courant = 0.3
                         "--mass-mode", mode, "--quiet"]) == 0
             tables[mode] = (out / "convergence.csv").read_bytes()
         assert tables["lumped"] != tables["consistent"]
-
-
-class TestParallelConverge:
-    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
-        text = """
-[run]
-benchmark = mms
-basis = hat
-mass_mode = lumped
-seed = 7
-
-[converge]
-h_list = 0.5 0.25
-ppe_list = 4
-basis = hat
-courant = 0.3
-"""
-        cfg = tmp_path / "conv.cfg"
-        cfg.write_text(text)
-        out_serial = tmp_path / "serial"
-        out_pool = tmp_path / "pool"
-        monkeypatch.delenv("PSMPM_THREADS", raising=False)
-        assert cli(["converge", str(cfg), "--output-dir", str(out_serial),
-                    "--quiet"]) == 0
-        monkeypatch.setenv("PSMPM_THREADS", "2")
-        assert cli(["converge", str(cfg), "--output-dir", str(out_pool),
-                    "--quiet"]) == 0
-        assert (out_serial / "convergence.csv").read_bytes() == \
-            (out_pool / "convergence.csv").read_bytes()

@@ -298,6 +298,32 @@ class TestEdgeNeighbor:
                     assert common == set(pair)
 
 
+class TestWalkMargin:
+    @pytest.mark.parametrize("kind", ["jittered", "structured"])
+    def test_margin_points_read_below_twice_tol_elsewhere(self, kind):
+        # points of e whose smallest barycentric is walk_margin[e], next to
+        # each edge and each vertex: every other element must read them
+        # below -2 LOCATE_TOL, so a walk that keeps them gives the answer
+        # of the first-containing search
+        tri = generate_mesh(kind, 0.125, (0.0, 0.0, 1.0, 2.0), seed=3)
+        loc = PointLocator(tri)
+        m = loc.walk_margin[:, None, None]
+        eye = np.eye(3)
+        bary = np.concatenate([m * eye + (1.0 - m) / 2.0 * (1.0 - eye),
+                               (1.0 - 2.0 * m) * eye + m * (1.0 - eye)],
+                              axis=1)                       # (n_e, 6, 3)
+        pts = np.einsum('eki,eid->ekd', bary,
+                        tri.nodes[tri.elements]).reshape(-1, 2)
+        owner = np.repeat(np.arange(tri.n_elements), 6)
+        ph = np.column_stack([pts, np.ones(len(pts))])
+        low = np.einsum('eij,pj->pei', loc.elem_inv, ph).min(axis=-1)
+        own = (np.arange(len(pts)), owner)
+        assert_allclose(low[own], loc.walk_margin[owner],
+                        atol=0.05 * mesh.LOCATE_TOL)
+        low[own] = -np.inf
+        assert np.all(low.max(axis=1) < -2.0 * mesh.LOCATE_TOL)
+
+
 class TestLocateProperty:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]),

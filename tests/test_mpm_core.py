@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 
 from psmpm import mpm_core
 from psmpm.basis import HatBasis, hat_basis, ps_basis
-from psmpm.benchmarks import build_system, mms_plate_spec, rectangle_constraints
+from psmpm.benchmarks import (build_system, mms_plate_spec,
+                              rectangle_constraints, soil_column_spec)
 from psmpm.cli_io import generate_mesh
 from psmpm.errors import (NonPositiveJacobian, OutsideDomain,
                           ParticleLeftDomain, ParticleOutsideMesh,
@@ -88,6 +89,13 @@ class TestMaterial:
         assert_allclose(s[0, 1, 1],
                         lam * np.log(j) / j + mu / j * (dyy ** 2 - 1), rtol=1e-14)
         assert_allclose(s[0, 0, 1], 0.0, atol=1e-14)
+
+    def test_mass_mode_parse(self):
+        for mode in MassMode:
+            assert MassMode.parse(mode) is mode
+            assert MassMode.parse(f" {mode.value.upper()} ") is mode
+        with pytest.raises(ValidationError):
+            MassMode.parse("diagonal")
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
@@ -973,6 +981,22 @@ class TestStepContracts:
         assert msg.startswith("strain-increment check at t=0.5:")
         assert "strain increment of 0.6," in msg
         assert "threshold 0.5" in msg
+
+    def test_run_reports_failing_step_and_start_time(self):
+        # a step called on its own raises without run's context
+        system, parts = self.make_system()
+        parts.v[:, 0] = 600.0 * (parts.x[:, 0] - 0.5)
+        with pytest.raises(SolverDiverged) as err:
+            system.step(parts, 0.5)
+        assert err.value.step is None and err.value.t is None
+        # the consistent soil column diverges partway through its run
+        system, parts = build_system(soil_column_spec(MassMode.CONSISTENT))
+        ends = []
+        with pytest.raises(SolverDiverged) as err:
+            system.run(parts, 100, on_step=lambda i, t, p: ends.append(t))
+        assert len(ends) > 10
+        assert err.value.step == len(ends) + 1
+        assert err.value.t == ends[-1] == len(ends) * system.dt
 
     @pytest.mark.parametrize("kind", ["hat", "ps"])
     def test_stepped_positions_locate_as_fresh_ones(self, kind):
