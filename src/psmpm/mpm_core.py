@@ -10,8 +10,8 @@ the cell's particles (moments ``sum m B_k B_l``, ``sum m B_k``,
 cell's tables; grid-to-particle gathers go through per-cell coefficients.
 
 ``MpmSystem.run`` is the time loop.  A step runs the phases relocate, mass
-and factorise, accelerate, project momentum (density-weighted L2) and
-update; grid quantities are rebuilt every step.  A failed check raises a
+and factorise, accelerate, project momentum (density-weighted L2), deform
+and move; grid quantities are rebuilt every step.  A failed check raises a
 ``PsmpmError`` to which ``run`` adds the step number and start time.
 
 The mass matrix is consistent, fully lumped (row sums on the diagonal),
@@ -163,6 +163,7 @@ class Particles:
         positions = np.asarray(positions, dtype=float)
         n = len(positions)
         self.x0 = positions.copy()          # reference coordinates
+        self.x0.flags.writeable = False     # read-only: a cache key
         self.x = positions.copy()
         self.u = np.zeros((n, 2))
         self.v = np.zeros((n, 2))
@@ -646,13 +647,15 @@ class MpmSystem:
 
     def step(self, particles: Particles, t=0.0):
         """Advance one time step from time ``t``; mutates ``particles``.
-        Phases: relocate, factorise, accelerate, project momentum, update."""
+        Phases: relocate, factorise, accelerate, project momentum, deform,
+        move."""
         pts = self._relocate(particles, t)
         factors = self._factorise(pts, particles)
         self._accelerate(pts, factors, particles, t)
         v_hat = self._solve(factors, self.assembler.momentum(pts, particles),
                             "velocity")           # project momentum
-        self._update(pts, v_hat, particles, t)
+        self._deform(pts, v_hat, particles, t)
+        self._move(pts, v_hat, particles, t)
 
     def _relocate(self, particles, t):
         """Cell view of the particles at the location the last step cached
@@ -698,10 +701,10 @@ class MpmSystem:
                     f"({VELOCITY_BLOWUP_FACTOR:g} wave speeds)")
         particles.v += dv
 
-    def _update(self, pts, v_hat, particles, t):
+    def _deform(self, pts, v_hat, particles, t):
         """Check the strain increment (outside lumped mode), then update D,
-        J, sigma, V, rho and positions from the projected velocity ``v_hat``
-        and locate the moved particles with their old location as hint."""
+        J, sigma, V and rho from the projected velocity ``v_hat``.  Its
+        gradient temporaries are freed on return, before ``_move``."""
         grad = self.assembler.gradients(pts, v_hat)   # d v_a / d x_b
         exx, eyy = grad[0, 0], grad[1, 1]
         exy = 0.5 * (grad[0, 1] + grad[1, 0])
@@ -724,6 +727,9 @@ class MpmSystem:
         particles.V = particles.J * particles.V0
         particles.rho = particles.m / particles.V
 
+    def _move(self, pts, v_hat, particles, t):
+        """Move the particles with ``v_hat`` and locate them with their old
+        location as hint."""
         vel = self.assembler.values(pts, v_hat)
         particles.x = particles.x + self.dt * vel
         particles.u = particles.u + self.dt * vel

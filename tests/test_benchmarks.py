@@ -12,7 +12,7 @@ from psmpm.mpm_core import MassMode, MaterialModel
 class TestManufacturedSolution:
     def test_starts_at_rest_configuration(self):
         # sin(pi) in the antiphase component leaves ~1e-16 round-off
-        ux, uy, dxx, dyy = bm.mms_exact(0.3, 0.7, 0.0)
+        ux, uy, dxx, dyy = bm.mms_exact(np.array([0.3, 0.7]), 0.0)
         assert abs(ux) < 1e-16 and abs(uy) < 1e-16
         assert abs(dxx - 1.0) < 1e-15 and abs(dyy - 1.0) < 1e-15
 
@@ -21,13 +21,13 @@ class TestManufacturedSolution:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x, y, t = rng.random(3)
-            a = bm.mms_exact(x, y, t)
-            b = bm.mms_exact(x, y, t + bm.MMS.period)
+            a = bm.mms_exact(np.array([x, y]), t)
+            b = bm.mms_exact(np.array([x, y]), t + bm.MMS.period)
             assert_allclose(a, b, atol=1e-12)
 
     def test_quarter_period_peak(self):
         # at t = 0.005 the phase is pi/2; at x0 = 0.25 the sine is 1
-        ux, _, _, _ = bm.mms_exact(0.25, 0.0, 0.005)
+        ux, _, _, _ = bm.mms_exact(np.array([0.25, 0.0]), 0.005)
         assert_allclose(ux, 0.05, rtol=1e-12)
 
     def test_velocity_is_time_derivative(self):
@@ -35,14 +35,14 @@ class TestManufacturedSolution:
         h = 1e-7
         for _ in range(20):
             x, y, t = rng.random(3)
-            vx, vy = bm.mms_velocity(x, y, t)
-            uxp, uyp, _, _ = bm.mms_exact(x, y, t + h)
-            uxm, uym, _, _ = bm.mms_exact(x, y, t - h)
+            vx, vy = bm.mms_velocity(np.array([x, y]), t)
+            uxp, uyp, _, _ = bm.mms_exact(np.array([x, y]), t + h)
+            uxm, uym, _, _ = bm.mms_exact(np.array([x, y]), t - h)
             assert_allclose(vx, (uxp - uxm) / (2 * h), rtol=1e-6, atol=1e-8)
             assert_allclose(vy, (uyp - uym) / (2 * h), rtol=1e-6, atol=1e-8)
 
     def test_body_force_zero_at_t0(self):
-        gx, gy = bm.mms_body_force(0.37, 0.81, 0.0)
+        gx, gy = bm.mms_body_force(np.array([0.37, 0.81]), 0.0)
         assert abs(gx) < 1e-11 and abs(gy) < 1e-11
 
     def test_body_force_xy_symmetry(self):
@@ -52,8 +52,8 @@ class TestManufacturedSolution:
         shift = bm.MMS.period / 2.0
         for _ in range(20):
             x, y, t = rng.random(3)
-            gx, gy = bm.mms_body_force(x, y, t)
-            gx2, gy2 = bm.mms_body_force(y, x, t + shift)
+            gx, gy = bm.mms_body_force(np.array([x, y]), t)
+            gx2, gy2 = bm.mms_body_force(np.array([y, x]), t + shift)
             assert_allclose(gy, gx2, rtol=1e-10, atol=1e-12)
             assert_allclose(gx, gy2, rtol=1e-10, atol=1e-12)
 
@@ -71,7 +71,7 @@ class TestManufacturedSolution:
         expected = (np.pi ** 2) * ux * (
             4 * mu / p.rho0 - p.E / p.rho0
             - 4 * (lam * (np.log(dxx * dyy) - 1) - mu) / (p.rho0 * dxx ** 2))
-        gx, _ = bm.mms_body_force(x0, y0, t)
+        gx, _ = bm.mms_body_force(np.array([x0, y0]), t)
         assert_allclose(gx, expected, rtol=1e-14)
 
     def test_momentum_balance_finite_difference_oracle(self):
@@ -82,7 +82,7 @@ class TestManufacturedSolution:
         lam, mu = mat.lam, mat.mu
 
         def sigma_axis(x0, y0, t, axis):
-            _, _, dxx, dyy = bm.mms_exact(x0, y0, t)
+            _, _, dxx, dyy = bm.mms_exact(np.array([x0, y0]), t)
             j = dxx * dyy
             d = dxx if axis == 0 else dyy
             return lam * np.log(j) / j + mu / j * (d * d - 1.0)
@@ -93,15 +93,15 @@ class TestManufacturedSolution:
         for _ in range(100):
             x0, y0 = rng.uniform(0.05, 0.95, 2)
             t = rng.uniform(0.0, p.period)
-            ux, uy, dxx, dyy = bm.mms_exact(x0, y0, t)
+            ux, uy, dxx, dyy = bm.mms_exact(np.array([x0, y0]), t)
             j = dxx * dyy
             rho = p.rho0 / j
-            gx, gy = bm.mms_body_force(x0, y0, t)
+            gx, gy = bm.mms_body_force(np.array([x0, y0]), t)
             # x balance: current-configuration divergence via the chain rule
             sp_ = sigma_axis(x0 + delta, y0, t, 0)
             sm_ = sigma_axis(x0 - delta, y0, t, 0)
-            xp = x0 + delta + bm.mms_exact(x0 + delta, y0, t)[0]
-            xm = x0 - delta + bm.mms_exact(x0 - delta, y0, t)[0]
+            xp = x0 + delta + bm.mms_exact(np.array([x0 + delta, y0]), t)[0]
+            xm = x0 - delta + bm.mms_exact(np.array([x0 - delta, y0]), t)[0]
             ds_dx = (sp_ - sm_) / (xp - xm)
             ax = -(p.E / p.rho0) * np.pi ** 2 * ux
             scale = max(abs(rho * ax), abs(ds_dx), abs(rho * gx), 1.0)
@@ -109,13 +109,109 @@ class TestManufacturedSolution:
             # y balance
             sp_ = sigma_axis(x0, y0 + delta, t, 1)
             sm_ = sigma_axis(x0, y0 - delta, t, 1)
-            yp = y0 + delta + bm.mms_exact(x0, y0 + delta, t)[1]
-            ym = y0 - delta + bm.mms_exact(x0, y0 - delta, t)[1]
+            yp = y0 + delta + bm.mms_exact(np.array([x0, y0 + delta]), t)[1]
+            ym = y0 - delta + bm.mms_exact(np.array([x0, y0 - delta]), t)[1]
             ds_dy = (sp_ - sm_) / (yp - ym)
             ay = -(p.E / p.rho0) * np.pi ** 2 * uy
             scale = max(abs(rho * ay), abs(ds_dy), abs(rho * gy), 1.0)
             worst = max(worst, abs(rho * ay - ds_dy - rho * gy) / scale)
         assert worst < 1e-6
+
+
+# Uncached closed forms of the manufactured fields, in the operation order
+# the cached ones must keep: the bitwise reference for them.
+def ref_exact(x0, y0, t):
+    p = bm.MMS
+    w = p.omega
+    sx = np.sin(w * t)
+    sy = np.sin(w * t + np.pi)
+    ux = p.u0 * np.sin(2.0 * np.pi * np.asarray(x0)) * sx
+    uy = p.u0 * np.sin(2.0 * np.pi * np.asarray(y0)) * sy
+    dxx = 1.0 + 2.0 * p.u0 * np.pi * np.cos(2.0 * np.pi * np.asarray(x0)) * sx
+    dyy = 1.0 + 2.0 * p.u0 * np.pi * np.cos(2.0 * np.pi * np.asarray(y0)) * sy
+    return ux, uy, dxx, dyy
+
+
+def ref_velocity(x0, y0, t):
+    p = bm.MMS
+    w = p.omega
+    vx = p.u0 * np.sin(2.0 * np.pi * np.asarray(x0)) * w * np.cos(w * t)
+    vy = p.u0 * np.sin(2.0 * np.pi * np.asarray(y0)) * w * np.cos(w * t + np.pi)
+    return vx, vy
+
+
+def ref_body_force(x0, y0, t):
+    ux, uy, dxx, dyy = ref_exact(x0, y0, t)
+    material = bm.MMS.material
+    lam, mu = material.lam, material.mu
+    rho0, e = bm.MMS.rho0, bm.MMS.E
+    ln_j = np.log(dxx * dyy)
+    gx = np.pi ** 2 * ux * (4.0 * mu / rho0 - e / rho0
+                            - 4.0 * (lam * (ln_j - 1.0) - mu) / (rho0 * dxx ** 2))
+    gy = np.pi ** 2 * uy * (4.0 * mu / rho0 - e / rho0
+                            - 4.0 * (lam * (ln_j - 1.0) - mu) / (rho0 * dyy ** 2))
+    return gx, gy
+
+
+def ref_fields(x0, t):
+    """(body force, exact positions, velocity), each (n, 2), of x0 (n, 2)."""
+    x, y = x0[:, 0], x0[:, 1]
+    ux, uy, _, _ = ref_exact(x, y, t)
+    return (np.column_stack(ref_body_force(x, y, t)),
+            x0 + np.column_stack([ux, uy]),
+            np.column_stack(ref_velocity(x, y, t)))
+
+
+class TestCachedFactors:
+    @staticmethod
+    def plates():
+        return [bm.build_system(bm.mms_plate_spec(kind, 0.25, 16, seed=seed))
+                for kind, seed in (("hat", 7), ("ps", 3))]
+
+    def test_fields_equal_closed_form_bitwise(self):
+        plates = self.plates()
+        dt = plates[0][0].dt
+        for _, parts in plates:
+            assert parts.v.tobytes() == ref_fields(parts.x0, 0.0)[2].tobytes()
+        # the plates alternate, so the slot switches on every call
+        for t in (0.0, dt, 0.37 * bm.MMS.period, bm.MMS.period):
+            for _, parts in plates:
+                got = (bm.mms_body_force(parts.x0, t),
+                       bm.mms_exact_positions(parts.x0, t),
+                       bm.mms_velocity(parts.x0, t))
+                for a, b in zip(got, ref_fields(parts.x0, t)):
+                    assert a.shape == b.shape and a.flags.c_contiguous
+                    assert a.tobytes() == b.tobytes(), t
+
+    def test_spatial_trig_runs_once_per_particle_set(self, monkeypatch):
+        (_, first), (_, second) = self.plates()
+        sizes = []
+
+        def counted(fn):
+            def wrapper(arg, *args, **kwargs):
+                sizes.append(np.size(arg))
+                return fn(arg, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "sin", counted(np.sin))
+        monkeypatch.setattr(np, "cos", counted(np.cos))
+
+        def spatial_calls(call, x0, t=1e-3):
+            sizes.clear()
+            call(x0, t)
+            return sum(size > 1 for size in sizes)
+
+        # the slot holds the plate built last, and switches on each change
+        for call in (bm.mms_body_force, bm.mms_exact_positions,
+                     bm.mms_velocity):
+            assert spatial_calls(call, first.x0) == 4
+            assert spatial_calls(call, first.x0) == 0
+            assert spatial_calls(call, second.x0) == 4
+        # a writeable copy is evaluated afresh and leaves the slot alone
+        copy = second.x0.copy()
+        assert spatial_calls(bm.mms_body_force, copy) == 4
+        assert spatial_calls(bm.mms_body_force, copy) == 4
+        assert spatial_calls(bm.mms_body_force, second.x0) == 0
 
 
 class TestBenchmarkSpecs:
@@ -178,8 +274,7 @@ class TestBenchmarkSpecs:
     def test_mms_initial_state_matches_exact_solution(self):
         spec = bm.mms_plate_spec("hat", 0.25, 16, seed=7)
         system, parts = bm.build_system(spec)
-        vx, vy = bm.mms_velocity(parts.x0[:, 0], parts.x0[:, 1], 0.0)
-        assert_allclose(parts.v, np.column_stack([vx, vy]), atol=1e-14)
+        assert_allclose(parts.v, bm.mms_velocity(parts.x0, 0.0), atol=1e-14)
         assert_allclose(parts.u, 0.0)
         assert_allclose(parts.sigma, 0.0)
 

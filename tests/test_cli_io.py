@@ -4,7 +4,6 @@ import os
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from psmpm.benchmarks import build_system
 from psmpm.cli_io import (OutputFrame, cli, config_to_spec, dump_config,
@@ -12,7 +11,6 @@ from psmpm.cli_io import (OutputFrame, cli, config_to_spec, dump_config,
                           read_particle_csv, write_mesh_file,
                           write_particle_csv, write_vtk)
 from psmpm.errors import ParseError, SolverDiverged, ValidationError
-from psmpm.mesh import Triangulation
 from psmpm.mpm_core import Particles
 
 

@@ -201,6 +201,17 @@ class TestInitParticles:
             init_particles(basis.locator, ParticleLayout(kind="ppe", ppe=5),
                            rho0=1.0)
 
+    def test_reference_coordinates_are_read_only(self):
+        # the manufactured forcing caches its trig on the identity of x0
+        basis = hat_basis(unit_square_mesh())
+        parts = init_particles(basis.locator,
+                               ParticleLayout(kind="lattice", nx=4, ny=4),
+                               rho0=1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            parts.x0[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            parts.x0 += 1.0
+
     def test_mass_volume_density_identity(self):
         basis = square_ps_basis()
         parts = init_particles(basis.locator,
