@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (CollinearPoints, InteriorVertexConstrained, OutsideDomain,
                      SingularControlTriangle, UnsupportedBoundaryTangent)
-from .mesh import PointLocator, PSRefinement, Triangulation, cross2
+from .mesh import (PointLocator, PSRefinement, Triangulation, _ragged_arange,
+                   cross2)
 
 # Canonical enumeration of the 19 Bezier-ordinate positions of one refined
 # element with vertices (w0, w1, w2), edge points E01/E12/E20 and interior
@@ -85,29 +86,55 @@ class DirichletConstraint:
 
 
 def convex_hull(points):
-    """Monotone-chain convex hull; returns CCW corner points (k, 2)."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if len(pts) < 3:
+    """Monotone-chain convex hull of a point set (n, 2): its CCW corners
+    (k, 2), from the lexicographically least point on.
+
+    A stack of point sets (G, n, 2) gives a list of G hulls.  The chains of
+    all sets advance together over the sorted points, with the same
+    ``cross2`` turn test and the same point order as a per-set loop, so
+    each hull is the same to the bit.  Repeated points count once.
+    """
+    pts = np.asarray(points, dtype=float)
+    sets = pts[None] if pts.ndim == 2 else pts
+    order = np.lexsort((sets[..., 1], sets[..., 0]), axis=-1)
+    srt = np.take_along_axis(sets, order[..., None], axis=1)
+    # the first of each run of equal points stands for the run
+    fresh = np.ones(srt.shape[:2], dtype=bool)
+    fresh[:, 1:] = np.any(srt[:, 1:] != srt[:, :-1], axis=2)
+    if np.any(fresh.sum(axis=1) < 3):
         raise CollinearPoints("need at least 3 distinct points")
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    n = srt.shape[1]
+    lower = _half_hull(srt, fresh, range(n))
+    upper = _half_hull(srt, fresh, range(n - 1, -1, -1))
+    span = sets.max(axis=1) - sets.min(axis=1)
+    hulls = []
+    for g, (lo, up) in enumerate(zip(lower, upper)):
+        hull = srt[g, np.concatenate([lo[:-1], up[:-1]])]
+        area = 0.5 * abs(np.sum(cross2(hull, np.roll(hull, -1, axis=0))))
+        if len(hull) < 3 or area < 1e-14 * max(span[g, 0] ** 2
+                                                + span[g, 1] ** 2, 1e-300):
+            raise CollinearPoints("hull of the point set is degenerate")
+        hulls.append(hull)
+    return hulls[0] if pts.ndim == 2 else hulls
 
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) > 1 and cross2(out[-1] - out[-2], p - out[-2]) <= 0:
-                out.pop()
-            out.append(p)
-        return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    span = pts.max(axis=0) - pts.min(axis=0)
-    area = 0.5 * abs(np.sum(cross2(hull, np.roll(hull, -1, axis=0))))
-    if len(hull) < 3 or area < 1e-14 * max(span[0] ** 2 + span[1] ** 2, 1e-300):
-        raise CollinearPoints("hull of the point set is degenerate")
-    return hull
+def _half_hull(srt, fresh, seq):
+    """One monotone chain per sorted point set ``srt`` (G, n, 2), over the
+    points ``seq`` that ``fresh`` keeps; a list of G index arrays."""
+    stack = np.empty(fresh.shape, dtype=np.intp)
+    top = np.zeros(len(srt), dtype=np.intp)
+    for j in seq:
+        came = np.nonzero(fresh[:, j])[0]
+        pop = came
+        while len(pop):
+            pop = pop[top[pop] > 1]
+            a = srt[pop, stack[pop, top[pop] - 1]]
+            b = srt[pop, stack[pop, top[pop] - 2]]
+            pop = pop[cross2(a - b, srt[pop, j] - b) <= 0]
+            top[pop] -= 1
+        stack[came, top[came]] = j
+        top[came] += 1
+    return [s[:t] for s, t in zip(stack, top)]
 
 
 # Barycentric slack of the control-triangle containment test.
@@ -138,15 +165,16 @@ def _candidate_tables(m):
 
 
 def _line_intersections(p0, d0, p1, d1):
-    """Intersections of the lines ``p0 + s d0`` and ``p1 + t d1``, batched.
+    """Intersections of the lines ``p0 + s d0`` and ``p1 + t d1``, batched
+    over the leading axes of the (..., 2) inputs.
 
-    Returns ``(x, ok)``: (n, 2) points and an (n,) mask that is False for
+    Returns ``(x, ok)``: (..., 2) points and a (...) mask that is False for
     lines parallel to within ``1e-14`` of the squared direction scale,
     where ``x`` is left NaN.
     """
-    mat = np.stack([d0, -d1], axis=2)
-    det = mat[:, 0, 0] * mat[:, 1, 1] - mat[:, 0, 1] * mat[:, 1, 0]
-    scale = np.maximum(np.abs(mat).max(axis=(1, 2)), 1e-300) ** 2
+    mat = np.stack([d0, -d1], axis=-1)
+    det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
+    scale = np.maximum(np.abs(mat).max(axis=(-2, -1)), 1e-300) ** 2
     ok = ~(np.abs(det) < 1e-14 * scale)
     x = np.full(p0.shape, np.nan)
     s = np.linalg.solve(mat[ok], (p1 - p0)[ok][:, :, None])[:, 0]
@@ -154,8 +182,15 @@ def _line_intersections(p0, d0, p1, d1):
     return x, ok
 
 
+# Share of the hull's area below which a candidate is not tested; it is
+# far above the 6 CONTAIN_TOL that a containing candidate can lack (see
+# min_area_control_triangle), which leaves room for rounding.
+HULL_AREA_MARGIN = 1e-6
+
+
 def min_area_control_triangle(points):
-    """Smallest enclosing triangle among flush-edge candidates.
+    """Smallest enclosing triangle among flush-edge candidates, for one
+    point set (n, 2) or a stack of point sets (G, n, 2).
 
     Candidates take either three sides on convex-hull edge lines, or two
     sides on hull edge lines with the third side passing through a hull
@@ -163,74 +198,118 @@ def min_area_control_triangle(points):
     cutting a wedge).  The enumeration covers the two- and three-shared-edge
     constructions and always yields at least one containing triangle.
 
-    All candidates of the hull are built at once from index tables
-    memoised per hull size, in a fixed order: for each hull-edge pair
-    i < j, the three-line candidates with third edge k > j, then the
-    midpoint candidates through each hull vertex.  Intersections, midpoint
-    constructions and containment use batched ``np.linalg.solve``/``det``,
-    one small LAPACK call per candidate, so every corner is the same to the
-    bit as a candidate-by-candidate loop would give.  Parallel edge pairs
-    and candidates whose corner matrix is singular are masked out before
-    solving.
+    The sets are grouped by hull size, and each group's candidates are
+    built at once from index tables memoised per hull size, in a fixed
+    order: for each hull-edge pair i < j, the three-line candidates with
+    third edge k > j, then the midpoint candidates through each hull vertex.
+    Parallel edge pairs are masked out before solving.  Each set's
+    candidates with positive finite area are then tested for containment
+    in ascending ``(area, index)`` order, in rounds of 32, 64, 128, ...
+    per set, and the first that holds every point to ``CONTAIN_TOL`` and
+    has a regular corner matrix wins.  Testing starts at the first
+    candidate whose area reaches ``1 - HULL_AREA_MARGIN`` times the hull's.
+    No skipped candidate can win: one that holds every point to
+    ``CONTAIN_TOL`` holds the hull in its triangle scaled by
+    ``1 + 3 CONTAIN_TOL``, so its area is at least ``1 - 6 CONTAIN_TOL``
+    times the hull's.  Both areas are taken relative to a corner, so that
+    far-off coordinates do not blur them by cancellation.
 
-    Returns the (3, 2) corner array of the winning candidate: the first
-    candidate in that order with the least positive finite area among
-    those containing every point, so ties keep the earlier candidate.
+    Intersections, midpoint constructions and every tested candidate's
+    ``det`` and containment ``solve`` are batched ``np.linalg`` calls, one
+    small LAPACK call per matrix, so the corners are the same to the bit
+    as a candidate-by-candidate loop that keeps the first candidate of
+    least area among the containing ones.
+
+    Returns the (3, 2) corners, or (G, 3, 2) for a stack.
     """
     pts = np.asarray(points, dtype=float)
-    hull = convex_hull(pts)
-    dirs = np.roll(hull, -1, axis=0) - hull
-    pair_i, pair_j, cand = _candidate_tables(len(hull))
-    x, ok = _line_intersections(hull[pair_i], dirs[pair_i],
-                                hull[pair_j], dirs[pair_j])
+    sets = pts[None] if pts.ndim == 2 else pts
+    hulls = convex_hull(sets)
+    # (G, 3, n) homogeneous points, the right-hand sides of containment
+    ph = np.concatenate([sets, np.ones(sets.shape[:2] + (1,))], axis=2)
+    ph = ph.transpose(0, 2, 1)
+    sizes = np.array([len(h) for h in hulls])
+    corners = np.empty((len(sets), 3, 2))
+    for m in np.unique(sizes):
+        grp = np.nonzero(sizes == m)[0]
+        hull = np.stack([hulls[g] for g in grp])
+        corners[grp] = _min_area_in_group(hull, ph[grp])
+    return corners[0] if pts.ndim == 2 else corners
+
+
+def _min_area_in_group(hull, ph):
+    """Winning corners (G, 3, 2) of the candidates of G hulls (G, m, 2)
+    that share a size m, for the homogeneous points ``ph`` (G, 3, n)."""
+    dirs = np.roll(hull, -1, axis=1) - hull
+    pair_i, pair_j, cand = _candidate_tables(hull.shape[1])
+    x, ok = _line_intersections(hull[:, pair_i], dirs[:, pair_i],
+                                hull[:, pair_j], dirs[:, pair_j])
 
     ij, jk, ik, v = cand.T
     three = v < 0
-    corners = np.full((len(cand), 3, 2), np.nan)
-    sel = three & ok[ij] & ok[jk] & ok[ik]
-    corners[sel] = np.stack([x[ij[sel]], x[jk[sel]], x[ik[sel]]], axis=1)
+    corners = np.full((len(hull), len(cand), 3, 2), np.nan)
+    g, c = np.nonzero(three & ok[:, ij] & ok[:, jk] & ok[:, ik])
+    corners[g, c] = np.stack([x[g, ij[c]], x[g, jk[c]], x[g, ik[c]]], axis=1)
     # third side through hull vertex v, with v as the chord midpoint
-    sel = ~three & ok[ij]
-    xij = x[ij[sel]]
-    di = dirs[pair_i[ij[sel]]]
-    dj = dirs[pair_j[ij[sel]]]
+    g, c = np.nonzero(~three & ok[:, ij])
+    xij = x[g, ij[c]]
+    di = dirs[g, pair_i[ij[c]]]
+    dj = dirs[g, pair_j[ij[c]]]
     st = np.linalg.solve(np.stack([di, dj], axis=2),
-                         (2.0 * (hull[v[sel]] - xij))[:, :, None])[:, :, 0]
-    corners[sel] = np.stack([xij, xij + st[:, :1] * di,
-                             xij + st[:, 1:] * dj], axis=1)
+                         (2.0 * (hull[g, v[c]] - xij))[:, :, None])[:, :, 0]
+    corners[g, c] = np.stack([xij, xij + st[:, :1] * di,
+                              xij + st[:, 1:] * dj], axis=1)
 
-    area = np.abs(0.5 * cross2(corners[:, 1] - corners[:, 0],
-                               corners[:, 2] - corners[:, 0]))
-    idx = np.nonzero((area > 0.0) & (area < np.inf))[0]
-    mat = np.ones((len(idx), 3, 3))
-    mat[:, :2, :] = corners[idx].transpose(0, 2, 1)
-    regular = ~(np.abs(np.linalg.det(mat)) < 1e-14)
-    idx, mat = idx[regular], mat[regular]
-    ph = np.column_stack([pts, np.ones(len(pts))]).T
-    eta = np.linalg.solve(mat, np.broadcast_to(ph, (len(idx),) + ph.shape))
-    score = np.full(len(cand), np.inf)
-    inside = idx[eta.min(axis=(1, 2)) >= -CONTAIN_TOL]
-    score[inside] = area[inside]
-    best = int(np.argmin(score))
-    if score[best] == np.inf:
+    area = np.abs(0.5 * cross2(corners[..., 1, :] - corners[..., 0, :],
+                               corners[..., 2, :] - corners[..., 0, :]))
+    area[~((area > 0.0) & (area < np.inf))] = np.inf
+    order = np.argsort(area, axis=1, kind="stable")
+    ranked = np.take_along_axis(area, order, axis=1)
+    rel = hull - hull[:, :1]
+    hull_area = 0.5 * np.abs(np.sum(cross2(rel, np.roll(rel, -1, axis=1)),
+                                    axis=1))
+    pos = np.sum(ranked < (1.0 - HULL_AREA_MARGIN) * hull_area[:, None],
+                 axis=1)
+    stop = np.sum(ranked < np.inf, axis=1)
+    best = np.full(len(hull), -1)
+    todo = np.nonzero(pos < stop)[0]
+    width = 32
+    while len(todo):
+        counts = np.minimum(stop[todo] - pos[todo], width)
+        g = np.repeat(todo, counts)
+        c = order[g, pos[g] + _ragged_arange(counts)]
+        mat = np.ones((len(g), 3, 3))
+        mat[:, :2, :] = corners[g, c].transpose(0, 2, 1)
+        regular = np.nonzero(~(np.abs(np.linalg.det(mat)) < 1e-14))[0]
+        eta = np.linalg.solve(mat[regular], ph[g[regular]])
+        hit = regular[eta.min(axis=(1, 2)) >= -CONTAIN_TOL]
+        won, first = np.unique(g[hit], return_index=True)
+        best[won] = c[hit[first]]
+        pos[todo] += width
+        todo = todo[(best[todo] < 0) & (pos[todo] < stop[todo])]
+        width *= 2
+    if np.any(best < 0):
         raise CollinearPoints("no enclosing flush-edge triangle found")
-    return corners[best].copy()
+    return corners[np.arange(len(hull)), best]
 
 
 def compute_triplets(corners, v):
-    """Triplets of the three splines defined by one control triangle.
+    """Triplets of the three splines defined by a control triangle.
 
-    Solves the 3x3 system tying the control-triangle corner coordinates to
-    the vertex position and the unit-gradient columns.  Row q of the result
-    is (alpha, beta, gamma) of spline q.
+    Solves the 3x3 system tying the control-triangle corner coordinates
+    (3, 2) to the vertex position ``v`` (2,) and the unit-gradient columns.
+    Row q of the (3, 3) result is (alpha, beta, gamma) of spline q.  A stack
+    of corners (n, 3, 2) and vertices (n, 2) is one stacked solve, giving
+    (n, 3, 3) with the same bits per vertex.
     """
     corners = np.asarray(corners, dtype=float)
-    a = np.empty((3, 3))
-    a[:2, :] = corners.T
-    a[2, :] = 1.0
-    rhs = np.array([[v[0], 1.0, 0.0],
-                    [v[1], 0.0, 1.0],
-                    [1.0, 0.0, 0.0]])
+    v = np.asarray(v, dtype=float)
+    a = np.ones(corners.shape[:-2] + (3, 3))
+    a[..., :2, :] = np.swapaxes(corners, -1, -2)
+    rhs = np.zeros(v.shape[:-1] + (3, 3))
+    rhs[..., :2, 0] = v
+    rhs[..., 2, 0] = 1.0
+    rhs[..., 0, 1] = rhs[..., 1, 2] = 1.0
     try:
         t = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
@@ -375,8 +454,12 @@ class PSBasis(BasisSet):
     """C1 quadratic spline family on the six-way refinement.
 
     Three functions per vertex (dof ``3 * vertex + q``), each supported on
-    the vertex's molecule.  Per element the nine active functions are stored
-    as 19 Bezier ordinates over the canonical position layout, and per
+    the vertex's molecule.  The vertices' control triangles come from one
+    :func:`min_area_control_triangle` call per split-point count, on the
+    stack of those vertices' point sets, and their triplets from one
+    stacked :func:`compute_triplets` solve; both equal a per-vertex loop to
+    the bit.  Per element the nine active functions are stored as 19
+    Bezier ordinates over the canonical position layout, and per
     sub-triangle as the (9, 6) table ``sub_ordinates`` of its 6 ordinates,
     the extraction table of cell ``6 * e + s``.
     """
@@ -391,13 +474,18 @@ class PSBasis(BasisSet):
         self.n_bf = 3 * tri.n_nodes
         self.locator = PointLocator(tri, refinement=ref)
 
-        self.control_triangles = []
-        self.triplets = np.empty((tri.n_nodes, 3, 3))
-        for v in range(tri.n_nodes):
-            pts = ps_points(ref, v)
-            corners = min_area_control_triangle(pts)
-            self.control_triangles.append(ControlTriangle(v, corners))
-            self.triplets[v] = compute_triplets(corners, tri.nodes[v])
+        # the search takes stacks of equal-size point sets and groups each
+        # stack by hull size
+        pts = [ps_points(ref, v) for v in range(tri.n_nodes)]
+        counts = np.array([len(p) for p in pts])
+        corners = np.empty((tri.n_nodes, 3, 2))
+        for n in np.unique(counts):
+            group = np.nonzero(counts == n)[0]
+            corners[group] = min_area_control_triangle(
+                np.stack([pts[v] for v in group]))
+        self.control_triangles = [ControlTriangle(v, corners[v])
+                                  for v in range(tri.n_nodes)]
+        self.triplets = compute_triplets(corners, tri.nodes)
 
         # dof 3 * vertex + q of corner lv sits in column 3 * lv + q
         self.element_dofs = (3 * tri.elements[:, :, None]

@@ -11,6 +11,7 @@ empty out).
 from __future__ import annotations
 
 import io
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,25 +50,35 @@ class MmsParams:
 
 MMS = MmsParams()
 
-_FACTORS = [None, None]     # [x0, factors]: the last read-only x0 cached
+_FACTORS = [None, None]     # [weakref to the last read-only x0, its factors]
+
+
+def _release_factors(key):
+    """Empty the slot when the x0 behind ``key`` dies.  A replaced key is
+    dropped with the slot's old entry, so its callback never runs."""
+    if _FACTORS[0] is key:
+        _FACTORS[:] = None, None
 
 
 def _spatial_factors(x0):
     """``u0 sin(2 pi X)``, ``u0 sin(2 pi Y)``, ``2 u0 pi cos(2 pi X)`` and
     ``2 u0 pi cos(2 pi Y)`` at reference coordinates ``x0`` (..., 2).
 
-    One slot keeps the last read-only ``x0`` and its factors, keyed on
-    identity (``is``): a run passes its ``Particles.x0``, read-only and never
-    rebound, to the body force and the error stream on every step.  A
-    writeable ``x0`` could change between calls and is not cached.
+    One slot keeps the factors of the last read-only ``x0``, keyed on
+    identity (``is``) through a weak reference: a run passes its
+    ``Particles.x0``, read-only and never rebound, to the body force and
+    the error stream on every step, and the slot empties once that array
+    is gone.  A writeable ``x0`` could change between calls and is not
+    cached.
     """
-    if _FACTORS[0] is not x0:
+    key = _FACTORS[0]
+    if key is None or key() is not x0:
         arg = [2.0 * np.pi * np.asarray(x0)[..., k] for k in (0, 1)]
         factors = ([MMS.u0 * np.sin(a) for a in arg]
                    + [2.0 * MMS.u0 * np.pi * np.cos(a) for a in arg])
         if not isinstance(x0, np.ndarray) or x0.flags.writeable:
             return factors
-        _FACTORS[:] = x0, factors
+        _FACTORS[:] = weakref.ref(x0, _release_factors), factors
     return _FACTORS[1]
 
 

@@ -607,8 +607,9 @@ def _cmd_basis_check(args) -> int:
         limit = _BASIS_CHECK_LIMITS[name]
         ok = value <= limit
         failed |= not ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} "
-              f"(limit {limit:.0e})")
+        if not (ok and args.quiet):
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} "
+                  f"(limit {limit:.0e})")
     return 1 if failed else 0
 
 

@@ -20,7 +20,7 @@ from .errors import DegenerateTriangle, MeshDegenerate, ParseError, RefinementFa
 
 # Barycentric slack used when deciding containment during point location.
 LOCATE_TOL = 1e-12
-# Points per batch when testing candidate tables in PointLocator.
+# Points per batch when testing sub-triangles in PointLocator.locate_in.
 LOCATE_CHUNK = 8192
 
 
@@ -407,20 +407,23 @@ class PointLocator:
         """First element of each point's candidate row that contains it.
 
         Point k is tested against ``table[rows[k]]`` (padded with -1) and
-        gets the first containing candidate in table order, or -1.  Points
-        go in chunks of ``LOCATE_CHUNK``, which bounds the gathered
-        (chunk, width, 3, 3) inverse maps to a few MB.
+        gets the first containing candidate in table order, or -1.  The
+        candidates go one table column at a time: a point leaves as soon as
+        one holds it or its row runs into the padding, so it costs one
+        gathered 3x3 inverse map per candidate up to its element.  An empty
+        ``rows`` returns at once.
         """
         out = np.full(len(rows), -1, dtype=int)
-        for lo in range(0, len(rows), LOCATE_CHUNK):
-            part = slice(lo, lo + LOCATE_CHUNK)
-            cand = table[rows[part]]
-            etas = np.einsum('mwij,mj->mwi', self.elem_inv[np.maximum(cand, 0)],
-                             ph[part])
-            good = (_min3(etas) >= -LOCATE_TOL) & (cand >= 0)
-            first = good.argmax(axis=1)
-            k = np.arange(len(cand))
-            out[part] = np.where(good[k, first], cand[k, first], -1)
+        todo = np.arange(len(rows))
+        for column in table.T:
+            if not len(todo):
+                break
+            cand = column[rows[todo]]
+            todo, cand = todo[cand >= 0], cand[cand >= 0]
+            eta = np.einsum('pij,pj->pi', self.elem_inv[cand], ph[todo])
+            good = _min3(eta) >= -LOCATE_TOL
+            out[todo[good]] = cand[good]
+            todo = todo[~good]
         return out
 
     def locate(self, p):
@@ -448,10 +451,10 @@ class PointLocator:
         ``walk_margin`` keeps it; both margins give the full search's answer
         to the bit.  Other hinted points are tested against the hint
         element's row of ``neighbor_table``; the rest against their bin's
-        row of ``bin_table``.  Both go in chunks of ``LOCATE_CHUNK`` and
-        take the first containing element of the ascending row, so without
-        a hint ties on shared edges go to the lowest element.  Sub-triangles
-        then come from :meth:`locate_in`.  Points are read in C order.
+        row of ``bin_table``.  Both take the first containing element of the
+        ascending row (:meth:`_first_containing`), so without a hint ties on
+        shared edges go to the lowest element.  Sub-triangles then come from
+        :meth:`locate_in`.  Points are read in C order.
 
         Returns (elem, sub, eta): (n,) int, (n,) int, (n, 3) float; ``elem``
         is -1 outside the mesh and ``sub`` -1 without a refinement.

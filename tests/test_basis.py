@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from psmpm.basis import (DirichletConstraint, compute_triplets, convex_hull,
                          hat_basis, min_area_control_triangle, ps_basis,
                          ps_points)
+from psmpm.benchmarks import soil_column_spec
 from psmpm.cli_io import generate_mesh
 from psmpm.errors import (CollinearPoints, InteriorVertexConstrained,
                           OutsideDomain, SingularControlTriangle,
@@ -132,6 +133,13 @@ class TestControlTriangle:
                 [pts, np.ones(len(pts))]).T)
             assert eta.min() >= -1e-10
 
+    def test_winner_area_rounded_below_the_hulls(self):
+        # the winner is the points' own triangle, rebuilt from edge-line
+        # intersections: its area reads 3.1249999999999982, the hull's 3.125
+        pts = np.array([[3.5, -4.0], [-4.0, 1.5], [-1.5, 0.5]])
+        want = ref_min_area_control_triangle(pts)
+        assert min_area_control_triangle(pts).tobytes() == want.tobytes()
+
     def test_collinear_rejected(self):
         pts = np.column_stack([np.linspace(0, 1, 5), np.linspace(0, 2, 5)])
         with pytest.raises(CollinearPoints):
@@ -205,11 +213,12 @@ def ref_min_area_control_triangle(points):
     return best
 
 
-def both_searches(points):
+def both_searches(points, searches=(ref_min_area_control_triangle,
+                                    min_area_control_triangle)):
     """Corner bytes of the reference and the batched search, or the
     exception class each raised."""
     out = []
-    for search in (ref_min_area_control_triangle, min_area_control_triangle):
+    for search in searches:
         try:
             out.append(search(points).tobytes())
         except CollinearPoints as exc:
@@ -237,6 +246,87 @@ class TestControlTriangleMatchesReference:
     def test_point_clouds(self, pts):
         want, got = both_searches(pts)
         assert got == want
+
+
+# Reference: the per-set monotone chain that the stacked convex_hull
+# replaced.  The hulls must agree to the bit.
+def ref_convex_hull(points):
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) < 3:
+        raise CollinearPoints("need at least 3 distinct points")
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and cross2(out[-1] - out[-2], p - out[-2]) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+    span = pts.max(axis=0) - pts.min(axis=0)
+    area = 0.5 * abs(np.sum(cross2(hull, np.roll(hull, -1, axis=0))))
+    if len(hull) < 3 or area < 1e-14 * max(span[0] ** 2 + span[1] ** 2, 1e-300):
+        raise CollinearPoints("hull of the point set is degenerate")
+    return hull
+
+
+class TestConvexHullMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(pts=st.one_of(
+        arrays(float, st.tuples(st.integers(1, 12), st.just(2)),
+               elements=st.floats(-10.0, 10.0, allow_nan=False)),
+        arrays(float, st.tuples(st.integers(1, 12), st.just(2)),
+               elements=st.integers(-3, 3).map(float))))
+    def test_point_clouds(self, pts):
+        want, got = both_searches(pts, (ref_convex_hull, convex_hull))
+        assert got == want
+
+    def test_stack_matches_single_sets(self):
+        ref = ps_refine(jittered(h=0.125, seed=4))
+        sets = [ps_points(ref, v) for v in range(ref.parent.n_nodes)]
+        n = np.bincount([len(s) for s in sets]).argmax()
+        stack = np.stack([s for s in sets if len(s) == n])
+        assert len(stack) > 1
+        for got, pts in zip(convex_hull(stack), stack):
+            assert got.tobytes() == ref_convex_hull(pts).tobytes()
+
+
+def ref_control_tables(ref):
+    """Control-triangle corners and triplets from a per-vertex loop over the
+    reference search and the single-vertex triplet solve."""
+    tri = ref.parent
+    corners = np.empty((tri.n_nodes, 3, 2))
+    triplets = np.empty((tri.n_nodes, 3, 3))
+    for v in range(tri.n_nodes):
+        corners[v] = ref_min_area_control_triangle(ps_points(ref, v))
+        triplets[v] = compute_triplets(corners[v], tri.nodes[v])
+    return corners, triplets
+
+
+class TestPSBasisMatchesPerVertexLoop:
+    @staticmethod
+    def check(tri):
+        ref = ps_refine(tri)
+        basis = ps_basis(ref)
+        corners, triplets = ref_control_tables(ref)
+        cts = basis.control_triangles
+        assert [ct.vertex for ct in cts] == list(range(tri.n_nodes))
+        assert np.array([ct.corners for ct in cts]).tobytes() == corners.tobytes()
+        assert basis.triplets.tobytes() == triplets.tobytes()
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]))
+    def test_jittered_meshes(self, seed, h):
+        self.check(jittered(h=h, seed=seed))
+
+    def test_structured_mesh(self):
+        # collinear split points along every boundary edge
+        self.check(generate_mesh("structured", 0.125, (0.0, 0.0, 1.0, 1.0)))
+
+    def test_soil_column_mesh(self):
+        self.check(soil_column_spec("partial").tri)
 
 
 # Reference: the per-element loop that the vectorised _build_ordinates

@@ -1,5 +1,7 @@
 """Exact solutions, body forces, error metric, and benchmark specs."""
 
+import gc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -212,6 +214,25 @@ class TestCachedFactors:
         assert spatial_calls(bm.mms_body_force, copy) == 4
         assert spatial_calls(bm.mms_body_force, copy) == 4
         assert spatial_calls(bm.mms_body_force, second.x0) == 0
+
+
+def test_factor_slot_released_with_its_particle_set():
+    plate = bm.build_system(bm.mms_plate_spec("hat", 0.25, 16, seed=7))
+    bm.mms_body_force(plate[1].x0, 1e-3)
+    assert bm._FACTORS[0]() is plate[1].x0
+    del plate
+    gc.collect()
+    assert bm._FACTORS == [None, None]
+    # the slot refills from a new set, and an older set's death leaves it
+    old = bm.build_system(bm.mms_plate_spec("hat", 0.25, 16, seed=7))[1]
+    new = bm.build_system(bm.mms_plate_spec("ps", 0.25, 16, seed=3))[1]
+    bm.mms_body_force(old.x0, 1e-3)
+    bm.mms_body_force(new.x0, 1e-3)
+    factors = bm._FACTORS[1]
+    del old
+    gc.collect()
+    assert bm._FACTORS[0]() is new.x0 and bm._FACTORS[1] is factors
+    assert bm._spatial_factors(new.x0) is factors
 
 
 class TestBenchmarkSpecs:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from psmpm import cli_io
 from psmpm.benchmarks import build_system
 from psmpm.cli_io import (OutputFrame, cli, config_to_spec, dump_config,
                           generate_mesh, load_config, parse_config,
@@ -267,6 +268,23 @@ class TestCli:
         assert "PASS partition_of_unity" in out
         assert (tmp_path / "control_triangles.csv").exists()
         assert (tmp_path / "triplets.csv").exists()
+
+    def test_basis_check_quiet_prints_only_failures(self, tmp_path, capsys,
+                                                    monkeypatch):
+        tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=1)
+        mesh_path = tmp_path / "mesh.txt"
+        write_mesh_file(tri, mesh_path)
+        args = ["basis-check", str(mesh_path), "--output-dir", str(tmp_path),
+                "--quiet"]
+        assert cli(args) == 0
+        assert capsys.readouterr().out == ""
+        # a limit no basis meets: the one failing invariant is still printed
+        monkeypatch.setitem(cli_io._BASIS_CHECK_LIMITS,
+                            "partition_of_unity", -1.0)
+        assert cli(args) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("FAIL partition_of_unity: ")
 
     def test_run_missing_config_is_io_error(self, tmp_path, capsys):
         code = cli(["run", str(tmp_path / "nope.cfg")])

@@ -401,6 +401,62 @@ class TestLocateProperty:
             assert single[2].tobytes() == et.tobytes()
 
 
+# Reference: the gathered search that the column-wise _first_containing
+# replaced.  Both must pick the same element for every point.
+def ref_first_containing(loc, table, rows, ph):
+    out = np.full(len(rows), -1, dtype=int)
+    for lo in range(0, len(rows), mesh.LOCATE_CHUNK):
+        part = slice(lo, lo + mesh.LOCATE_CHUNK)
+        cand = table[rows[part]]
+        etas = np.einsum('mwij,mj->mwi', loc.elem_inv[np.maximum(cand, 0)],
+                         ph[part])
+        good = (etas.min(axis=-1) >= -mesh.LOCATE_TOL) & (cand >= 0)
+        first = good.argmax(axis=1)
+        k = np.arange(len(cand))
+        out[part] = np.where(good[k, first], cand[k, first], -1)
+    return out
+
+
+class TestFirstContaining:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]),
+           kind=st.sampled_from(["jittered", "structured"]))
+    def test_matches_gathered_reference(self, seed, h, kind):
+        tri = generate_mesh(kind, h, (0.0, 0.0, 1.0, 1.0), seed=seed)
+        loc = PointLocator(tri)
+        rng = np.random.default_rng(seed)
+        a = tri.nodes[tri.edges[:, 0]]
+        b = tri.nodes[tri.edges[:, 1]]
+        t = rng.random((len(a), 1))
+        # vertices and edge points lie in two or more elements of a row
+        pts = np.concatenate([tri.nodes, 0.5 * (a + b), t * a + (1.0 - t) * b,
+                              rng.uniform(-0.25, 1.25, size=(300, 2))])
+        ph = np.column_stack([pts, np.ones(len(pts))])
+        in_box, bins = loc._bin_rows(pts)
+        home = loc.locate_many(pts)[0]
+        inside = home >= 0
+        assert np.any(inside) and not np.all(inside)
+        cases = [
+            # each point's own bin row, and the neighbour row of its element
+            (loc.bin_table, bins, ph[in_box]),
+            (loc.neighbor_table, home[inside], ph[inside]),
+            # random rows, whose padding differs from row to row
+            (loc.bin_table, rng.integers(0, len(loc.bin_table), len(pts)), ph),
+            (loc.neighbor_table, rng.integers(0, tri.n_elements, len(pts)), ph),
+        ]
+        for table, rows, h_pts in cases:
+            got = loc._first_containing(table, rows, h_pts)
+            want = ref_first_containing(loc, table, rows, h_pts)
+            assert got.tobytes() == want.tobytes()
+
+    def test_empty_input_returns_at_once(self):
+        loc = PointLocator(unit_square_mesh())
+        loc.elem_inv = None          # any inverse-map gather would raise
+        out = loc._first_containing(loc.bin_table, np.empty(0, dtype=int),
+                                    np.empty((0, 3)))
+        assert out.shape == (0,)
+
+
 class TestMolecule:
     def test_fan_center_has_all_elements(self):
         tri = fan_mesh(6)
