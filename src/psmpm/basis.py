@@ -58,19 +58,6 @@ _QUADRATIC_DERIVATIVE[[3, 4, 5], _PAIR_I, _PAIR_J] = 2.0
 _QUADRATIC_DERIVATIVE[[3, 4, 5], _PAIR_J, _PAIR_I] = 2.0
 
 
-@dataclass
-class ControlTriangle:
-    """Minimal-area triangle enclosing a vertex's split points."""
-    vertex: int
-    corners: np.ndarray          # (3, 2)
-
-    @property
-    def area(self):
-        d1 = self.corners[1] - self.corners[0]
-        d2 = self.corners[2] - self.corners[0]
-        return abs(0.5 * float(cross2(d1, d2)))
-
-
 @dataclass(frozen=True)
 class DirichletConstraint:
     """Zero value (and tangential derivative) at a boundary vertex.
@@ -352,16 +339,15 @@ class BasisSet:
 
     Attributes:
         n_bf: total number of basis functions.
-        n_active: active functions per element (3 for hats, 9 for splines).
-        element_dofs: (n_e, n_active) global dof ids active on each element.
-        cell_ordinates: (n_cells, n_active, K) extraction table per cell.
+        element_dofs: (n_e, k) global dof ids of the k functions active on
+            each element (3 for hats, 9 for splines).
+        cell_ordinates: (n_cells, k, K) extraction table per cell.
         bernstein_derivative: (K, 3, W) tensor D with
             ``d B_k / d eta_l = sum_w D[k, l, w] weights_w``, where
             ``weights = gradient_weights(eta)``.
     """
 
     n_bf: int
-    n_active: int
     element_dofs: np.ndarray
     tri: Triangulation
     locator: PointLocator
@@ -395,13 +381,12 @@ class BasisSet:
 
     def eval_at(self, p):
         """Single-point evaluation; raises OutsideDomain off the mesh."""
-        loc = self.locator.locate(p)
-        if loc is None:
-            where = tuple(np.asarray(p, dtype=float).tolist())
-            raise OutsideDomain(f"point {where} is outside the mesh")
-        e, s, eta = loc
-        dofs, vals, grads = self.evaluate_located(
-            np.array([e]), np.array([s]), eta[None, :])
+        p = np.asarray(p, dtype=float)
+        elem, sub, eta = self.locator.locate_many(p[None, :])
+        if elem[0] < 0:
+            raise OutsideDomain(f"point {tuple(p.tolist())} is outside "
+                                "the mesh")
+        dofs, vals, grads = self.evaluate_located(elem, sub, eta)
         return dofs[0], vals[0], grads[0]
 
     def constraint_rows(self, constraints):
@@ -425,7 +410,6 @@ class HatBasis(BasisSet):
     polynomials, with the identity as extraction table.
     """
 
-    n_active = 3
     # d eta_k / d eta_l = delta_kl, weighted by a single row of ones
     bernstein_derivative = np.eye(3)[:, :, None]
 
@@ -456,7 +440,8 @@ class PSBasis(BasisSet):
     Three functions per vertex (dof ``3 * vertex + q``), each supported on
     the vertex's molecule.  The vertices' control triangles come from one
     :func:`min_area_control_triangle` call per split-point count, on the
-    stack of those vertices' point sets, and their triplets from one
+    stack of those vertices' point sets (``control_corners``, (n_v, 3, 2)),
+    and their triplets from one
     stacked :func:`compute_triplets` solve; both equal a per-vertex loop to
     the bit.  Per element the nine active functions are stored as 19
     Bezier ordinates over the canonical position layout, and per
@@ -464,7 +449,6 @@ class PSBasis(BasisSet):
     the extraction table of cell ``6 * e + s``.
     """
 
-    n_active = 9
     bernstein_derivative = _QUADRATIC_DERIVATIVE
 
     def __init__(self, ref: PSRefinement):
@@ -483,8 +467,7 @@ class PSBasis(BasisSet):
             group = np.nonzero(counts == n)[0]
             corners[group] = min_area_control_triangle(
                 np.stack([pts[v] for v in group]))
-        self.control_triangles = [ControlTriangle(v, corners[v])
-                                  for v in range(tri.n_nodes)]
+        self.control_corners = corners
         self.triplets = compute_triplets(corners, tri.nodes)
 
         # dof 3 * vertex + q of corner lv sits in column 3 * lv + q

@@ -176,7 +176,6 @@ class BenchmarkSpec:
     body_force: object = None            # callable (x0, t) -> (n, 2)
     initial_velocity: object = None      # callable (x0) -> (n, 2)
     h_typical: float = 0.0               # element length entering the CFL check
-    seed: int = 0
     # spline refinement of ``tri`` when the spec builder already made one;
     # build_system refines ``tri`` itself when this is None
     refinement: PSRefinement | None = None
@@ -211,18 +210,25 @@ def build_system(spec: BenchmarkSpec):
     return system, particles
 
 
-def vibrating_bar_spec(basis_kind="ps", nx=20, ny=4, dt=5e-3, t_end=2.5,
+# Vibrating bar: element columns and rows, time step and run length.
+BAR_NX, BAR_NY, BAR_DT, BAR_T_END = 20, 4, 5e-3, 2.5
+# Soil column: element rows under the empty top row, time step, run length.
+SOIL_ROWS, SOIL_DT, SOIL_T_END = 16, 5e-4, 2.5
+
+
+def vibrating_bar_spec(basis_kind="ps",
                        mass_mode=MassMode.CONSISTENT) -> BenchmarkSpec:
     """Thin bar, both ends fixed, initial axial velocity 0.1*sin(pi x / L).
 
-    Parameters: rho = 25, E = 50, nu = 0, L = 1, W = 2, dt = 5e-3.  The top
-    and bottom edges pin the transverse component only (free slip), so the
-    motion stays one-dimensional.
+    Parameters: rho = 25, E = 50, nu = 0, L = 1, W = 2, on 20 x 4 element
+    columns and rows, dt = 5e-3 and t_end = 2.5.  The top and bottom edges
+    pin the transverse component only (free slip), so the motion stays
+    one-dimensional.
     """
     from .cli_io import generate_mesh
     length, width, v0 = 1.0, 2.0, 0.1
-    tri = generate_mesh("structured", length / nx, (0.0, 0.0, length, width),
-                        ny=ny)
+    tri = generate_mesh("structured", length / BAR_NX,
+                        (0.0, 0.0, length, width), ny=BAR_NY)
     material = MaterialModel("linear-elastic", E=50.0, nu=0.0)
 
     def initial_velocity(x0):
@@ -231,8 +237,8 @@ def vibrating_bar_spec(basis_kind="ps", nx=20, ny=4, dt=5e-3, t_end=2.5,
 
     return BenchmarkSpec(
         name="bar", tri=tri, basis_kind=basis_kind, material=material,
-        rho0=25.0, dt=dt, t_end=t_end, mass_mode=mass_mode,
-        layout=ParticleLayout(kind="lattice", nx=4 * nx, ny=4 * ny,
+        rho0=25.0, dt=BAR_DT, t_end=BAR_T_END, mass_mode=mass_mode,
+        layout=ParticleLayout(kind="lattice", nx=4 * BAR_NX, ny=4 * BAR_NY,
                               domain=(0.0, 0.0, length, width)),
         fixed_sides={"left": (0, 1), "right": (0, 1),
                      "top": (1,), "bottom": (1,)},
@@ -240,9 +246,9 @@ def vibrating_bar_spec(basis_kind="ps", nx=20, ny=4, dt=5e-3, t_end=2.5,
         h_typical=0.025)
 
 
-def soil_column_spec(mass_mode, n_rows=16, dt=5e-4, t_end=2.5,
-                     basis_kind="ps") -> BenchmarkSpec:
-    """Column under self-weight: rho = 1e3, E = 1e5, nu = 0, g = -9.81.
+def soil_column_spec(mass_mode, basis_kind="ps") -> BenchmarkSpec:
+    """Column under self-weight: rho = 1e3, E = 1e5, nu = 0, g = -9.81, on
+    16 element rows, dt = 5e-4 and t_end = 2.5.
 
     The mesh extends one extra row of initially empty elements above the
     column so the topmost basis functions are always candidates for
@@ -254,7 +260,7 @@ def soil_column_spec(mass_mode, n_rows=16, dt=5e-4, t_end=2.5,
     and no column element has drained.
     """
     from .cli_io import generate_mesh
-    width, height = 0.1, 1.0
+    width, height, n_rows = 0.1, 1.0, SOIL_ROWS
     hy = height / n_rows
     tri = generate_mesh("structured", width,
                         (0.0, 0.0, width, height + hy), ny=n_rows + 1)
@@ -266,7 +272,7 @@ def soil_column_spec(mass_mode, n_rows=16, dt=5e-4, t_end=2.5,
 
     return BenchmarkSpec(
         name="soil", tri=tri, basis_kind=basis_kind, material=material,
-        rho0=1e3, dt=dt, t_end=t_end,
+        rho0=1e3, dt=SOIL_DT, t_end=SOIL_T_END,
         mass_mode=MassMode.parse(mass_mode),
         layout=ParticleLayout(kind="lattice", nx=16, ny=3 * n_rows,
                               domain=(0.0, 0.0, width, height)),
@@ -342,7 +348,7 @@ def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None,
         fixed_sides={"left": (0,), "right": (0,), "bottom": (1,), "top": (1,)},
         body_force=mms_body_force,
         initial_velocity=lambda x0: mms_velocity(x0, 0.0),
-        h_typical=h_typ, seed=seed, refinement=refinement)
+        h_typical=h_typ, refinement=refinement)
 
 
 # ---------------------------------------------------------------------------

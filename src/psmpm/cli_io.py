@@ -24,8 +24,8 @@ import numpy as np
 from . import benchmarks
 from .basis import ps_basis, ps_points
 from .errors import (MeshDegenerate, ParseError, PsmpmError, ValidationError)
-from .mesh import (Triangulation, barycentric_coordinates, ps_refine,
-                   read_mesh_file, write_mesh_file)
+from .mesh import (Triangulation, barycentric_coordinates, cross2,
+                   ps_refine, read_mesh_file, write_mesh_file)
 from .mpm_core import MassMode, MaterialModel, ParticleLayout
 
 CSV_HEADER = "id,x,y,ux,uy,vx,vy,sxx,syy,sxy,V,rho"
@@ -328,13 +328,12 @@ def _custom_spec(cfg: RunConfig, mode: MassMode) -> benchmarks.BenchmarkSpec:
         def body_force(x0, t):
             return np.broadcast_to(g, (len(x0), 2))
 
-    lo, hi = tri.bbox()
     h_typ = tri.mean_edge_length()
     return benchmarks.BenchmarkSpec(
         name="custom", tri=tri, basis_kind=cfg.basis, material=material,
         rho0=cfg.material_rho, dt=cfg.dt, t_end=cfg.t_end, mass_mode=mode,
         layout=layout, fixed_sides={}, body_force=body_force,
-        h_typical=h_typ, seed=cfg.seed)
+        h_typical=h_typ)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +461,7 @@ def basis_invariant_report(basis, seed=0, n_samples=800):
     report["c1_gradient"] = float(max(jump[1:]))
 
     # linear reproduction from control-point coefficients
-    q = np.array([ct.corners for ct in basis.control_triangles])
+    q = basis.control_corners
     coeff = (0.25 - 0.75 * q[..., 0] + 1.5 * q[..., 1]).ravel()
     target = 0.25 - 0.75 * pts[:, 0] + 1.5 * pts[:, 1]
     recon = np.einsum('pf,pf->p', vals, coeff[dofs])
@@ -470,8 +469,8 @@ def basis_invariant_report(basis, seed=0, n_samples=800):
 
     # control triangles contain their split points
     worst = 0.0
-    for vtx, ct in enumerate(basis.control_triangles):
-        bc = barycentric_coordinates(ct.corners, ps_points(basis.ref, vtx))
+    for vtx, corners in enumerate(basis.control_corners):
+        bc = barycentric_coordinates(corners, ps_points(basis.ref, vtx))
         worst = max(worst, float(-bc.min()))
     report["control_containment"] = worst
     return report
@@ -491,10 +490,11 @@ _BASIS_CHECK_LIMITS = {
 def _dump_basis_tables(basis, out_dir):
     with open(os.path.join(out_dir, "control_triangles.csv"), "w") as fh:
         fh.write("vertex,corner,X,Y,area\n")
-        for ct in basis.control_triangles:
+        for vtx, c in enumerate(basis.control_corners):
+            area = abs(0.5 * float(cross2(c[1] - c[0], c[2] - c[0])))
             for q in range(3):
-                fh.write(f"{ct.vertex},{q},{ct.corners[q, 0]:.17g},"
-                         f"{ct.corners[q, 1]:.17g},{ct.area:.17g}\n")
+                fh.write(f"{vtx},{q},{c[q, 0]:.17g},{c[q, 1]:.17g},"
+                         f"{area:.17g}\n")
     with open(os.path.join(out_dir, "triplets.csv"), "w") as fh:
         fh.write("vertex,q,alpha,beta,gamma\n")
         for vtx in range(basis.tri.n_nodes):

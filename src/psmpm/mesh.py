@@ -5,8 +5,9 @@ derives edge/incidence tables on construction.  :func:`ps_refine` splits
 every element into six sub-triangles around its incenter, which is the
 geometric substrate for the C1 quadratic spline basis.  A
 :class:`PointLocator` answers "which element / sub-triangle contains this
-point" queries, accelerated by a uniform background bin grid so that moving
-particles can be relocated every step.
+point" queries.  A uniform background bin grid serves un-hinted queries;
+a moving point tries its previous cell and element, then one walk across
+an edge, and only then its bin.
 
 All constructed objects are immutable in practice: nothing mutates them
 after ``__init__``, so they are safe to share across threads.
@@ -48,16 +49,6 @@ def _group_rows(table, n):
     flat = table.ravel()
     rows = np.argsort(flat, kind="stable") // table.shape[1]
     return np.split(rows, np.cumsum(np.bincount(flat, minlength=n))[:-1])
-
-
-def _padded_table(keys, values, n_rows):
-    """(n_rows, width) table; row r lists the ``values`` whose key is r, in
-    input order, padded with -1."""
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=n_rows)
-    table = np.full((n_rows, counts.max(initial=0)), -1, dtype=int)
-    table[keys[order], _ragged_arange(counts)] = values[order]
-    return table
 
 
 def _check_not_degenerate(verts):
@@ -118,8 +109,7 @@ class Triangulation:
         edges: (n_edge, 2) int array of sorted node pairs.
         edge_elements: (n_edge, 2) adjacent element ids, -1 for boundary.
         element_edges: (n_e, 3) edge id of local edges (0,1), (1,2), (2,0).
-        boundary_edges: list of (node_a, node_b, outward_unit_normal) with
-            (a, b) in the CCW order of the owning element.
+        boundary_nodes: ascending ids of the nodes on boundary edges.
         vertex_elements: per-vertex list of incident element ids, ascending.
         vertex_edges: per-vertex list of incident edge ids, ascending.
     """
@@ -182,14 +172,8 @@ class Triangulation:
         self.edge_elements[edge_of[again], 1] = owner[again]
         self.element_edges = edge_of.reshape(-1, 3)
 
-        on_boundary = self.edge_elements[edge_of, 1] == -1
-        p, q = start[on_boundary], end[on_boundary]
-        d = self.nodes[q] - self.nodes[p]
-        normal = np.column_stack([d[:, 1], -d[:, 0]])  # outward for CCW
-        normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
-        self.boundary_edges = [(int(a), int(b), n)
-                               for a, b, n in zip(p, q, normal)]
-        self.boundary_nodes = np.unique(np.concatenate([p, q]))
+        self.boundary_nodes = np.unique(
+            self.edges[self.edge_elements[:, 1] == -1])
 
     def _build_incidence(self):
         self.vertex_elements = _group_rows(self.elements, self.n_nodes)
@@ -300,37 +284,38 @@ def ps_refine(tri: Triangulation) -> PSRefinement:
     return PSRefinement(tri, centers, edge_points)
 
 
-def _quick_margins(ref):
-    """(n_e, 6) least smallest-eta at which a point stays in its hint sub.
+def _margins(coords, radius):
+    """``max(6 LOCATE_TOL R / h, LOCATE_TOL)`` for triangles ``coords``
+    (..., 3, 2) of least height h, with R = ``radius``.
 
-    With every barycentric in sub s at least m, a point is ``m h`` inside s
-    (h: least height of s), so that far from any other sub r; points with
-    every barycentric of r at least -d lie within ``3 d R`` of r (R: r's
-    largest corner-to-centroid distance).  So at the margin
-    ``max(6 LOCATE_TOL R / h over r <= s, LOCATE_TOL)`` a point is in its
-    element and below ``-2 LOCATE_TOL`` in every lower sub r, which leaves
-    LOCATE_TOL to spare for rounding.
+    A point whose smallest barycentric in its triangle is at least m lies
+    ``m h`` inside it, so that far from every other triangle of a
+    non-overlapping set; a point whose barycentrics in a triangle of
+    corner-to-centroid distances at most R all reach -d lies within
+    ``3 d R`` of it.  At this margin every other triangle thus reads the
+    point below ``-2 LOCATE_TOL``, which leaves LOCATE_TOL to spare for
+    rounding; a larger margin keeps fewer points and changes no answer.
     """
-    c = ref.sub_coords                                  # (n_e, 6, 3, 2)
-    radius = np.linalg.norm(c - c.mean(axis=2, keepdims=True), axis=-1)
-    edge = np.linalg.norm(c - np.roll(c, 1, axis=2), axis=-1).max(axis=-1)
-    h = np.abs(cross2(c[:, :, 1] - c[:, :, 0], c[:, :, 2] - c[:, :, 0])) / edge
-    lower = np.maximum.accumulate(radius.max(axis=-1), axis=1)  # r <= s
-    return np.maximum(6.0 * LOCATE_TOL * lower / h, LOCATE_TOL)
+    edge = np.linalg.norm(coords - np.roll(coords, 1, axis=-2),
+                          axis=-1).max(axis=-1)
+    h = np.abs(cross2(coords[..., 1, :] - coords[..., 0, :],
+                      coords[..., 2, :] - coords[..., 0, :])) / edge
+    return np.maximum(6.0 * LOCATE_TOL * radius / h, LOCATE_TOL)
 
 
 class PointLocator:
     """Point location down to the sub-triangle, for moving points.
 
     For an unrefined triangulation pass ``refinement=None``; queries then
-    report only the element and its barycentric coordinates.
+    report only the element and its barycentric coordinates.  Un-hinted
+    points are tested against their row of ``bin_table``: the elements
+    whose bounding box overlaps the point's bin, ascending.
     ``edge_neighbor[e, i]`` is the element across the edge opposite vertex
-    i of e, -1 on the boundary.  A point walked into e stays there when its
-    smallest barycentric is at least ``walk_margin[e]``, which is
-    ``max(6 LOCATE_TOL R / h_e, LOCATE_TOL)`` (h_e: least height of e; R:
-    the mesh's largest corner-to-centroid distance).  By the distance
-    argument of :func:`_quick_margins`, such a point is ``m h_e`` from
-    every other element, so each of them reads below ``-2 LOCATE_TOL``.
+    i of e, -1 on the boundary.  A point stays in its hint cell when its
+    smallest barycentric there is at least ``quick_margin`` and in the
+    element it walked into when it is at least ``walk_margin``; both come
+    from :func:`_margins`, with R the element's largest sub-triangle radius
+    and the mesh's largest element radius respectively.
     """
 
     def __init__(self, tri: Triangulation, refinement: PSRefinement | None = None):
@@ -362,25 +347,18 @@ class PointLocator:
         k = _ragged_arange(counts)
         ix = bmin[owner, 0] + k // span_y[owner]
         iy = bmin[owner, 1] + k % span_y[owner]
-        self.bin_table = _padded_table(ix * self.ny + iy, owner,
-                                       self.nx * self.ny)
+        key = ix * self.ny + iy
+        order = np.argsort(key, kind="stable")
+        fill = np.bincount(key, minlength=self.nx * self.ny)
+        self.bin_table = np.full((len(fill), fill.max(initial=0)), -1)
+        self.bin_table[key[order], _ragged_arange(fill)] = owner[order]
 
-        # element -> elements sharing at least one vertex (includes self),
-        # ascending: the candidate set for incrementally moving points
-        flat = tri.elements.ravel()
-        other = np.concatenate([tri.vertex_elements[v] for v in flat])
-        owner = np.repeat(np.arange(len(flat)) // 3,
-                          np.bincount(flat, minlength=tri.n_nodes)[flat])
-        pairs = np.unique(owner * tri.n_elements + other)
-        self.neighbor_table = _padded_table(
-            pairs // tri.n_elements, pairs % tri.n_elements, tri.n_elements)
         pair = tri.edge_elements[tri.element_edges[:, [1, 2, 0]]]
         own = pair[..., 0] == np.arange(tri.n_elements)[:, None]
         self.edge_neighbor = np.where(own, pair[..., 1], pair[..., 0])
         centred = coords - coords.mean(axis=1, keepdims=True)
-        r_max = np.hypot(centred[..., 0], centred[..., 1]).max(initial=0.0)
-        self.walk_margin = np.maximum(  # h_e = 2 area / longest edge
-            3.0 * LOCATE_TOL * r_max * diam / tri.areas, LOCATE_TOL)
+        radius = np.linalg.norm(centred, axis=-1).max(initial=0.0)
+        self.walk_margin = _margins(coords, radius)
 
         # cells: sub-triangle 6 e + s of the refinement, else element e
         if refinement is None:
@@ -388,7 +366,10 @@ class PointLocator:
             self.quick_margin = np.full(tri.n_elements, -LOCATE_TOL)
         else:
             self.cell_inv = refinement.sub_inv.reshape(-1, 3, 3)
-            self.quick_margin = _quick_margins(refinement).ravel()
+            subs = refinement.sub_coords                # (n_e, 6, 3, 2)
+            centred = subs - subs.mean(axis=2, keepdims=True)
+            radius = np.linalg.norm(centred, axis=-1).max(axis=(1, 2))
+            self.quick_margin = _margins(subs, radius[:, None]).ravel()
 
     def cell_of(self, elem, sub):
         """Cell ids of located points: ``6 * elem + sub``, or ``elem``."""
@@ -426,35 +407,24 @@ class PointLocator:
             todo = todo[~good]
         return out
 
-    def locate(self, p):
-        """Locate a single point: row 0 of :meth:`locate_many` on ``[p]``.
-
-        Returns ``(element, sub, eta)`` where ``sub`` is -1 and ``eta`` the
-        element barycentrics when no refinement is attached, or ``None``
-        when the point is outside the mesh.  Ties on shared edges resolve
-        to the lowest element index, then the lowest sub-triangle index.
-        """
-        elem, sub, eta = self.locate_many(np.asarray(p, dtype=float)[None, :])
-        if elem[0] < 0:
-            return None
-        return int(elem[0]), int(sub[0]), eta[0]
-
     def locate_many(self, points, hint=None):
         """Vectorised location of many points.
 
-        A point with a hint ``(elem, sub)`` from a previous call stays in
-        its hint cell when its smallest barycentric there is at least the
-        cell's ``quick_margin`` (``-LOCATE_TOL`` for an element; see
-        :func:`_quick_margins` for a sub-triangle).  Otherwise, unless it is
-        in the hint element, it walks to the ``edge_neighbor`` across the
-        edge opposite its most negative barycentric there and stays if
-        ``walk_margin`` keeps it; both margins give the full search's answer
-        to the bit.  Other hinted points are tested against the hint
-        element's row of ``neighbor_table``; the rest against their bin's
-        row of ``bin_table``.  Both take the first containing element of the
-        ascending row (:meth:`_first_containing`), so without a hint ties on
-        shared edges go to the lowest element.  Sub-triangles then come from
-        :meth:`locate_in`.  Points are read in C order.
+        Without a hint each point is tested against its bin's row of
+        ``bin_table`` and gets the first element of the ascending row that
+        holds it (:meth:`_first_containing`), so ties on shared edges go to
+        the lowest element; its sub-triangle comes from :meth:`locate_in`.
+
+        With a hint ``(elem, sub)`` from a previous call, a point gets the
+        hint element and ``locate_in``'s answer there when the hint element
+        holds it (to ``LOCATE_TOL``), and otherwise exactly the un-hinted
+        answer.  Three tests serve that rule: the hint cell keeps a point
+        whose smallest barycentric there is at least ``quick_margin``; the
+        hint element keeps one that it holds; and a point that it does not
+        hold walks to the ``edge_neighbor`` across the edge opposite its
+        most negative barycentric, which keeps it at ``walk_margin``.  The
+        rest go to their bin rows.  A hint element of -1 means no hint.
+        Points are read in C order.
 
         Returns (elem, sub, eta): (n,) int, (n,) int, (n, 3) float; ``elem``
         is -1 outside the mesh and ``sub`` -1 without a refinement.
@@ -489,9 +459,6 @@ class PointLocator:
             elem[miss[keep]] = w[keep]
             if self.refinement is None:
                 eta[miss[keep]], todo[miss[keep]] = t[keep], False
-            miss = miss[~keep]
-            elem[miss] = self._first_containing(
-                self.neighbor_table, h_elem[miss], ph[miss])
 
         pending = np.nonzero(todo & (elem < 0))[0]
         in_box, rows = self._bin_rows(pts[pending])
@@ -553,42 +520,51 @@ def write_mesh_file(tri: Triangulation, path):
 def read_mesh_file(path) -> Triangulation:
     """Parse the text mesh format written by :func:`write_mesh_file`.
 
-    Elements given clockwise are silently reordered to CCW; genuinely
-    degenerate elements are rejected by the Triangulation constructor.
+    Node and element indices must run 0..n-1, each once, else ParseError
+    names the first repeated or missing one; an element naming a missing
+    node raises MeshDegenerate.  Elements given clockwise are silently
+    reordered to CCW; genuinely degenerate elements are rejected by the
+    Triangulation constructor.
     """
-    nodes = {}
-    elements = {}
+    rows = {"nodes": {}, "elements": {}}
     section = None
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line in ("nodes", "elements"):
+            if line in rows:
                 section = line
-                continue
-            parts = line.split()
-            if section == "nodes":
-                if len(parts) != 3:
-                    raise ParseError("expected `index x y`", line=ln)
-                try:
-                    nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=ln) from exc
-            elif section == "elements":
-                if len(parts) != 4:
-                    raise ParseError("expected `index n1 n2 n3`", line=ln)
-                try:
-                    elements[int(parts[0])] = tuple(int(v) for v in parts[1:])
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=ln) from exc
-            else:
+            elif line and section is None:
                 raise ParseError("data before a `nodes`/`elements` header",
                                  line=ln)
-    if not nodes or not elements:
+            elif line:
+                is_node = section == "nodes"
+                parts = line.split()
+                if len(parts) != (3 if is_node else 4):
+                    raise ParseError("expected `index x y`" if is_node else
+                                     "expected `index n1 n2 n3`", line=ln)
+                try:
+                    index = int(parts[0])
+                    values = tuple(map(float if is_node else int, parts[1:]))
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=ln) from exc
+                if index in rows[section]:
+                    raise ParseError(f"repeated {section[:-1]} index {index}",
+                                     line=ln)
+                rows[section][index] = values
+    if not rows["nodes"] or not rows["elements"]:
         raise ParseError("mesh file missing nodes or elements section")
-    node_arr = np.array([nodes[i] for i in range(len(nodes))])
-    elem_arr = np.array([elements[i] for i in range(len(elements))], dtype=int)
+    for name, table in rows.items():
+        missing = min(set(range(len(table))) - table.keys(), default=None)
+        if missing is not None:
+            raise ParseError(f"{name[:-1]} index {missing} missing; indices "
+                             f"must run 0..{len(table) - 1}")
+    node_arr, elem_arr = (np.array([t[i] for i in range(len(t))])
+                          for t in rows.values())
+    bad = (elem_arr < 0) | (elem_arr >= len(node_arr))
+    if bad.any():
+        e, k = np.argwhere(bad)[0]
+        raise MeshDegenerate(
+            f"element {e} references missing node {elem_arr[e, k]}")
     v = node_arr[elem_arr]
     flip = cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]) < 0
     elem_arr[flip] = elem_arr[flip][:, ::-1]

@@ -311,9 +311,7 @@ class TestPSBasisMatchesPerVertexLoop:
         ref = ps_refine(tri)
         basis = ps_basis(ref)
         corners, triplets = ref_control_tables(ref)
-        cts = basis.control_triangles
-        assert [ct.vertex for ct in cts] == list(range(tri.n_nodes))
-        assert np.array([ct.corners for ct in cts]).tobytes() == corners.tobytes()
+        assert basis.control_corners.tobytes() == corners.tobytes()
         assert basis.triplets.tobytes() == triplets.tobytes()
 
     @settings(max_examples=6, deadline=None)
@@ -440,7 +438,7 @@ class TestSplineInvariantsProperty:
 
         # linear reproduction: coefficients f(Q) at the control-triangle
         # corners reproduce f = a + b x + c y and its gradient (b, c)
-        corners = np.array([t.corners for t in basis.control_triangles])
+        corners = basis.control_corners
         coeff = (a + b * corners[:, :, 0] + c * corners[:, :, 1]).ravel()
         scale = max(1.0, np.abs(coeff).max())
         recon = np.einsum('pf,pf->p', vals, coeff[dofs])
@@ -637,7 +635,7 @@ class TestPsBasis:
 
         coeff = np.zeros(basis.n_bf)
         for v in range(tri.n_nodes):
-            q = basis.control_triangles[v].corners
+            q = basis.control_corners[v]
             coeff[3 * v:3 * v + 3] = f(q[:, 0], q[:, 1])
         rng = np.random.default_rng(4)
         for p in rng.uniform(0.02, 0.98, size=(200, 2)):

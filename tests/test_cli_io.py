@@ -286,6 +286,23 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith("FAIL partition_of_unity: ")
 
+    @pytest.mark.parametrize("text, message", [
+        # a 1-based file: index 0 is missing
+        ("nodes\n1 0 0\n2 1 0\n3 0 1\nelements\n1 1 2 3\n",
+         "node index 0 missing"),
+        # an element naming node 7 of three
+        ("nodes\n0 0 0\n1 1 0\n2 0 1\nelements\n0 0 1 7\n",
+         "element 0 references missing node 7"),
+    ], ids=["one_based", "dangling_node"])
+    def test_basis_check_on_bad_mesh_file_is_an_error(self, tmp_path, capsys,
+                                                      text, message):
+        mesh_path = tmp_path / "mesh.txt"
+        mesh_path.write_text(text)
+        assert cli(["basis-check", str(mesh_path),
+                    "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_run_missing_config_is_io_error(self, tmp_path, capsys):
         code = cli(["run", str(tmp_path / "nope.cfg")])
         assert code == 2

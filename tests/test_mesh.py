@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from psmpm import mesh
 from psmpm.cli_io import generate_mesh, write_mesh_file
-from psmpm.errors import (DegenerateTriangle, MeshDegenerate, PsmpmError,
-                          RefinementFailed)
+from psmpm.errors import (DegenerateTriangle, MeshDegenerate, ParseError,
+                          PsmpmError, RefinementFailed)
 from psmpm.mesh import (PointLocator, Triangulation, barycentric_coordinates,
                         cross2, incenter, ps_refine, read_mesh_file)
 
@@ -161,16 +161,16 @@ class TestLocate:
         tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=6)
         ref = ps_refine(tri)
         loc = PointLocator(tri, ref)
-        for e in range(tri.n_elements):
-            found = loc.locate(ref.interior_points[e])
-            assert found is not None
-            assert found[0] == e
+        elem, sub, _ = loc.locate_many(ref.interior_points)
+        assert np.array_equal(elem, np.arange(tri.n_elements))
+        assert np.all(sub >= 0)
 
     def test_outside_returns_none(self):
         tri = unit_square_mesh()
         loc = PointLocator(tri, ps_refine(tri))
-        assert loc.locate((2.5, 0.5)) is None
-        assert loc.locate((-0.1, -0.1)) is None
+        elem, sub, eta = loc.locate_many([(2.5, 0.5), (-0.1, -0.1)])
+        assert np.all(elem == -1) and np.all(sub == -1)
+        assert not eta.any()
 
     def test_lattice_reconstruction_oracle(self):
         # brute-force scan over all sub-triangles is the oracle
@@ -206,33 +206,30 @@ class TestLocate:
         assert_allclose(t1, t2, atol=1e-13)
 
 
-# Reference: the hinted locate_many before the quick test of the hint's
-# sub-triangle.  It tests the hint element, its neighbours, then the bins,
-# and takes the sub-triangle of every point from locate_in.
-def ref_locate_hinted(loc, points, hint):
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    elem = np.full(n, -1, dtype=int)
-    ph = np.column_stack([pts, np.ones(n)])
-    idx = np.nonzero(hint >= 0)[0]
-    eta = np.einsum('pij,pj->pi', loc.elem_inv[hint[idx]], ph[idx])
-    inside = mesh._min3(eta) >= -mesh.LOCATE_TOL
-    elem[idx[inside]] = hint[idx[inside]]
-    miss = idx[~inside]
-    elem[miss] = loc._first_containing(loc.neighbor_table, hint[miss],
-                                       ph[miss])
-    pending = np.nonzero(elem < 0)[0]
-    in_box, rows = loc._bin_rows(pts[pending])
-    pending = pending[in_box]
-    elem[pending] = loc._first_containing(loc.bin_table, rows, ph[pending])
-    found = elem >= 0
+def vertex_neighbour_rows(tri):
+    """(n_e, width) table whose row e lists the elements sharing a vertex
+    with e, e included, ascending and padded with -1."""
+    rows = [np.unique(np.concatenate([tri.vertex_elements[v] for v in verts]))
+            for verts in tri.elements]
+    table = np.full((tri.n_elements, max(map(len, rows))), -1)
+    for e, row in enumerate(rows):
+        table[e, :len(row)] = row
+    return table
+
+
+def expected_hinted(loc, pts, hint_elem):
+    """The hinted contract: the hint element and ``locate_in``'s answer
+    there when that element holds the point, else the un-hinted answer."""
+    elem, sub, eta = loc.locate_many(pts)
+    ph = np.column_stack([pts, np.ones(len(pts))])
+    t = np.einsum('pij,pj->pi', loc.elem_inv[np.maximum(hint_elem, 0)], ph)
+    held = np.nonzero((hint_elem >= 0)
+                      & (t.min(axis=1) >= -mesh.LOCATE_TOL))[0]
+    elem[held] = hint_elem[held]
     if loc.refinement is None:
-        eta = np.zeros((n, 3))
-        eta[found] = np.einsum('pij,pj->pi', loc.elem_inv[elem[found]],
-                               ph[found])
-        return elem, np.full(n, -1, dtype=int), eta
-    sub, eta = loc.locate_in(np.maximum(elem, 0), pts)
-    sub[~found], eta[~found] = -1, 0.0
+        eta[held] = t[held]
+    else:
+        sub[held], eta[held] = loc.locate_in(hint_elem[held], pts[held])
     return elem, sub, eta
 
 
@@ -268,7 +265,7 @@ def hinted_sample(tri, ref, rng):
     elem = np.where(elem < 0, rng.integers(-1, tri.n_elements, len(pts)), elem)
     elem[:6 * len(w)] = np.tile(np.repeat(np.arange(len(w)), 3), 2)
     sub = np.where(sub < 0, rng.integers(0, 6, len(pts)), sub)
-    row = loc.neighbor_table[np.maximum(elem, 0)]
+    row = vertex_neighbour_rows(tri)[np.maximum(elem, 0)]
     pick = rng.integers(0, (row >= 0).sum(axis=1))
     hints = [(elem, sub), (elem, (sub + 1) % 6), (elem, (sub + 5) % 6),
              (np.where(elem < 0, -1, row[np.arange(len(pts)), pick]),
@@ -285,7 +282,8 @@ class TestEdgeNeighbor:
         nb = PointLocator(tri).edge_neighbor
         holds = np.zeros((tri.n_elements, tri.n_nodes), dtype=bool)
         holds[np.arange(tri.n_elements)[:, None], tri.elements] = True
-        boundary = {frozenset(ab) for *ab, _ in tri.boundary_edges}
+        boundary = {frozenset(ab) for ab in
+                    tri.edges[tri.edge_elements[:, 1] < 0].tolist()}
         for e, verts in enumerate(tri.elements):
             for i in range(3):
                 pair = np.delete(verts, i)
@@ -324,19 +322,58 @@ class TestWalkMargin:
         assert np.all(low.max(axis=1) < -2.0 * mesh.LOCATE_TOL)
 
 
+class TestQuickMargin:
+    @pytest.mark.parametrize("kind", ["jittered", "structured"])
+    def test_margin_points_read_below_twice_tol_in_other_subs(self, kind):
+        # points of sub s whose smallest barycentric is its quick_margin,
+        # next to each edge and each vertex: the element's other five subs
+        # must read them below -2 LOCATE_TOL, so locate_in picks s
+        tri = generate_mesh(kind, 0.125, (0.0, 0.0, 1.0, 2.0), seed=3)
+        ref = ps_refine(tri)
+        loc = PointLocator(tri, ref)
+        m = loc.quick_margin.reshape(-1, 6)[..., None, None]
+        eye = np.eye(3)
+        bary = np.concatenate([m * eye + (1.0 - m) / 2.0 * (1.0 - eye),
+                               (1.0 - 2.0 * m) * eye + m * (1.0 - eye)],
+                              axis=2)                       # (n_e, 6, 6, 3)
+        pts = np.einsum('eski,esid->eskd', bary, ref.sub_coords)
+        ph = np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
+        low = np.einsum('erij,eskj->eskri', ref.sub_inv, ph).min(axis=-1)
+        assert_allclose(np.einsum('esks->esk', low),
+                        np.broadcast_to(m[..., 0], low.shape[:3]),
+                        atol=0.05 * mesh.LOCATE_TOL)
+        own = np.eye(6, dtype=bool)[None, :, None, :]
+        assert np.all(np.where(own, -np.inf, low).max(axis=-1)
+                      < -2.0 * mesh.LOCATE_TOL)
+
+
 class TestLocateProperty:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]),
            refined=st.booleans())
-    def test_quick_path_matches_reference_bitwise(self, seed, h, refined):
+    def test_hinted_is_hint_element_or_unhinted_bitwise(self, seed, h,
+                                                         refined):
         tri = generate_mesh("jittered", h, (0.0, 0.0, 1.0, 1.0), seed=seed)
         ref = ps_refine(tri) if refined else None
         loc, pts, hints = hinted_sample(tri, ref, np.random.default_rng(seed))
         for hint in hints:
             got = loc.locate_many(pts, hint=hint)
-            want = ref_locate_hinted(loc, pts, hint[0])
+            want = expected_hinted(loc, pts, hint[0])
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
+
+    def test_shared_edge_keeps_the_hint_element(self):
+        # the un-hinted search gives a point on a shared edge to the lower
+        # element; a hint of the higher one that holds it keeps it
+        tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=1)
+        inner = tri.edge_elements[:, 1] >= 0
+        mid = tri.nodes[tri.edges[inner]].mean(axis=1)
+        low, high = np.sort(tri.edge_elements[inner], axis=1).T
+        for ref in (None, ps_refine(tri)):
+            loc = PointLocator(tri, ref)
+            assert np.array_equal(loc.locate_many(mid)[0], low)
+            hint = (high, np.zeros_like(high))
+            assert np.array_equal(loc.locate_many(mid, hint=hint)[0], high)
 
     @pytest.mark.parametrize("refined", [False, True])
     def test_fortran_ordered_points_locate_as_c_ordered(self, refined):
@@ -359,7 +396,7 @@ class TestLocateProperty:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.0, 1.0, size=(500, 2))
         elem, sub, eta = loc.locate_many(pts)
-        row = loc.neighbor_table[elem]
+        row = vertex_neighbour_rows(tri)[elem]
         nb = row[np.arange(len(pts)), rng.integers(0, (row >= 0).sum(axis=1))]
         for hint in (elem, nb):
             got = loc.locate_many(pts, hint=(hint, sub))
@@ -392,13 +429,10 @@ class TestLocateProperty:
 
         in_box = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
         assert np.all(elem[in_box] >= 0)
-        for p, e, s, et in zip(pts, elem, sub, eta):
-            single = loc.locate(p)
-            if single is None:
-                assert e == -1
-                continue
-            assert (single[0], single[1]) == (e, s)
-            assert single[2].tobytes() == et.tobytes()
+        for k in range(len(pts)):
+            single = loc.locate_many(pts[k:k + 1])
+            for got, want in zip(single, (elem, sub, eta)):
+                assert got.tobytes() == want[k:k + 1].tobytes()
 
 
 # Reference: the gathered search that the column-wise _first_containing
@@ -436,13 +470,14 @@ class TestFirstContaining:
         home = loc.locate_many(pts)[0]
         inside = home >= 0
         assert np.any(inside) and not np.all(inside)
+        neighbours = vertex_neighbour_rows(tri)
         cases = [
             # each point's own bin row, and the neighbour row of its element
             (loc.bin_table, bins, ph[in_box]),
-            (loc.neighbor_table, home[inside], ph[inside]),
+            (neighbours, home[inside], ph[inside]),
             # random rows, whose padding differs from row to row
             (loc.bin_table, rng.integers(0, len(loc.bin_table), len(pts)), ph),
-            (loc.neighbor_table, rng.integers(0, tri.n_elements, len(pts)), ph),
+            (neighbours, rng.integers(0, tri.n_elements, len(pts)), ph),
         ]
         for table, rows, h_pts in cases:
             got = loc._first_containing(table, rows, h_pts)
@@ -503,21 +538,12 @@ def ref_edge_tables(nodes, elements):
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
     edge_elements = np.asarray(edge_elements, dtype=int).reshape(-1, 2)
 
-    boundary = []
-    for e, (a, b, c) in enumerate(elements):
-        for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
-            idx = element_edges[e, k]
-            if edge_elements[idx, 1] == -1:
-                d = nodes[q] - nodes[p]
-                n = np.array([d[1], -d[0]])
-                n /= np.hypot(*n)
-                boundary.append((int(p), int(q), n))
-    boundary_nodes = np.unique(
-        [pq for a, b, _ in boundary for pq in (a, b)]
-    ) if boundary else np.empty(0, dtype=int)
+    boundary = [pq for e, (a, b, c) in enumerate(elements)
+                for k, pq in enumerate(((a, b), (b, c), (c, a)))
+                if edge_elements[element_edges[e, k], 1] == -1]
+    boundary_nodes = np.unique(boundary) if boundary else np.empty(0, dtype=int)
     return dict(edges=edges, edge_elements=edge_elements,
-                element_edges=element_edges, boundary_edges=boundary,
-                boundary_nodes=boundary_nodes)
+                element_edges=element_edges, boundary_nodes=boundary_nodes)
 
 
 def ref_refinement_tables(nodes, elements, t):
@@ -581,9 +607,7 @@ def ref_refinement_tables(nodes, elements, t):
 
 
 def table_bytes(tables):
-    return {k: [(a, b, n.tobytes()) for a, b, n in v]
-            if k == "boundary_edges" else (v.dtype.str, v.shape, v.tobytes())
-            for k, v in tables.items()}
+    return {k: (v.dtype.str, v.shape, v.tobytes()) for k, v in tables.items()}
 
 
 def setup_outcome(build, nodes, elements):
@@ -603,8 +627,7 @@ def reference_setup(nodes, elements):
 def batched_setup(nodes, elements):
     tri = Triangulation(nodes, elements)
     ref = ps_refine(tri)
-    names = ("edges", "edge_elements", "element_edges", "boundary_edges",
-             "boundary_nodes")
+    names = ("edges", "edge_elements", "element_edges", "boundary_nodes")
     return {**{k: getattr(tri, k) for k in names},
             **{k: getattr(ref, k) for k in ("interior_points", "edge_points",
                                             "z_bary", "edge_split",
@@ -634,14 +657,6 @@ class TestTriangulationInvariants:
         with pytest.raises(MeshDegenerate):
             Triangulation(nodes, np.array([[0, 2, 1]]))
 
-    def test_boundary_normals_point_outward(self):
-        tri = unit_square_mesh()
-        center = tri.nodes.mean(axis=0)
-        for a, b, n in tri.boundary_edges:
-            mid = 0.5 * (tri.nodes[a] + tri.nodes[b])
-            assert np.dot(n, mid - center) > 0.0
-            assert abs(np.hypot(*n) - 1.0) < 1e-14
-
     def test_edge_shared_by_three_elements_rejected(self):
         # three counter-clockwise triangles on the edge (0, 1)
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0],
@@ -654,8 +669,9 @@ class TestTriangulationInvariants:
         tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=10)
         counts = np.sum(tri.edge_elements >= 0, axis=1)
         assert set(counts.tolist()) <= {1, 2}
+        # one closed boundary loop has as many edges as nodes
         n_boundary = int(np.sum(counts == 1))
-        assert n_boundary == len(tri.boundary_edges)
+        assert n_boundary == len(tri.boundary_nodes)
 
 
 def test_mesh_file_round_trip(tmp_path):
@@ -665,3 +681,53 @@ def test_mesh_file_round_trip(tmp_path):
     back = read_mesh_file(path)
     assert_allclose(back.nodes, tri.nodes, rtol=0, atol=0)
     assert np.array_equal(back.elements, tri.elements)
+
+
+def mesh_text(nodes, elements):
+    return ("nodes\n" + "".join(f"{i} {x} {y}\n" for i, x, y in nodes)
+            + "elements\n" + "".join(f"{i} {a} {b} {c}\n"
+                                      for i, a, b, c in elements))
+
+
+SQUARE_NODES = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 1.0, 1.0), (3, 0.0, 1.0)]
+SQUARE_ELEMENTS = [(0, 0, 1, 2), (1, 0, 2, 3)]
+
+
+class TestReadMeshFile:
+    @pytest.mark.parametrize("nodes, elements, message", [
+        # 1-based nodes and elements
+        ([(i + 1, x, y) for i, x, y in SQUARE_NODES],
+         [(i + 1, a + 1, b + 1, c + 1) for i, a, b, c in SQUARE_ELEMENTS],
+         "node index 0 missing; indices must run 0..3"),
+        (SQUARE_NODES, [(0, 0, 1, 2), (2, 0, 2, 3)],
+         "element index 1 missing; indices must run 0..1"),
+    ], ids=["one_based", "element_gap"])
+    def test_missing_index_is_parse_error(self, tmp_path, nodes, elements,
+                                          message):
+        path = tmp_path / "mesh.txt"
+        path.write_text(mesh_text(nodes, elements))
+        with pytest.raises(ParseError, match=message):
+            read_mesh_file(path)
+
+    def test_repeated_index_is_parse_error(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text(mesh_text(SQUARE_NODES + [(2, 0.5, 0.5)],
+                                  SQUARE_ELEMENTS))
+        with pytest.raises(ParseError, match="line 6: repeated node index 2"):
+            read_mesh_file(path)
+
+    @pytest.mark.parametrize("node", [4, -1])
+    def test_dangling_node_is_mesh_degenerate(self, tmp_path, node):
+        # checked before the orientation flip, which would index the nodes
+        path = tmp_path / "mesh.txt"
+        path.write_text(mesh_text(SQUARE_NODES,
+                                  [(0, 0, 1, 2), (1, 0, node, 3)]))
+        with pytest.raises(MeshDegenerate,
+                           match=f"element 1 references missing node {node}"):
+            read_mesh_file(path)
+
+    def test_clockwise_element_is_reordered(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text(mesh_text(SQUARE_NODES, [(0, 0, 2, 1), (1, 0, 2, 3)]))
+        tri = read_mesh_file(path)
+        assert np.array_equal(tri.elements, [[1, 2, 0], [0, 2, 3]])
