@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -91,122 +91,105 @@ def generate_mesh(kind, h, domain, seed=0, ny=None) -> Triangulation:
 # ---------------------------------------------------------------------------
 # Run configuration
 
-_ENUMS = {
-    "benchmark": ("mms", "bar", "soil", "custom"),
-    "basis": ("hat", "ps"),
-    "mass_mode": ("consistent", "lumped", "partial"),
-    "material_model": ("linear-elastic", "neo-hookean"),
-    "mesh_kind": ("structured", "jittered", "file"),
-    "particles_layout": ("lattice", "ppe"),
-}
+BASES = ("hat", "ps")
+MASS_MODES = tuple(m.value for m in MassMode)
+_ABOVE_ZERO = (0, float("inf"))
 
-_POSITIVE = {"dt", "t_end", "material_E", "material_rho", "mesh_h"}
+
+def _tuple_of(kind):
+    return lambda text: tuple(map(kind, text.split()))
+
+
+def _key(section, parse, default=None, key=None, allowed=None, bounds=None,
+         length=None):
+    """Declare a config key as a ``RunConfig`` field.
+
+    ``key`` is needed only where the key's name is not the field's name
+    less ``<section>_``.  ``allowed`` (a tuple of values) and ``bounds``
+    (an open interval) apply to every element of a tuple value; ``length``
+    is a tuple's required length.
+    """
+    return field(default=default, metadata=dict(
+        section=section, key=key, parse=parse, allowed=allowed,
+        bounds=bounds, length=length))
 
 
 @dataclass
 class RunConfig:
-    """Validated run parameters; None means "use the benchmark default"."""
+    """Validated run parameters; None means "use the benchmark default".
 
-    benchmark: str = "custom"
-    basis: str = "ps"
-    mass_mode: str | None = None
-    dt: float | None = None
-    t_end: float | None = None
-    output_dir: str = "out"
-    output_every: int = 10
-    seed: int = 0
-    h: float | None = None
-    ppe: int | None = None
-    material_model: str | None = None
-    material_E: float | None = None
-    material_nu: float | None = None
-    material_rho: float | None = None
-    mesh_kind: str | None = None
-    mesh_h: float | None = None
-    mesh_ny: int | None = None
-    mesh_domain: tuple | None = None
-    mesh_path: str | None = None
-    particles_layout: str | None = None
-    particles_nx: int | None = None
-    particles_ny: int | None = None
-    particles_ppe: int | None = None
-    gravity: tuple | None = None
-    converge_h: tuple | None = None
-    converge_ppe: tuple | None = None
-    converge_basis: tuple | None = None
-    converge_courant: float | None = None
+    Each field declares its config key once; ``parse_config``,
+    ``_validate_config`` and ``dump_config`` read the declarations in
+    field order.
+    """
+
+    benchmark: str = _key("run", str, "custom",
+                          allowed=("mms", "bar", "soil", "custom"))
+    basis: str = _key("run", str, "ps", allowed=BASES)
+    mass_mode: str | None = _key("run", str, allowed=MASS_MODES)
+    dt: float | None = _key("run", float, bounds=_ABOVE_ZERO)
+    t_end: float | None = _key("run", float, bounds=_ABOVE_ZERO)
+    output_dir: str = _key("run", str, "out")
+    output_every: int = _key("run", int, 10, bounds=_ABOVE_ZERO)
+    seed: int = _key("run", int, 0)
+    h: float | None = _key("run", float, bounds=_ABOVE_ZERO)
+    ppe: int | None = _key("run", int, bounds=_ABOVE_ZERO)
+    material_model: str | None = _key(
+        "material", str, allowed=("linear-elastic", "neo-hookean"))
+    material_E: float | None = _key("material", float, bounds=_ABOVE_ZERO)
+    material_nu: float | None = _key("material", float, bounds=(-1, 0.5))
+    material_rho: float | None = _key("material", float, bounds=_ABOVE_ZERO)
+    mesh_kind: str | None = _key(
+        "mesh", str, allowed=("structured", "jittered", "file"))
+    mesh_h: float | None = _key("mesh", float, bounds=_ABOVE_ZERO)
+    mesh_ny: int | None = _key("mesh", int, bounds=_ABOVE_ZERO)
+    mesh_domain: tuple | None = _key("mesh", _tuple_of(float), length=4)
+    mesh_path: str | None = _key("mesh", str)
+    particles_layout: str | None = _key("particles", str,
+                                        allowed=("lattice", "ppe"))
+    particles_nx: int | None = _key("particles", int, bounds=_ABOVE_ZERO)
+    particles_ny: int | None = _key("particles", int, bounds=_ABOVE_ZERO)
+    particles_ppe: int | None = _key("particles", int, bounds=_ABOVE_ZERO)
+    gravity: tuple | None = _key("forces", _tuple_of(float), length=2)
+    converge_h: tuple | None = _key("converge", _tuple_of(float),
+                                    key="h_list", bounds=_ABOVE_ZERO)
+    converge_ppe: tuple | None = _key("converge", _tuple_of(int),
+                                      key="ppe_list", bounds=_ABOVE_ZERO)
+    converge_basis: tuple | None = _key("converge", _tuple_of(str),
+                                        allowed=BASES)
+    converge_courant: float | None = _key("converge", float,
+                                          bounds=_ABOVE_ZERO)
 
 
-# (section, key) -> (config field, parser)
-def _floats(s):
-    return tuple(float(v) for v in s.split())
-
-
-def _ints(s):
-    return tuple(int(v) for v in s.split())
-
-
-_SCHEMA = {
-    ("run", "benchmark"): ("benchmark", str),
-    ("run", "basis"): ("basis", str),
-    ("run", "mass_mode"): ("mass_mode", str),
-    ("run", "dt"): ("dt", float),
-    ("run", "t_end"): ("t_end", float),
-    ("run", "output_dir"): ("output_dir", str),
-    ("run", "output_every"): ("output_every", int),
-    ("run", "seed"): ("seed", int),
-    ("run", "h"): ("h", float),
-    ("run", "ppe"): ("ppe", int),
-    ("material", "model"): ("material_model", str),
-    ("material", "E"): ("material_E", float),
-    ("material", "nu"): ("material_nu", float),
-    ("material", "rho"): ("material_rho", float),
-    ("mesh", "kind"): ("mesh_kind", str),
-    ("mesh", "h"): ("mesh_h", float),
-    ("mesh", "ny"): ("mesh_ny", int),
-    ("mesh", "domain"): ("mesh_domain", _floats),
-    ("mesh", "path"): ("mesh_path", str),
-    ("particles", "layout"): ("particles_layout", str),
-    ("particles", "nx"): ("particles_nx", int),
-    ("particles", "ny"): ("particles_ny", int),
-    ("particles", "ppe"): ("particles_ppe", int),
-    ("forces", "gravity"): ("gravity", _floats),
-    ("converge", "h_list"): ("converge_h", _floats),
-    ("converge", "ppe_list"): ("converge_ppe", _ints),
-    ("converge", "basis"): ("converge_basis", lambda s: tuple(s.split())),
-    ("converge", "courant"): ("converge_courant", float),
-}
-
-_FIELD_TO_KEY = {f: (s, k) for (s, k), (f, _) in _SCHEMA.items()}
+def _where(f):
+    """A field's config key as ``(section, key)``."""
+    section = f.metadata["section"]
+    return section, f.metadata["key"] or f.name.removeprefix(section + "_")
 
 
 def _validate_config(cfg: RunConfig):
-    for name, allowed in _ENUMS.items():
-        value = getattr(cfg, name)
-        if value is not None and value not in allowed:
-            raise ValidationError(
-                f"{name}: {value!r} not one of {'|'.join(allowed)}")
-    for name in _POSITIVE:
-        value = getattr(cfg, name)
-        if value is not None and value <= 0.0:
-            raise ValidationError(f"{name}: must be positive, got {value}")
-    if cfg.material_nu is not None and not -1.0 < cfg.material_nu < 0.5:
-        raise ValidationError("material_nu: must lie in (-1, 0.5)")
-    if cfg.output_every < 1:
-        raise ValidationError("output_every: must be >= 1")
-    if cfg.converge_basis is not None:
-        for b in cfg.converge_basis:
-            if b not in ("hat", "ps"):
-                raise ValidationError(f"converge basis: unknown family {b!r}")
-    if cfg.mesh_domain is not None and len(cfg.mesh_domain) != 4:
-        raise ValidationError("mesh domain: expected `x0 y0 x1 y1`")
-    if cfg.gravity is not None and len(cfg.gravity) != 2:
-        raise ValidationError("forces gravity: expected `gx gy`")
+    """Check every set field against its declared constraint."""
+    for f in fields(RunConfig):
+        value, meta = getattr(cfg, f.name), f.metadata
+        if value is None:
+            continue
+        where = "[%s] %s" % _where(f)
+        if meta["length"] is not None and len(value) != meta["length"]:
+            raise ValidationError(f"{where}: expected {meta['length']} "
+                                  f"values, got {len(value)}")
+        for v in value if isinstance(value, tuple) else (value,):
+            if meta["allowed"] and v not in meta["allowed"]:
+                raise ValidationError(
+                    f"{where}: {v!r} not one of {'|'.join(meta['allowed'])}")
+            if meta["bounds"] and not meta["bounds"][0] < v < meta["bounds"][1]:
+                raise ValidationError("%s: must lie in (%g, %g), got %s"
+                                      % (where, *meta["bounds"], v))
     return cfg
 
 
 def parse_config(text) -> RunConfig:
     """Parse config text; raise ParseError/ValidationError on bad input."""
+    keys = {_where(f): f for f in fields(RunConfig)}
     cfg = RunConfig()
     section = None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -215,22 +198,20 @@ def parse_config(text) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if not any(s == section for s, _ in _SCHEMA):
+            if not any(s == section for s, _ in keys):
                 raise ValidationError(f"unknown section [{section}] (line {ln})")
             continue
         if "=" not in line:
             raise ParseError("expected `key = value`", line=ln)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if section is None:
             raise ParseError("key outside any [section]", line=ln)
-        entry = _SCHEMA.get((section, key))
-        if entry is None:
+        f = keys.get((section, key))
+        if f is None:
             raise ValidationError(f"unknown key {key!r} in [{section}] (line {ln})")
-        field_name, parser = entry
         try:
-            setattr(cfg, field_name, parser(value))
+            setattr(cfg, f.name, f.metadata["parse"](value.strip()))
         except ValueError as exc:
             raise ParseError(f"bad value for {section}.{key}: {exc}", line=ln)
     return _validate_config(cfg)
@@ -243,27 +224,19 @@ def load_config(path) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     """Serialize a config; parse_config(dump_config(c)) == c."""
-    defaults = RunConfig()
     by_section = {}
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
-        if value == getattr(defaults, f.name):
+        if value == f.default:
             continue
-        section, key = _FIELD_TO_KEY[f.name]
-        if isinstance(value, tuple):
-            text = " ".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                            for v in value)
-        elif isinstance(value, float):
-            text = f"{value:.17g}"
-        else:
-            text = str(value)
+        section, key = _where(f)
+        text = " ".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                        for v in (value if isinstance(value, tuple)
+                                  else (value,)))
         by_section.setdefault(section, []).append(f"{key} = {text}")
     out = []
-    for section in ("run", "material", "mesh", "particles", "forces", "converge"):
-        if section in by_section:
-            out.append(f"[{section}]")
-            out.extend(by_section[section])
-            out.append("")
+    for section, lines in by_section.items():
+        out += [f"[{section}]", *lines, ""]
     return "\n".join(out)
 
 
@@ -272,13 +245,27 @@ def config_to_spec(cfg: RunConfig) -> benchmarks.BenchmarkSpec:
 
     An unset mass mode resolves to the benchmark's default: the family
     default for the manufactured plate, consistent for the bar, partial
-    lumping for the soil column, consistent for custom runs.
+    lumping for the soil column, consistent for custom runs.  A set key
+    that the benchmark would not read is an error: only ``mms`` reads
+    ``[run] h`` and ``ppe``, and only ``custom`` reads ``[material]``,
+    ``[mesh]``, ``[particles]`` and ``[forces]``.
     """
+    for f in fields(RunConfig):
+        section, key = _where(f)
+        if f.name in ("h", "ppe"):
+            reader = "mms"
+        elif section in ("run", "converge"):
+            continue
+        else:
+            reader = "custom"
+        if cfg.benchmark != reader and getattr(cfg, f.name) != f.default:
+            raise ValidationError(
+                f"benchmark {cfg.benchmark} does not read [{section}] {key}")
     mode = MassMode.parse(cfg.mass_mode) if cfg.mass_mode else None
     if cfg.benchmark == "mms":
-        spec = benchmarks.mms_plate_spec(
-            cfg.basis, cfg.h if cfg.h else 0.125,
-            cfg.ppe if cfg.ppe else 64, seed=cfg.seed, mass_mode=mode)
+        spec = benchmarks.mms_plate_spec(cfg.basis, cfg.h or 0.125,
+                                         cfg.ppe or 64, seed=cfg.seed,
+                                         mass_mode=mode)
     elif cfg.benchmark == "bar":
         spec = benchmarks.vibrating_bar_spec(
             basis_kind=cfg.basis, mass_mode=mode or MassMode.CONSISTENT)
@@ -614,14 +601,9 @@ def _cmd_basis_check(args) -> int:
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "output_dir", None):
-        cfg.output_dir = args.output_dir
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "mass_mode", None):
-        cfg.mass_mode = args.mass_mode
-    if getattr(args, "basis", None):
-        cfg.basis = args.basis
+    for name in ("output_dir", "seed", "mass_mode", "basis"):
+        if getattr(args, name) not in (None, ""):
+            setattr(cfg, name, getattr(args, name))
     return _validate_config(cfg)
 
 
@@ -632,29 +614,22 @@ def build_parser():
                     "hat or C1 spline bases")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--output-dir", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--quiet", action="store_true")
-
-    for name, func, text in (
-            ("run", _cmd_run, "time-step a configured simulation"),
-            ("converge", _cmd_converge, "run the convergence study")):
+    for name, operand, func, text in (
+            ("run", "config", _cmd_run, "time-step a configured simulation"),
+            ("converge", "config", _cmd_converge, "run the convergence study"),
+            ("basis-check", "mesh", _cmd_basis_check,
+             "verify spline invariants on a mesh file")):
         p = sub.add_parser(name, help=text)
-        p.add_argument("config")
-        common(p)
-        p.add_argument("--mass-mode", default=None,
-                       choices=("consistent", "lumped", "partial"))
-        p.add_argument("--basis", default=None, choices=("hat", "ps"))
+        p.add_argument(operand)
+        p.add_argument("--output-dir", default=None)
+        # basis-check has no config to supply a seed
+        p.add_argument("--seed", type=int,
+                       default=0 if operand == "mesh" else None)
+        p.add_argument("--quiet", action="store_true")
+        if operand == "config":
+            p.add_argument("--mass-mode", default=None, choices=MASS_MODES)
+            p.add_argument("--basis", default=None, choices=BASES)
         p.set_defaults(func=func)
-
-    p_chk = sub.add_parser("basis-check",
-                           help="verify spline invariants on a mesh file")
-    p_chk.add_argument("mesh")
-    p_chk.add_argument("--output-dir", default=None)
-    p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.add_argument("--quiet", action="store_true")
-    p_chk.set_defaults(func=_cmd_basis_check)
 
     return parser
 

@@ -119,6 +119,10 @@ class Triangulation:
         self.elements = np.asarray(elements, dtype=int).copy()
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise MeshDegenerate("nodes must be an (n, 2) array")
+        finite = np.isfinite(self.nodes).all(axis=1)
+        if not finite.all():
+            raise MeshDegenerate(
+                f"node {int(np.argmin(finite))} has a non-finite coordinate")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise MeshDegenerate("elements must be an (n, 3) array")
         if self.elements.size and (self.elements.min() < 0
@@ -523,8 +527,8 @@ def read_mesh_file(path) -> Triangulation:
     Node and element indices must run 0..n-1, each once, else ParseError
     names the first repeated or missing one; an element naming a missing
     node raises MeshDegenerate.  Elements given clockwise are silently
-    reordered to CCW; genuinely degenerate elements are rejected by the
-    Triangulation constructor.
+    reordered to CCW; genuinely degenerate elements and non-finite
+    coordinates are rejected by the Triangulation constructor.
     """
     rows = {"nodes": {}, "elements": {}}
     section = None

@@ -1,6 +1,7 @@
 """Config parsing, mesh generation, serialization, CLI behaviour."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -293,7 +294,9 @@ class TestCli:
         # an element naming node 7 of three
         ("nodes\n0 0 0\n1 1 0\n2 0 1\nelements\n0 0 1 7\n",
          "element 0 references missing node 7"),
-    ], ids=["one_based", "dangling_node"])
+        ("nodes\n0 0 0\n1 1 0\n2 0 nan\nelements\n0 0 1 2\n",
+         "node 2 has a non-finite coordinate"),
+    ], ids=["one_based", "dangling_node", "nan_coordinate"])
     def test_basis_check_on_bad_mesh_file_is_an_error(self, tmp_path, capsys,
                                                       text, message):
         mesh_path = tmp_path / "mesh.txt"
@@ -311,6 +314,58 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[run]\nbenchmark = warp\n")
         assert cli(["run", str(cfg), "--quiet"]) == 1
+
+    @pytest.mark.parametrize("command, text, where", [
+        ("run", "[run]\nbenchmark = mms\nh = -0.125\n", "[run] h"),
+        ("run", "[run]\nbenchmark = mms\nh = 0.5\nppe = 0\n", "[run] ppe"),
+        ("run", CUSTOM_CONFIG.replace("[mesh]\n", "[mesh]\nny = 0\n"),
+         "[mesh] ny"),
+        ("run", CUSTOM_CONFIG.replace("ppe = 4", "ppe = 4\nnx = 0"),
+         "[particles] nx"),
+        ("run", CUSTOM_CONFIG.replace("ppe = 4", "ppe = 4\nny = -2"),
+         "[particles] ny"),
+        ("run", CUSTOM_CONFIG.replace("ppe = 4", "ppe = 0"),
+         "[particles] ppe"),
+        ("converge", "[run]\nbasis = hat\n[converge]\nh_list = 0.5 -0.25\n"
+         "ppe_list = 4\n", "[converge] h_list"),
+        ("converge", "[run]\nbasis = hat\n[converge]\nh_list = 0.5\n"
+         "ppe_list = 4 0\n", "[converge] ppe_list"),
+        ("converge", "[run]\nbasis = hat\n[converge]\nh_list = 0.5\n"
+         "ppe_list = 4\ncourant = -1\n", "[converge] courant"),
+    ], ids=["run_h", "run_ppe", "mesh_ny", "particles_nx", "particles_ny",
+            "particles_ppe", "h_list", "ppe_list", "courant"])
+    def test_non_positive_size_is_an_error(self, tmp_path, capsys, command,
+                                           text, where):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli([command, str(cfg), "--output-dir", str(tmp_path / "out"),
+                    "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {where}: must lie in (0, inf), got ")
+
+    @pytest.mark.parametrize("text, where", [
+        ("[run]\nbenchmark = soil\n[material]\nE = 1e6\nrho = 5\n"
+         "[particles]\nlayout = ppe\n[forces]\ngravity = 0 -20\n",
+         "[material] E"),
+        ("[run]\nbenchmark = mms\n[forces]\ngravity = 0 -20\n",
+         "[forces] gravity"),
+        ("[run]\nbenchmark = bar\n[mesh]\nny = 4\n", "[mesh] ny"),
+        ("[run]\nbenchmark = bar\nh = 0.25\n", "[run] h"),
+        (CUSTOM_CONFIG.replace("seed = 3", "seed = 3\nppe = 16"), "[run] ppe"),
+    ], ids=["soil_material", "mms_forces", "bar_mesh", "bar_h", "custom_ppe"])
+    def test_key_the_benchmark_does_not_read_is_an_error(self, text, where):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"does not read {where}")):
+            config_to_spec(parse_config(text))
+
+    @pytest.mark.parametrize("name", ["mms", "bar", "soil"])
+    def test_run_wide_keys_reach_every_builtin(self, name):
+        spec = config_to_spec(parse_config(
+            f"[run]\nbenchmark = {name}\nbasis = hat\n"
+            "mass_mode = lumped\ndt = 0.001\nt_end = 0.002\nseed = 2\n"
+            "output_dir = elsewhere\noutput_every = 3\n"))
+        assert (spec.basis_kind, spec.mass_mode.value) == ("hat", "lumped")
+        assert (spec.dt, spec.n_steps) == (0.001, 2)
 
     def test_run_writes_frames_and_summary(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -726,6 +726,16 @@ class TestReadMeshFile:
                            match=f"element 1 references missing node {node}"):
             read_mesh_file(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_is_mesh_degenerate(self, tmp_path, value):
+        # a NaN area would pass the area check and reach the locator's bins
+        path = tmp_path / "mesh.txt"
+        path.write_text(mesh_text(SQUARE_NODES[:2] + [(2, 1.0, value)]
+                                  + SQUARE_NODES[3:], SQUARE_ELEMENTS))
+        with pytest.raises(MeshDegenerate,
+                           match="node 2 has a non-finite coordinate"):
+            read_mesh_file(path)
+
     def test_clockwise_element_is_reordered(self, tmp_path):
         path = tmp_path / "mesh.txt"
         path.write_text(mesh_text(SQUARE_NODES, [(0, 0, 2, 1), (1, 0, 2, 3)]))
