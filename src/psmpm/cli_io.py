@@ -51,6 +51,8 @@ def generate_mesh(kind, h, domain, seed=0, ny=None) -> Triangulation:
     0.25 h (seeded) and Delaunay-triangulates; boundary nodes stay put.
     """
     x0, y0, x1, y1 = domain
+    if not (x0 < x1 and y0 < y1):
+        raise ValidationError(f"domain {domain} needs x0 < x1 and y0 < y1")
     nx = _lattice_counts(h, x1 - x0, "x")
     if ny is None:
         ny = _lattice_counts(h, y1 - y0, "y")
@@ -74,12 +76,7 @@ def generate_mesh(kind, h, domain, seed=0, ny=None) -> Triangulation:
         jitter = rng.uniform(-0.25 * h, 0.25 * h, size=(int(interior.sum()), 2))
         nodes = nodes.copy()
         nodes[interior] += jitter
-        simplices = Delaunay(nodes).simplices.copy()
-        v = nodes[simplices]
-        flip = (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1]) \
-            - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]) < 0
-        simplices[flip] = simplices[flip][:, ::-1]
-        tri = Triangulation(nodes, simplices)
+        tri = Triangulation(nodes, Delaunay(nodes).simplices, orient=True)
         if tri.areas.min() < 1e-3 * h * h:
             raise MeshDegenerate(
                 f"jittered mesh contains an element of area {tri.areas.min():.3e}")
@@ -101,17 +98,17 @@ def _tuple_of(kind):
 
 
 def _key(section, parse, default=None, key=None, allowed=None, bounds=None,
-         length=None):
+         length=None, least=0):
     """Declare a config key as a ``RunConfig`` field.
 
     ``key`` is needed only where the key's name is not the field's name
     less ``<section>_``.  ``allowed`` (a tuple of values) and ``bounds``
     (an open interval) apply to every element of a tuple value; ``length``
-    is a tuple's required length.
+    is a tuple's required length and ``least`` its least.
     """
     return field(default=default, metadata=dict(
         section=section, key=key, parse=parse, allowed=allowed,
-        bounds=bounds, length=length))
+        bounds=bounds, length=length, least=least))
 
 
 @dataclass
@@ -151,12 +148,12 @@ class RunConfig:
     particles_ny: int | None = _key("particles", int, bounds=_ABOVE_ZERO)
     particles_ppe: int | None = _key("particles", int, bounds=_ABOVE_ZERO)
     gravity: tuple | None = _key("forces", _tuple_of(float), length=2)
-    converge_h: tuple | None = _key("converge", _tuple_of(float),
+    converge_h: tuple | None = _key("converge", _tuple_of(float), least=1,
                                     key="h_list", bounds=_ABOVE_ZERO)
-    converge_ppe: tuple | None = _key("converge", _tuple_of(int),
+    converge_ppe: tuple | None = _key("converge", _tuple_of(int), least=1,
                                       key="ppe_list", bounds=_ABOVE_ZERO)
     converge_basis: tuple | None = _key("converge", _tuple_of(str),
-                                        allowed=BASES)
+                                        allowed=BASES, least=1)
     converge_courant: float | None = _key("converge", float,
                                           bounds=_ABOVE_ZERO)
 
@@ -177,6 +174,9 @@ def _validate_config(cfg: RunConfig):
         if meta["length"] is not None and len(value) != meta["length"]:
             raise ValidationError(f"{where}: expected {meta['length']} "
                                   f"values, got {len(value)}")
+        if meta["least"] and len(value) < meta["least"]:
+            raise ValidationError(f"{where}: got {len(value)} values, "
+                                  f"expected at least {meta['least']}")
         for v in value if isinstance(value, tuple) else (value,):
             if meta["allowed"] and v not in meta["allowed"]:
                 raise ValidationError(

@@ -101,6 +101,7 @@ def incenter(tri_vertices):
 
 class Triangulation:
     """Nodes plus CCW triangles, with derived edge and incidence tables.
+    With ``orient``, clockwise elements are reordered instead of rejected.
 
     Attributes:
         nodes: (n_v, 2) float array.
@@ -114,7 +115,7 @@ class Triangulation:
         vertex_edges: per-vertex list of incident edge ids, ascending.
     """
 
-    def __init__(self, nodes, elements):
+    def __init__(self, nodes, elements, orient=False):
         self.nodes = np.asarray(nodes, dtype=float).copy()
         self.elements = np.asarray(elements, dtype=int).copy()
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
@@ -128,6 +129,10 @@ class Triangulation:
         if self.elements.size and (self.elements.min() < 0
                                    or self.elements.max() >= len(self.nodes)):
             raise MeshDegenerate("element references a missing node")
+        if orient:
+            v = self.nodes[self.elements]
+            flip = cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]) < 0
+            self.elements[flip] = self.elements[flip][:, ::-1]
 
         v0 = self.nodes[self.elements[:, 0]]
         v1 = self.nodes[self.elements[:, 1]]
@@ -435,7 +440,8 @@ class PointLocator:
         """
         pts = np.ascontiguousarray(points, dtype=float)
         n = len(pts)
-        ph = np.column_stack([pts, np.ones(n)])
+        ph = np.empty((n, 3))
+        ph[:, :2], ph[:, 2] = pts, 1.0
         if hint is None:
             elem, sub = np.full(n, -1), np.full(n, -1)
             eta, todo = np.zeros((n, 3)), np.ones(n, dtype=bool)
@@ -526,9 +532,9 @@ def read_mesh_file(path) -> Triangulation:
 
     Node and element indices must run 0..n-1, each once, else ParseError
     names the first repeated or missing one; an element naming a missing
-    node raises MeshDegenerate.  Elements given clockwise are silently
-    reordered to CCW; genuinely degenerate elements and non-finite
-    coordinates are rejected by the Triangulation constructor.
+    node raises MeshDegenerate.  The Triangulation constructor rejects
+    non-finite coordinates, then silently reorders elements given clockwise
+    to CCW and rejects genuinely degenerate ones.
     """
     rows = {"nodes": {}, "elements": {}}
     section = None
@@ -569,7 +575,4 @@ def read_mesh_file(path) -> Triangulation:
         e, k = np.argwhere(bad)[0]
         raise MeshDegenerate(
             f"element {e} references missing node {elem_arr[e, k]}")
-    v = node_arr[elem_arr]
-    flip = cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]) < 0
-    elem_arr[flip] = elem_arr[flip][:, ::-1]
-    return Triangulation(node_arr, elem_arr)
+    return Triangulation(node_arr, elem_arr, orient=True)

@@ -3,11 +3,12 @@
 Transfers work per cell (a sub-triangle for splines, an element for
 hats), where every active function is an extraction table times the
 Bernstein polynomials of the cell barycentrics and its gradient is linear
-in the basis's gradient weights (the barycentrics for splines, a single
-row of ones for hats).  Particle-to-grid transfers are per-cell sums over
-the cell's particles (moments ``sum m B_k B_l``, ``sum m B_k``,
-``sum V sigma w``, ``sum m b B_k``, ``sum m v B_k``) contracted with the
-cell's tables; grid-to-particle gathers go through per-cell coefficients.
+in the basis's gradient weights.  Particle-to-grid transfers are per-cell
+moments over the cell's particles (``sum m B_k B_l``, ``sum V sigma w``,
+``sum m b B_k``, ``sum m v B_k``, and ``sum m B_k`` outside consistent
+mode) contracted with the cell's tables; grid-to-particle gathers read
+per-cell coefficients.  The step reads and writes the particles'
+deformation gradient and stress component-major, one row per component.
 
 ``MpmSystem.run`` is the time loop.  A step runs the phases relocate, mass
 and factorise, accelerate, project momentum (density-weighted L2), deform
@@ -20,13 +21,10 @@ particle-free element in its support are replaced by their lumped
 diagonal, which preserves every row sum (hence the total mass).  Each
 mode is one effective sparse matrix on a pattern fixed at setup: the union
 of the element mass blocks (consistent and partial) or the diagonal
-(lumped).  Every grid solve takes one path.  A system builds one
-``GridSolver`` per field component on the pattern of its mode: the fixed
-CSC pattern of ``P^T M P`` under the component's constraint reduction and
-the sparse map ``R`` with ``(P^T M P).data = R @ M.data``.  A step applies
-each map, turns the unknowns without mass into identity rows and columns,
-factorises the shifted result once with a sparse LU, and reuses that
-factor for the acceleration and the velocity-projection solves.
+(lumped).  Every grid solve takes one path: one ``GridSolver`` per field
+component (see there) maps the step's matrix to its constraint-reduced
+``P^T M P``, factorises it once with a sparse LU, and reuses that factor
+for the acceleration and the velocity-projection solves.
 """
 
 from __future__ import annotations
@@ -127,28 +125,35 @@ class MaterialModel:
         return np.sqrt(self.E / rho)
 
     def stress(self, D, J):
-        """Cauchy stress for a batch of deformation gradients (n, 2, 2).
+        """Cauchy stress for component-major deformation gradients (2, 2, n).
 
         Written per component: linear-elastic ``lam tr(e) I + 2 mu e`` with
         ``e = (D + D^T)/2 - I``, neo-Hookean
         ``lam ln(J)/J I + mu/J (D D^T - I)``.
         """
-        a, b, c, d = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
+        (a, b), (c, d) = D
         sigma = np.empty_like(D)
         if self.kind == "linear-elastic":
             exx, eyy = a - 1.0, d - 1.0
             lam_tr = self.lam * (exx + eyy)
             two_mu = 2.0 * self.mu
-            sigma[:, 0, 0] = lam_tr + two_mu * exx
-            sigma[:, 1, 1] = lam_tr + two_mu * eyy
-            sigma[:, 0, 1] = sigma[:, 1, 0] = two_mu * (0.5 * (b + c))
+            sigma[0, 0] = lam_tr + two_mu * exx
+            sigma[1, 1] = lam_tr + two_mu * eyy
+            sigma[0, 1] = sigma[1, 0] = two_mu * (0.5 * (b + c))
             return sigma
         vol = self.lam * np.log(J) / J
         shear = self.mu / J
-        sigma[:, 0, 0] = vol + shear * (a * a + b * b - 1.0)
-        sigma[:, 1, 1] = vol + shear * (c * c + d * d - 1.0)
-        sigma[:, 0, 1] = sigma[:, 1, 0] = shear * (a * c + b * d)
+        sigma[0, 0] = vol + shear * (a * a + b * b - 1.0)
+        sigma[1, 1] = vol + shear * (c * c + d * d - 1.0)
+        sigma[0, 1] = sigma[1, 0] = shear * (a * c + b * d)
         return sigma
+
+
+def _component_major(name):
+    """(n, 2, 2) view of the (2, 2, n) array ``name``; set from (n, 2, 2)."""
+    return property(lambda p: getattr(p, name).transpose(2, 0, 1),
+                    lambda p, v: setattr(p, name, np.ascontiguousarray(
+                        np.moveaxis(v, 0, -1))))
 
 
 class Particles:
@@ -156,8 +161,11 @@ class Particles:
 
     Particle mass is fixed at construction (m = V0 * rho0); volume and
     density evolve through the deformation-gradient determinant so that
-    m = V * rho holds at all times.
+    m = V * rho holds at all times.  ``D`` and ``sigma`` are (n, 2, 2)
+    views of the step's component-major ``D_cm`` and ``sigma_cm`` (2, 2, n).
     """
+
+    D, sigma = _component_major("D_cm"), _component_major("sigma_cm")
 
     def __init__(self, positions, volumes, rho0):
         positions = np.asarray(positions, dtype=float)
@@ -167,10 +175,9 @@ class Particles:
         self.x = positions.copy()
         self.u = np.zeros((n, 2))
         self.v = np.zeros((n, 2))
-        self.D = np.zeros((n, 2, 2))
-        self.D[:, 0, 0] = self.D[:, 1, 1] = 1.0
+        self.D_cm = np.repeat(np.eye(2)[:, :, None], n, axis=2)
         self.J = np.ones(n)
-        self.sigma = np.zeros((n, 2, 2))
+        self.sigma_cm = np.zeros((2, 2, n))
         self.V0 = np.asarray(volumes, dtype=float).copy()
         self.V = self.V0.copy()
         self.rho = np.broadcast_to(np.asarray(rho0, dtype=float), (n,)).copy()
@@ -307,13 +314,13 @@ class SparsePattern:
 class MassOperator:
     """Assembled grid mass in one of the three modes.
 
-    ``lumped`` holds the row sums (equal to the consistent row sums by
-    partition of unity) and ``data`` the effective operator on the fixed
-    ``pattern`` of its mode (``matrix`` builds it as a CSR matrix):
-    ``diag(lumped)`` in lumped mode, the consistent matrix in consistent
-    mode and, in partial mode, the consistent matrix with the rows flagged
-    by ``marked`` replaced by ``lumped[i] * e_i``.  Every mode keeps every
-    row sum and hence the total mass.  An operator lives for one step.
+    ``lumped`` holds the row sums (summed from ``data`` in consistent mode,
+    from the moments ``sum m N_i`` otherwise) and ``data`` the effective
+    operator on the fixed ``pattern`` of its mode (``matrix`` builds it as
+    a CSR matrix): ``diag(lumped)`` in lumped mode, the consistent matrix
+    in consistent mode and, in partial mode, the consistent matrix with the
+    rows flagged by ``marked`` replaced by ``lumped[i] * e_i``.  Every mode
+    keeps every row sum and hence the total mass.  One step uses it.
     """
 
     def __init__(self, mode, lumped, data, pattern: SparsePattern,
@@ -387,30 +394,32 @@ class GridAssembler:
                         minlength=self.n_bf)
             for col in np.moveaxis(per_cell, -1, 0)])
 
-    def _project(self, pts: CellPoints, w):
-        """(n_bf, 2) sums ``sum_p N(x_p) w_p`` of per-particle w (n, 2)."""
-        q = np.array([[self._moment(pts, wa, b) for b in pts.bern]
-                      for wa in np.ascontiguousarray(w.T)])
+    def _project(self, pts: CellPoints, m, w):
+        """(n_bf, 2) sums ``sum_p N(x_p) m_p w_p``; m is (n,), w (n, 2)."""
+        q = np.array([[self._moment(pts, mwa, b) for b in pts.bern]
+                      for mwa in np.multiply(m, w.T, order="C")])
         return self._to_dofs(self.ords @ q.transpose(2, 1, 0))
 
     @staticmethod
     def _gather(pts: CellPoints, weights, table):
-        """``sum_r weights[r] * table[..., r, cell]`` per particle."""
+        """``sum_r weights[r] * table[..., r, cell]`` per particle.  ``take``
+        clips (no id is out of range) so that it writes ``out`` unbuffered."""
         table, work = np.ascontiguousarray(table), pts.work
         out = np.zeros(table.shape[:-2] + (len(pts.cell),))
         for idx in np.ndindex(table.shape[:-2]):
             for r, w in enumerate(weights):
-                np.take(table[idx + (r,)], pts.cell, out=work)
+                np.take(table[idx + (r,)], pts.cell, out=work, mode="clip")
                 work *= w
                 out[idx] += work
         return out
 
     def mass(self, pts: CellPoints, masses, mode: MassMode) -> MassOperator:
-        b = np.stack([self._moment(pts, masses, r) for r in pts.bern], axis=-1)
-        lumped = self._to_dofs(self.ords @ b[..., None])[:, 0]
         pattern = self.mass_pattern(mode)
-        if mode is MassMode.LUMPED:
-            return MassOperator(mode, lumped, lumped, pattern)
+        if mode is not MassMode.CONSISTENT:
+            b = np.stack([self._moment(pts, masses, r) for r in pts.bern], -1)
+            lumped = self._to_dofs(self.ords @ b[..., None])[:, 0]
+            if mode is MassMode.LUMPED:
+                return MassOperator(mode, lumped, lumped, pattern)
         mb, k_b = masses * pts.bern, self.n_bern
         s = np.empty((self.n_cells, k_b, k_b))
         for k in range(k_b):
@@ -420,13 +429,14 @@ class GridAssembler:
         blocks = blocks.reshape((len(self.slots), -1) + blocks.shape[1:])
         data = np.bincount(self.slots.ravel(), blocks.sum(axis=1).ravel(),
                            minlength=len(pattern.indices))
-        marked = None
-        if mode is MassMode.PARTIAL:
-            empty = np.bincount(pts.elem, minlength=len(self.slots)) == 0
-            marked = np.zeros(self.n_bf, dtype=bool)
-            marked[self.basis.element_dofs[empty]] = True
-            data[marked[pattern.major]] = 0.0
-            data[pattern.diag_slot[marked]] = lumped[marked]
+        if mode is MassMode.CONSISTENT:
+            lumped = np.bincount(pattern.major, data, minlength=self.n_bf)
+            return MassOperator(mode, lumped, data, pattern)
+        empty = np.bincount(pts.elem, minlength=len(self.slots)) == 0
+        marked = np.zeros(self.n_bf, dtype=bool)
+        marked[self.basis.element_dofs[empty]] = True
+        data[marked[pattern.major]] = 0.0
+        data[pattern.diag_slot[marked]] = lumped[marked]
         return MassOperator(mode, lumped, data, pattern, marked)
 
     def forces(self, pts: CellPoints, particles, body=None):
@@ -437,17 +447,17 @@ class GridAssembler:
         n_w = len(pts.weights)
         t = np.empty((self.n_cells, n_w, 2, 2))      # [c, w, b, a]
         for a, b in ((0, 0), (0, 1), (1, 1)):
-            vs = particles.V * particles.sigma[:, a, b]
+            vs = particles.V * particles.sigma_cm[a, b]
             for w, row in enumerate(pts.weights):
                 t[:, w, a, b] = t[:, w, b, a] = self._moment(pts, vs, row)
         f_int = self._to_dofs(
             self.grad_ops @ t.reshape(self.n_cells, 2 * n_w, 2))
         if body is None:
             return f_int, np.zeros((self.n_bf, 2))
-        return f_int, self._project(pts, particles.m[:, None] * body)
+        return f_int, self._project(pts, particles.m, body)
 
     def momentum(self, pts: CellPoints, particles):
-        return self._project(pts, particles.m[:, None] * particles.v)
+        return self._project(pts, particles.m, particles.v)
 
     def values(self, pts: CellPoints, coeffs):
         """(n, 2) fields ``sum_d N_d coeffs[d]`` at the particles, in C
@@ -607,15 +617,15 @@ def solve_grid(solver: GridSolver, factor, rhs, context=""):
 
 
 def deformation_update(D, dt, exx, eyy, exy):
-    """``(I + dt eps) D`` and its determinant for a batch of deformation
-    gradients (n, 2, 2) and symmetric strain rates given per component."""
+    """``(I + dt eps) D`` and its determinant for component-major deformation
+    gradients (2, 2, n) and symmetric strain rates given per component."""
     axx, ayy, axy = 1.0 + dt * exx, 1.0 + dt * eyy, dt * exy
-    dxx, dxy, dyx, dyy = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
+    (dxx, dxy), (dyx, dyy) = D
     out = np.empty_like(D)
-    out[:, 0, 0] = nxx = axx * dxx + axy * dyx
-    out[:, 0, 1] = nxy = axx * dxy + axy * dyy
-    out[:, 1, 0] = nyx = axy * dxx + ayy * dyx
-    out[:, 1, 1] = nyy = axy * dxy + ayy * dyy
+    out[0, 0] = nxx = axx * dxx + axy * dyx
+    out[0, 1] = nxy = axx * dxy + axy * dyy
+    out[1, 0] = nyx = axy * dxx + ayy * dyx
+    out[1, 1] = nyy = axy * dxy + ayy * dyy
     return out, nxx * nyy - nxy * nyx
 
 
@@ -717,13 +727,13 @@ class MpmSystem:
                     f"projection gave a one-step strain increment of "
                     f"{increment:.3g}, above the threshold "
                     f"{STRAIN_INCREMENT_LIMIT:g}")
-        particles.D, particles.J = deformation_update(particles.D, self.dt,
-                                                      exx, eyy, exy)
+        particles.D_cm, particles.J = deformation_update(
+            particles.D_cm, self.dt, exx, eyy, exy)
         if np.any(particles.J <= 0.0):
             bad = int(np.argmin(particles.J))
             raise NonPositiveJacobian(
                 f"particle {bad}: det(D) = {particles.J[bad]:.3e} at t={t:.6g}")
-        particles.sigma = self.material.stress(particles.D, particles.J)
+        particles.sigma_cm = self.material.stress(particles.D_cm, particles.J)
         particles.V = particles.J * particles.V0
         particles.rho = particles.m / particles.V
 

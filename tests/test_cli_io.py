@@ -100,6 +100,13 @@ class TestGenerateMesh:
         with pytest.raises(ValidationError):
             generate_mesh("structured", 0.3, (0.0, 0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("kind", ["structured", "jittered"])
+    def test_swapped_domain_rejected(self, kind):
+        # with ny given no extent check would catch a swapped y range
+        for domain in ((1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)):
+            with pytest.raises(ValidationError, match="needs x0 < x1"):
+                generate_mesh(kind, 0.25, domain, ny=4)
+
     def test_jittered_deterministic(self):
         a = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=3)
         b = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=3)
@@ -342,6 +349,32 @@ class TestCli:
                     "--quiet"]) == 1
         assert capsys.readouterr().err.startswith(
             f"error: {where}: must lie in (0, inf), got ")
+
+    @pytest.mark.parametrize("domain", ["1 1 0 0", "0 1 1 0", "0 0 0 1",
+                                        "0 0 nan 1"])
+    def test_swapped_or_empty_domain_is_an_error(self, tmp_path, capsys,
+                                                 domain):
+        # x1 <= x0 or y1 <= y0 used to reach np.linspace as a raw ValueError
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CUSTOM_CONFIG.replace("domain = 0 0 1 1",
+                                             f"domain = {domain}"))
+        assert cli(["run", str(cfg), "--output-dir", str(tmp_path / "out"),
+                    "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain (") and err.count("\n") == 1
+        assert err.endswith(") needs x0 < x1 and y0 < y1\n")
+
+    @pytest.mark.parametrize("key", ["h_list", "ppe_list", "basis"])
+    def test_empty_converge_list_is_an_error(self, tmp_path, capsys, key):
+        # an empty list used to fall back to the default list silently
+        with pytest.raises(ValidationError, match=re.escape(
+                f"[converge] {key}: got 0 values, expected at least 1")):
+            parse_config(f"[converge]\n{key} =\n")
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(f"[run]\nbasis = hat\n[converge]\n{key} =\n")
+        assert cli(["converge", str(cfg), "--output-dir",
+                    str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [converge] {key}: ")
 
     @pytest.mark.parametrize("text, where", [
         ("[run]\nbenchmark = soil\n[material]\nE = 1e6\nrho = 5\n"

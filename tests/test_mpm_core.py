@@ -67,13 +67,15 @@ class TestMaterial:
         ones = np.ones(5)
         for kind in ("linear-elastic", "neo-hookean"):
             mat = MaterialModel(kind, E=1e6, nu=0.25)
-            assert_allclose(mat.stress(eye, ones), 0.0, atol=1e-16)
+            assert_allclose(mat.stress(eye.transpose(1, 2, 0), ones), 0.0,
+                            atol=1e-16)
 
     def test_linear_elastic_uniaxial(self):
         # nu = 0: sigma_xx = E * (D_xx - 1), sigma_yy = 0
         mat = MaterialModel("linear-elastic", E=50.0, nu=0.0)
         d = np.array([[[1.07, 0.0], [0.0, 1.0]]])
-        s = mat.stress(d, np.array([1.07]))
+        s = mat.stress(d.transpose(1, 2, 0),
+                       np.array([1.07])).transpose(2, 0, 1)
         assert_allclose(s[0, 0, 0], 50.0 * 0.07, rtol=1e-14)
         assert_allclose(s[0, 1, 1], 0.0, atol=1e-14)
 
@@ -82,7 +84,7 @@ class TestMaterial:
         dxx, dyy = 1.1, 1.0
         d = np.array([[[dxx, 0.0], [0.0, dyy]]])
         j = dxx * dyy
-        s = mat.stress(d, np.array([j]))
+        s = mat.stress(d.transpose(1, 2, 0), np.array([j])).transpose(2, 0, 1)
         lam, mu = mat.lam, mat.mu
         assert_allclose(s[0, 0, 0],
                         lam * np.log(j) / j + mu / j * (dxx ** 2 - 1), rtol=1e-14)
@@ -135,7 +137,8 @@ class TestKernelsMatchReference:
     def test_stress_equals_tensor_form(self, seed, kind, E, nu):
         mat = MaterialModel(kind, E=E, nu=nu)
         D, J = near_identity(seed)
-        assert mat.stress(D, J).tobytes() == ref_stress(mat, D, J).tobytes()
+        got = mat.stress(D.transpose(1, 2, 0), J).transpose(2, 0, 1)
+        assert got.tobytes() == ref_stress(mat, D, J).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dt=st.floats(1e-6, 1e-2))
@@ -143,8 +146,9 @@ class TestKernelsMatchReference:
         D, _ = near_identity(seed)
         g = np.random.default_rng(seed + 1).normal(size=D.shape)
         eps = 0.5 * (g + np.swapaxes(g, 1, 2))
-        got, J = deformation_update(D, dt, eps[:, 0, 0], eps[:, 1, 1],
-                                    eps[:, 0, 1])
+        got, J = deformation_update(D.transpose(1, 2, 0), dt, eps[:, 0, 0],
+                                    eps[:, 1, 1], eps[:, 0, 1])
+        got = got.transpose(2, 0, 1)
         a = np.eye(2) + dt * eps
         want = np.matmul(a, D)
         # a BLAS matmul may fuse one product of each entry into an FMA: the
@@ -212,6 +216,25 @@ class TestInitParticles:
         with pytest.raises(ValueError, match="read-only"):
             parts.x0 += 1.0
 
+    def test_tensors_are_views_of_component_major_storage(self):
+        # D and sigma are (n, 2, 2) views of (2, 2, n) arrays with
+        # contiguous rows; assigning stores component-major, bit for bit
+        rng = np.random.default_rng(4)
+        parts = Particles(rng.uniform(size=(7, 2)), np.ones(7), 1.0)
+        assert parts.D.tobytes() == np.tile(np.eye(2), (7, 1, 1)).tobytes()
+        for name in ("D", "sigma"):
+            for _ in range(2):
+                view, store = getattr(parts, name), getattr(parts, name + "_cm")
+                assert view.shape == (7, 2, 2) and store.shape == (2, 2, 7)
+                assert store.flags.c_contiguous
+                assert np.shares_memory(view, store)
+                value = rng.normal(size=(7, 2, 2))
+                setattr(parts, name, value)
+                assert getattr(parts, name).tobytes() == value.tobytes()
+            getattr(parts, name)[3] = [[1.0, 2.0], [3.0, 4.0]]
+            assert getattr(parts, name + "_cm")[:, :, 3].tolist() == [
+                [1.0, 2.0], [3.0, 4.0]]
+
     def test_mass_volume_density_identity(self):
         basis = square_ps_basis()
         parts = init_particles(basis.locator,
@@ -243,6 +266,19 @@ class TestMassAssembly:
         op_l = asm.mass(pts, parts.m, MassMode.LUMPED)
         rows = np.asarray(op_c.matrix.sum(axis=1)).ravel()
         assert np.abs(rows - op_l.lumped).max() < 1e-12 * op_l.lumped.max()
+
+    def test_consistent_lumped_is_the_matrix_row_sums(self):
+        # consistent mode sums its assembled rows instead of the moments
+        basis = square_ps_basis(seed=12)
+        parts = init_particles(basis.locator,
+                               ParticleLayout(kind="ppe", ppe=4), rho0=3.0)
+        asm = GridAssembler(basis)
+        pts = located(basis, parts)
+        op = asm.mass(pts, parts.m, MassMode.CONSISTENT)
+        assert_allclose(op.lumped, op.matrix.toarray().sum(axis=1),
+                        rtol=1e-14, atol=0.0)
+        by_moments = asm.mass(pts, parts.m, MassMode.LUMPED).lumped
+        assert np.abs(op.lumped - by_moments).max() < 1e-12 * by_moments.max()
 
     def test_total_mass_all_modes(self):
         basis = square_ps_basis(seed=9)
@@ -470,6 +506,35 @@ class TestTransfersMatchReference:
         bound = 2.0 * (n + 32) * np.finfo(float).eps
         for key, value in got.items():
             assert np.all(np.abs(value - want[key]) <= bound * mags[key]), key
+
+
+def ref_gather(pts, weights, table):
+    """The gather before the clipped ``take``: one buffered ``take`` per
+    table row into an (n,) work buffer, weighted and added in place."""
+    table, work = np.ascontiguousarray(table), np.empty(len(pts.cell))
+    out = np.zeros(table.shape[:-2] + (len(pts.cell),))
+    for idx in np.ndindex(table.shape[:-2]):
+        for r, w in enumerate(weights):
+            np.take(table[idx + (r,)], pts.cell, out=work)
+            work *= w
+            out[idx] += work
+    return out
+
+
+class TestGatherMatchesPerRowReference:
+    @pytest.mark.parametrize("kind", ["hat", "ps"])
+    def test_values_and_gradients_bitwise(self, kind, monkeypatch):
+        system, parts = build_system(mms_plate_spec(kind, 0.25, 16, seed=3))
+        system.run(parts, 1)
+        asm = system.assembler
+        pts = asm.located(*parts.loc)
+        coeffs = np.random.default_rng(5).normal(size=(2, asm.n_bf, 2))
+        got = [f(pts, c) for c in coeffs for f in (asm.values, asm.gradients)]
+        assert got[0].flags.c_contiguous and got[0].shape == (parts.n, 2)
+        monkeypatch.setattr(GridAssembler, "_gather", staticmethod(ref_gather))
+        want = [f(pts, c) for c in coeffs for f in (asm.values, asm.gradients)]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestForces:
@@ -935,7 +1000,8 @@ class TestStepContracts:
         eye = np.tile(np.eye(2), (parts_b.n, 1, 1))
         parts_b.D = np.einsum('pij,pjk->pik', eye + system.dt * eps, parts_b.D)
         parts_b.J = np.linalg.det(parts_b.D)
-        parts_b.sigma = system.material.stress(parts_b.D, parts_b.J)
+        parts_b.sigma = system.material.stress(
+            parts_b.D.transpose(1, 2, 0), parts_b.J).transpose(2, 0, 1)
         parts_b.V = parts_b.J * parts_b.V0
         parts_b.rho = parts_b.m / parts_b.V
         vel = np.einsum('pf,pfk->pk', vals, v_hat[dofs])
