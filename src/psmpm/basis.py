@@ -345,6 +345,9 @@ class BasisSet:
         bernstein_derivative: (K, 3, W) tensor D with
             ``d B_k / d eta_l = sum_w D[k, l, w] weights_w``, where
             ``weights = gradient_weights(eta)``.
+        cell_dofs: (n_cells, k) global dof ids of each cell's functions.
+        grad_ops: (n_cells, k, 2 W) table Z of the gradients
+            ``d N_d / d x_b = sum_w Z[c, d, 2 w + b] weights_w``.
     """
 
     n_bf: int
@@ -360,9 +363,18 @@ class BasisSet:
         """(W, n) rows that the Bernstein derivatives are linear in."""
         raise NotImplementedError
 
+    def _build_cell_tables(self):
+        """Build ``cell_dofs`` and ``grad_ops``, once, at construction."""
+        ords, ed = self.cell_ordinates, self.element_dofs
+        self.cell_dofs = np.repeat(ed, len(ords) // len(ed), axis=0)
+        self.grad_ops = np.einsum(
+            'cdk,klw,clb->cdwb', ords, self.bernstein_derivative,
+            self.locator.cell_inv[:, :, :2], optimize=True
+        ).reshape(len(ords), ed.shape[1], -1)
+
     def evaluate_located(self, elem, sub, eta):
-        """Values and gradients at pre-located points: the cell's extraction
-        table times the Bernstein values and their x/y derivatives.
+        """Values and gradients at pre-located points: ``cell_ordinates``
+        times the Bernstein values, ``grad_ops`` times the gradient weights.
 
         Args:
             elem, sub, eta: as returned by ``locator.locate_many``.
@@ -374,9 +386,8 @@ class BasisSet:
         cell = self.locator.cell_of(elem, np.asarray(sub))
         ords = self.cell_ordinates[cell]                     # (n, k, K)
         vals = np.matmul(ords, self.bernstein(eta.T).T[:, :, None])[:, :, 0]
-        slope = np.einsum('klw,wn->nkl', self.bernstein_derivative,
-                          self.gradient_weights(eta.T))
-        grads = ords @ (slope @ self.locator.cell_inv[cell, :, :2])
+        ops = self.grad_ops[cell].reshape(ords.shape[:2] + (-1, 2))
+        grads = np.einsum('nkwb,wn->nkb', ops, self.gradient_weights(eta.T))
         return self.element_dofs[elem], vals, grads
 
     def eval_at(self, p):
@@ -419,6 +430,7 @@ class HatBasis(BasisSet):
         self.element_dofs = tri.elements.astype(np.int32)
         self.locator = PointLocator(tri, refinement=None)
         self.cell_ordinates = np.broadcast_to(np.eye(3), (tri.n_elements, 3, 3))
+        self._build_cell_tables()
 
     def bernstein(self, eta):
         return eta
@@ -439,9 +451,9 @@ class PSBasis(BasisSet):
 
     Three functions per vertex (dof ``3 * vertex + q``), each supported on
     the vertex's molecule.  The vertices' control triangles come from one
-    :func:`min_area_control_triangle` call per split-point count, on the
-    stack of those vertices' point sets (``control_corners``, (n_v, 3, 2)),
-    and their triplets from one
+    :func:`min_area_control_triangle` call on the stack of all their point
+    sets, padded to one length with copies of each set's first point
+    (``control_corners``, (n_v, 3, 2)), and their triplets from one
     stacked :func:`compute_triplets` solve; both equal a per-vertex loop to
     the bit.  Per element the nine active functions are stored as 19
     Bezier ordinates over the canonical position layout, and per
@@ -458,17 +470,14 @@ class PSBasis(BasisSet):
         self.n_bf = 3 * tri.n_nodes
         self.locator = PointLocator(tri, refinement=ref)
 
-        # the search takes stacks of equal-size point sets and groups each
-        # stack by hull size
+        # one search over all point sets, each padded to the largest count
+        # with copies of its first point, which change no hull or winner
         pts = [ps_points(ref, v) for v in range(tri.n_nodes)]
-        counts = np.array([len(p) for p in pts])
-        corners = np.empty((tri.n_nodes, 3, 2))
-        for n in np.unique(counts):
-            group = np.nonzero(counts == n)[0]
-            corners[group] = min_area_control_triangle(
-                np.stack([pts[v] for v in group]))
-        self.control_corners = corners
-        self.triplets = compute_triplets(corners, tri.nodes)
+        most = max(len(p) for p in pts)
+        self.control_corners = min_area_control_triangle(np.stack(
+            [np.concatenate([p, np.repeat(p[:1], most - len(p), axis=0)])
+             for p in pts]))
+        self.triplets = compute_triplets(self.control_corners, tri.nodes)
 
         # dof 3 * vertex + q of corner lv sits in column 3 * lv + q
         self.element_dofs = (3 * tri.elements[:, :, None]
@@ -477,6 +486,7 @@ class PSBasis(BasisSet):
         self.ordinates = self._build_ordinates()
         # (n_e, 6, 9, 6): per sub-triangle view of the ordinate tables
         self.sub_ordinates = self.ordinates[:, :, SUB_POSITIONS].transpose(0, 2, 1, 3).copy()
+        self._build_cell_tables()
 
     @property
     def cell_ordinates(self):

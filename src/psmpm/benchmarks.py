@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import DirichletConstraint, hat_basis, ps_basis
 from .errors import ValidationError
-from .mesh import PSRefinement, Triangulation, ps_refine
+from .mesh import PSRefinement, Triangulation, generate_mesh, ps_refine
 from .mpm_core import (MassMode, MaterialModel, MpmSystem, ParticleLayout,
                        init_particles)
 
@@ -190,6 +190,12 @@ class BenchmarkSpec:
         return max(1, int(round(self.t_end / self.dt)))
 
 
+def constant_force(g):
+    """Body force ``(x0, t) -> (n, 2)`` that is ``g`` at every particle."""
+    g = np.asarray(g, dtype=float)
+    return lambda x0, t: np.broadcast_to(g, (len(x0), 2))
+
+
 def build_system(spec: BenchmarkSpec):
     """Construct (system, particles) for a benchmark specification."""
     if spec.basis_kind == "ps":
@@ -225,7 +231,6 @@ def vibrating_bar_spec(basis_kind="ps",
     pin the transverse component only (free slip), so the motion stays
     one-dimensional.
     """
-    from .cli_io import generate_mesh
     length, width, v0 = 1.0, 2.0, 0.1
     tri = generate_mesh("structured", length / BAR_NX,
                         (0.0, 0.0, length, width), ny=BAR_NY)
@@ -259,17 +264,11 @@ def soil_column_spec(mass_mode, basis_kind="ps") -> BenchmarkSpec:
     ``MpmSystem.step``, while the reduced diagonal ratio stays below 1e2
     and no column element has drained.
     """
-    from .cli_io import generate_mesh
     width, height, n_rows = 0.1, 1.0, SOIL_ROWS
     hy = height / n_rows
     tri = generate_mesh("structured", width,
                         (0.0, 0.0, width, height + hy), ny=n_rows + 1)
     material = MaterialModel("linear-elastic", E=1e5, nu=0.0)
-    gravity = np.array([0.0, -9.81])
-
-    def body_force(x0, t):
-        return np.broadcast_to(gravity, (len(x0), 2))
-
     return BenchmarkSpec(
         name="soil", tri=tri, basis_kind=basis_kind, material=material,
         rho0=1e3, dt=SOIL_DT, t_end=SOIL_T_END,
@@ -277,7 +276,7 @@ def soil_column_spec(mass_mode, basis_kind="ps") -> BenchmarkSpec:
         layout=ParticleLayout(kind="lattice", nx=16, ny=3 * n_rows,
                               domain=(0.0, 0.0, width, height)),
         fixed_sides={"bottom": (0, 1), "left": (0,), "right": (0,)},
-        body_force=body_force,
+        body_force=constant_force((0.0, -9.81)),
         h_typical=hy)
 
 
@@ -318,7 +317,6 @@ def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None,
     average sub-triangle edge length for splines) at the given value and is
     rounded so an integer number of steps covers the run.  Unspecified
     ``courant``/``mass_mode`` fall back to the family defaults."""
-    from .cli_io import generate_mesh
     default_mode, default_courant = mms_family_defaults(basis_kind)
     if mass_mode is None:
         mass_mode = default_mode
@@ -422,50 +420,42 @@ class ErrorReport:
     def extend(self, other: "ErrorReport"):
         self.rows.extend(other.rows)
 
-    def _series(self, basis, ppe=None, h=None):
-        out = [r for r in self.rows if r.basis == basis
-               and (ppe is None or r.ppe == ppe)
-               and (h is None or abs(r.h - h) < 1e-12)]
-        return sorted(out, key=lambda r: (r.h, r.ppe))
-
-    def slope_over_h(self, basis, ppe):
-        """Log-log slope of rms vs h at fixed particles per element.
-
-        Undefined (nan) when any error vanishes, e.g. with a stubbed exact
-        solver.
-        """
-        rows = self._series(basis, ppe=ppe)
+    def _slope(self, basis, ppe=None, h=None):
+        """Log-log slope of rms over h (at fixed ``ppe``) or over the
+        per-dimension particle count sqrt(ppe) (at fixed ``h``); nan when
+        any error vanishes, e.g. with a stubbed exact solver."""
+        rows = sorted((r for r in self.rows if r.basis == basis
+                       and (ppe is None or r.ppe == ppe)
+                       and (h is None or abs(r.h - h) < 1e-12)),
+                      key=lambda r: (r.h, r.ppe))
         if len(rows) < 2:
-            raise ValidationError("need at least two h values for a slope")
+            raise ValidationError("need at least two %s values for a slope"
+                                  % ("h" if h is None else "ppe"))
         if any(r.rms <= 0.0 for r in rows):
             return float("nan")
-        return float(np.polyfit(np.log([r.h for r in rows]),
-                                np.log([r.rms for r in rows]), 1)[0])
+        x = [r.h if h is None else np.sqrt(r.ppe) for r in rows]
+        return float(np.polyfit(np.log(x), np.log([r.rms for r in rows]),
+                                1)[0])
+
+    def slope_over_h(self, basis, ppe):
+        """Log-log slope of rms vs h at fixed particles per element."""
+        return self._slope(basis, ppe=ppe)
 
     def slope_over_ppe(self, basis, h):
         """Log-log slope of rms vs per-dimension particle count at fixed h."""
-        rows = self._series(basis, h=h)
-        if len(rows) < 2:
-            raise ValidationError("need at least two ppe values for a slope")
-        if any(r.rms <= 0.0 for r in rows):
-            return float("nan")
-        return float(np.polyfit(np.log([np.sqrt(r.ppe) for r in rows]),
-                                np.log([r.rms for r in rows]), 1)[0])
+        return self._slope(basis, h=h)
 
     def to_csv(self):
         buf = io.StringIO()
         buf.write("# h column: average edge length (hat basis) or average "
                   "sub-triangle edge length (spline basis)\n")
         buf.write("benchmark,basis,h,ppe,dt,rms_error,slope\n")
-        by_key = {}
         for r in self.rows:
-            by_key.setdefault((r.basis, r.ppe), []).append(r)
-        for r in self.rows:
-            slope = ""
-            if len(by_key[(r.basis, r.ppe)]) >= 2:
+            try:
                 fitted = self.slope_over_h(r.basis, r.ppe)
-                if np.isfinite(fitted):
-                    slope = f"{fitted:.17g}"
+            except ValidationError:         # fewer than two h values
+                fitted = float("nan")
+            slope = f"{fitted:.17g}" if np.isfinite(fitted) else ""
             buf.write(f"{r.benchmark},{r.basis},{r.h:.17g},{r.ppe},"
                       f"{r.dt:.17g},{r.rms:.17g},{slope}\n")
         return buf.getvalue()

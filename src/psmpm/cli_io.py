@@ -1,4 +1,4 @@
-"""Config parsing, mesh generation, result serialization, CLI entry points.
+"""Config parsing, result serialization, CLI entry points.
 
 The config format is flat ``key = value`` text under ``[section]`` headers
 (diff-friendly, no dependencies).  Subcommands:
@@ -23,66 +23,12 @@ import numpy as np
 
 from . import benchmarks
 from .basis import ps_basis, ps_points
-from .errors import (MeshDegenerate, ParseError, PsmpmError, ValidationError)
-from .mesh import (Triangulation, barycentric_coordinates, cross2,
-                   ps_refine, read_mesh_file, write_mesh_file)
+from .errors import ParseError, PsmpmError, ValidationError
+from .mesh import (barycentric_coordinates, cross2, generate_mesh, ps_refine,
+                   read_mesh_file, write_mesh_file)
 from .mpm_core import MassMode, MaterialModel, ParticleLayout
 
 CSV_HEADER = "id,x,y,ux,uy,vx,vy,sxx,syy,sxy,V,rho"
-
-
-# ---------------------------------------------------------------------------
-# Mesh generators
-
-def _lattice_counts(h, extent, what):
-    n = extent / h
-    if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
-        raise ValidationError(
-            f"h={h} does not divide the {what} extent {extent}")
-    return int(round(n))
-
-
-def generate_mesh(kind, h, domain, seed=0, ny=None) -> Triangulation:
-    """Builtin mesh generators over a rectangle.
-
-    ``structured`` splits an h-lattice of cells into right triangles
-    (``ny`` overrides the row count for anisotropic cells).  ``jittered``
-    perturbs the interior lattice nodes by uniform noise of amplitude
-    0.25 h (seeded) and Delaunay-triangulates; boundary nodes stay put.
-    """
-    x0, y0, x1, y1 = domain
-    if not (x0 < x1 and y0 < y1):
-        raise ValidationError(f"domain {domain} needs x0 < x1 and y0 < y1")
-    nx = _lattice_counts(h, x1 - x0, "x")
-    if ny is None:
-        ny = _lattice_counts(h, y1 - y0, "y")
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    if kind == "structured":
-        # two triangles per cell (i, j), whose lower-left node is n00
-        n00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
-        n10, n11, n01 = n00 + ny + 1, n00 + ny + 2, n00 + 1
-        elements = np.column_stack([n00, n10, n11, n00, n11, n01])
-        return Triangulation(nodes, elements.reshape(-1, 3))
-
-    if kind == "jittered":
-        from scipy.spatial import Delaunay
-        rng = np.random.default_rng(seed)
-        interior = ((nodes[:, 0] > x0) & (nodes[:, 0] < x1)
-                    & (nodes[:, 1] > y0) & (nodes[:, 1] < y1))
-        jitter = rng.uniform(-0.25 * h, 0.25 * h, size=(int(interior.sum()), 2))
-        nodes = nodes.copy()
-        nodes[interior] += jitter
-        tri = Triangulation(nodes, Delaunay(nodes).simplices, orient=True)
-        if tri.areas.min() < 1e-3 * h * h:
-            raise MeshDegenerate(
-                f"jittered mesh contains an element of area {tri.areas.min():.3e}")
-        return tri
-
-    raise ValidationError(f"unknown mesh kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,27 +186,44 @@ def dump_config(cfg: RunConfig) -> str:
     return "\n".join(out)
 
 
+def _check_read(cfg: RunConfig, command):
+    """Raise for the first set key, in field order, that ``psmpm <command>``
+    does not read.  ``who`` is falsy for a key that is read, else the
+    command, benchmark, mesh kind or particle layout that leaves it unread."""
+    b, kind, layout = cfg.benchmark, cfg.mesh_kind, cfg.particles_layout
+    for f in fields(RunConfig):
+        section, name = f.metadata["section"], f.name
+        if command == "converge":
+            who = not (section == "converge" or name in (
+                "basis", "mass_mode", "seed", "output_dir")
+                or name == "benchmark" and b == "mms") and "psmpm converge"
+        elif section == "converge":
+            who = "psmpm run"
+        elif section == "run":
+            who = name in ("h", "ppe") and b != "mms" and f"benchmark {b}"
+        elif b != "custom":
+            who = f"benchmark {b}"
+        elif section == "mesh" and name != "mesh_kind":
+            who = (kind and (name == "mesh_path") != (kind == "file")
+                   and f"mesh kind {kind}")
+        elif section == "particles" and name != "particles_layout":
+            who = (layout and (name == "particles_ppe") != (layout == "ppe")
+                   and f"particle layout {layout}")
+        else:
+            who = None
+        if who and getattr(cfg, name) != f.default:
+            raise ValidationError("%s does not read [%s] %s" % (who, *_where(f)))
+
+
 def config_to_spec(cfg: RunConfig) -> benchmarks.BenchmarkSpec:
     """Turn a config into a runnable benchmark specification.
 
     An unset mass mode resolves to the benchmark's default: the family
     default for the manufactured plate, consistent for the bar, partial
     lumping for the soil column, consistent for custom runs.  A set key
-    that the benchmark would not read is an error: only ``mms`` reads
-    ``[run] h`` and ``ppe``, and only ``custom`` reads ``[material]``,
-    ``[mesh]``, ``[particles]`` and ``[forces]``.
+    that ``psmpm run`` does not read is an error (see ``_check_read``).
     """
-    for f in fields(RunConfig):
-        section, key = _where(f)
-        if f.name in ("h", "ppe"):
-            reader = "mms"
-        elif section in ("run", "converge"):
-            continue
-        else:
-            reader = "custom"
-        if cfg.benchmark != reader and getattr(cfg, f.name) != f.default:
-            raise ValidationError(
-                f"benchmark {cfg.benchmark} does not read [{section}] {key}")
+    _check_read(cfg, "run")
     mode = MassMode.parse(cfg.mass_mode) if cfg.mass_mode else None
     if cfg.benchmark == "mms":
         spec = benchmarks.mms_plate_spec(cfg.basis, cfg.h or 0.125,
@@ -308,53 +271,29 @@ def _custom_spec(cfg: RunConfig, mode: MassMode) -> benchmarks.BenchmarkSpec:
             raise ValidationError("ppe layout: missing particles ppe")
         layout = ParticleLayout(kind="ppe", ppe=cfg.particles_ppe)
 
-    body_force = None
-    if cfg.gravity is not None:
-        g = np.asarray(cfg.gravity, dtype=float)
-
-        def body_force(x0, t):
-            return np.broadcast_to(g, (len(x0), 2))
-
-    h_typ = tri.mean_edge_length()
     return benchmarks.BenchmarkSpec(
         name="custom", tri=tri, basis_kind=cfg.basis, material=material,
         rho0=cfg.material_rho, dt=cfg.dt, t_end=cfg.t_end, mass_mode=mode,
-        layout=layout, fixed_sides={}, body_force=body_force,
-        h_typical=h_typ)
+        layout=layout, h_typical=tri.mean_edge_length(),
+        body_force=(None if cfg.gravity is None
+                    else benchmarks.constant_force(cfg.gravity)))
 
 
 # ---------------------------------------------------------------------------
-# Output frames
+# Particle frames
 
-@dataclass
-class OutputFrame:
-    """One snapshot of the particle state."""
-    step: int
-    time: float
-    x: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    sigma: np.ndarray
-    volume: np.ndarray
-    rho: np.ndarray
-
-    @classmethod
-    def from_particles(cls, step, t, particles):
-        return cls(step=step, time=t, x=particles.x.copy(),
-                   u=particles.u.copy(), v=particles.v.copy(),
-                   sigma=particles.sigma.copy(), volume=particles.V.copy(),
-                   rho=particles.rho.copy())
-
-    def columns(self):
-        return np.column_stack([
-            self.x[:, 0], self.x[:, 1], self.u[:, 0], self.u[:, 1],
-            self.v[:, 0], self.v[:, 1], self.sigma[:, 0, 0],
-            self.sigma[:, 1, 1], self.sigma[:, 0, 1], self.volume, self.rho])
+def _columns(particles):
+    """(n, 11) particle columns of ``CSV_HEADER`` after the id."""
+    x, u, v, sigma = particles.x, particles.u, particles.v, particles.sigma
+    return np.column_stack([
+        x[:, 0], x[:, 1], u[:, 0], u[:, 1], v[:, 0], v[:, 1], sigma[:, 0, 0],
+        sigma[:, 1, 1], sigma[:, 0, 1], particles.V, particles.rho])
 
 
-def write_particle_csv(frame: OutputFrame, path):
-    """CSV with the exact spec header and 17-significant-digit floats."""
-    cols = frame.columns()
+def write_particle_csv(particles, path):
+    """CSV of the particles' state with the exact spec header and
+    17-significant-digit floats."""
+    cols = _columns(particles)
     row = "%d," + ",".join(["%.17g"] * cols.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -381,21 +320,18 @@ def read_particle_csv(path):
     return np.asarray(ids, dtype=int), np.asarray(rows, dtype=float)
 
 
-_VTK_FIELDS = ("ux", "uy", "vx", "vy", "sxx", "syy", "sxy", "V", "rho")
-
-
-def write_vtk(frame: OutputFrame, path):
+def write_vtk(particles, path, step, t):
     """Legacy ASCII POLYDATA file with the particles as vertices."""
-    cols = frame.columns()
+    cols = _columns(particles)
     n = len(cols)
     out = ["# vtk DataFile Version 3.0\n",
-           f"psmpm particles step={frame.step} time={frame.time:.17g}\n",
+           f"psmpm particles step={step} time={t:.17g}\n",
            "ASCII\nDATASET POLYDATA\n", f"POINTS {n} double\n"]
     out += ["%.17g %.17g 0\n" % (x, y) for x, y in cols[:, :2].tolist()]
     out.append(f"VERTICES {n} {2 * n}\n")
     out += ["1 %d\n" % i for i in range(n)]
     out.append(f"POINT_DATA {n}\n")
-    for j, name in enumerate(_VTK_FIELDS, start=2):
+    for j, name in enumerate(CSV_HEADER.split(",")[3:], start=2):
         out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
         out += ["%.17g\n" % v for v in cols[:, j].tolist()]
     with open(path, "w") as fh:
@@ -508,13 +444,13 @@ def _cmd_run(args) -> int:
     mass0 = particles.total_mass()
     t_start = time.perf_counter()
 
-    def write_frame(step, t):
-        write_particle_csv(OutputFrame.from_particles(step, t, particles),
+    def write_frame(step):
+        write_particle_csv(particles,
                            os.path.join(out_dir, f"frame_{step:06d}.csv"))
 
     def on_step(i, t, _):
         if (i + 1) % cfg.output_every == 0 or i + 1 == n_steps:
-            write_frame(i + 1, t)
+            write_frame(i + 1)
         if not args.quiet and (i + 1) % max(1, n_steps // 10) == 0:
             print(f"step {i + 1}/{n_steps}  t={t:.6g}", file=sys.stderr)
 
@@ -536,7 +472,7 @@ def _cmd_run(args) -> int:
             fh.write(status)
         return runtime
 
-    write_frame(0, 0.0)
+    write_frame(0)
     try:
         system.run(particles, n_steps, on_step=on_step)
     except PsmpmError as exc:
@@ -546,8 +482,8 @@ def _cmd_run(args) -> int:
                       f"step = {exc.step}\nt = {exc.t:.17g}\n"
                       f"message = {message}\n")
         raise
-    final = OutputFrame.from_particles(n_steps, n_steps * spec.dt, particles)
-    write_vtk(final, os.path.join(out_dir, "final.vtk"))
+    write_vtk(particles, os.path.join(out_dir, "final.vtk"), n_steps,
+              n_steps * spec.dt)
     runtime = write_summary("status = ok\n")
     if not args.quiet:
         print(f"wrote {out_dir}/ ({n_steps} steps, {runtime:.1f}s)")
@@ -557,6 +493,7 @@ def _cmd_run(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
     cfg = _apply_flags(cfg, args)
+    _check_read(cfg, "converge")
     h_list = cfg.converge_h or (0.25, 0.125, 0.0625)
     ppe_list = cfg.converge_ppe or (16, 64, 256)
     families = cfg.converge_basis or (cfg.basis,)
@@ -653,7 +590,7 @@ def main():
 
 
 __all__ = [
-    "RunConfig", "OutputFrame", "parse_config", "load_config", "dump_config",
+    "RunConfig", "parse_config", "load_config", "dump_config",
     "config_to_spec", "generate_mesh", "write_particle_csv",
     "read_particle_csv", "write_vtk", "write_mesh_file", "cli", "main",
 ]

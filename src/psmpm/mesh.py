@@ -7,7 +7,8 @@ geometric substrate for the C1 quadratic spline basis.  A
 :class:`PointLocator` answers "which element / sub-triangle contains this
 point" queries.  A uniform background bin grid serves un-hinted queries;
 a moving point tries its previous cell and element, then one walk across
-an edge, and only then its bin.
+an edge, and only then its bin.  :func:`generate_mesh` builds the
+structured and jittered rectangle meshes.
 
 All constructed objects are immutable in practice: nothing mutates them
 after ``__init__``, so they are safe to share across threads.
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateTriangle, MeshDegenerate, ParseError, RefinementFailed
+from .errors import (DegenerateTriangle, MeshDegenerate, ParseError,
+                     RefinementFailed, ValidationError)
 
 # Barycentric slack used when deciding containment during point location.
 LOCATE_TOL = 1e-12
@@ -576,3 +578,58 @@ def read_mesh_file(path) -> Triangulation:
         raise MeshDegenerate(
             f"element {e} references missing node {elem_arr[e, k]}")
     return Triangulation(node_arr, elem_arr, orient=True)
+
+
+
+def _lattice_counts(h, extent, what):
+    n = extent / h
+    if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
+        raise ValidationError(
+            f"h={h} does not divide the {what} extent {extent}")
+    return int(round(n))
+
+
+def generate_mesh(kind, h, domain, seed=0, ny=None) -> Triangulation:
+    """Builtin mesh generators over a rectangle.
+
+    ``structured`` splits an h-lattice of cells into right triangles
+    (``ny`` overrides the row count for anisotropic cells).  ``jittered``
+    perturbs the interior lattice nodes by uniform noise of amplitude
+    0.25 h (seeded) and Delaunay-triangulates; boundary nodes stay put.
+    ``ny`` is for structured meshes only: jittered rows must be h apart.
+    """
+    x0, y0, x1, y1 = domain
+    if not (x0 < x1 and y0 < y1):
+        raise ValidationError(f"domain {domain} needs x0 < x1 and y0 < y1")
+    if kind == "jittered" and ny is not None:
+        raise ValidationError("ny is for structured meshes only")
+    nx = _lattice_counts(h, x1 - x0, "x")
+    if ny is None:
+        ny = _lattice_counts(h, y1 - y0, "y")
+    xs = np.linspace(x0, x1, nx + 1)
+    ys = np.linspace(y0, y1, ny + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+
+    if kind == "structured":
+        # two triangles per cell (i, j), whose lower-left node is n00
+        n00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+        n10, n11, n01 = n00 + ny + 1, n00 + ny + 2, n00 + 1
+        elements = np.column_stack([n00, n10, n11, n00, n11, n01])
+        return Triangulation(nodes, elements.reshape(-1, 3))
+
+    if kind == "jittered":
+        from scipy.spatial import Delaunay
+        rng = np.random.default_rng(seed)
+        interior = ((nodes[:, 0] > x0) & (nodes[:, 0] < x1)
+                    & (nodes[:, 1] > y0) & (nodes[:, 1] < y1))
+        jitter = rng.uniform(-0.25 * h, 0.25 * h, size=(int(interior.sum()), 2))
+        nodes = nodes.copy()
+        nodes[interior] += jitter
+        tri = Triangulation(nodes, Delaunay(nodes).simplices, orient=True)
+        if tri.areas.min() < 1e-3 * h * h:
+            raise MeshDegenerate(
+                f"jittered mesh contains an element of area {tri.areas.min():.3e}")
+        return tri
+
+    raise ValidationError(f"unknown mesh kind {kind!r}")

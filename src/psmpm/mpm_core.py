@@ -348,11 +348,11 @@ class GridAssembler:
     On cell c the active functions are ``N = O_c B(eta)`` (``ords``) and
     ``grad N = sum_w weights_w Z_c[:, w]`` (``grad_ops``), with the basis's
     gradient weights: the barycentrics for splines, one row of ones for
-    hats, whose gradients are constant per cell.  These tables, the cell
-    dofs, the CSR pattern of the element mass blocks (with the slot of every
-    block entry) and the diagonal pattern of lumped mass are built once.
-    Moments are summed one row at a time by ``np.bincount`` on the cell ids;
-    particles are never reordered.
+    hats, whose gradients are constant per cell.  These tables and the cell
+    dofs are the basis's own; the CSR pattern of the element mass blocks
+    (with the slot of every block entry) and the diagonal pattern of lumped
+    mass are built once here.  Moments are summed one row at a time by
+    ``np.bincount`` on the cell ids; particles are never reordered.
     """
 
     def __init__(self, basis):
@@ -360,13 +360,8 @@ class GridAssembler:
         self.n_bf = n_bf = basis.n_bf
         self.ords = basis.cell_ordinates
         self.n_cells, _, self.n_bern = self.ords.shape
+        self.cell_dofs, self.grad_ops = basis.cell_dofs, basis.grad_ops
         ed = basis.element_dofs
-        self.cell_dofs = np.repeat(ed, self.n_cells // len(ed), axis=0)
-        # grad_ops[c, d, 2 w + b] = d N_d / d x_b per gradient weight w
-        self.grad_ops = np.einsum(
-            'cdk,klw,clb->cdwb', self.ords, basis.bernstein_derivative,
-            basis.locator.cell_inv[:, :, :2], optimize=True
-        ).reshape(self.n_cells, ed.shape[1], -1)
         keys, slots = np.unique(ed[:, :, None] * np.int64(n_bf) + ed[:, None],
                                 return_inverse=True)
         self.slots = slots.reshape(len(ed), -1)

@@ -226,6 +226,15 @@ def both_searches(points, searches=(ref_min_area_control_triangle,
     return out
 
 
+# float clouds, and small integer lattices: duplicates, collinear hulls,
+# tied areas
+point_clouds = st.one_of(
+    arrays(float, st.tuples(st.integers(3, 12), st.just(2)),
+           elements=st.floats(-10.0, 10.0, allow_nan=False)),
+    arrays(float, st.tuples(st.integers(3, 12), st.just(2)),
+           elements=st.integers(-3, 3).map(float)))
+
+
 class TestControlTriangleMatchesReference:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]))
@@ -237,15 +246,18 @@ class TestControlTriangleMatchesReference:
             assert got == want
 
     @settings(max_examples=60, deadline=None)
-    @given(pts=st.one_of(
-        arrays(float, st.tuples(st.integers(3, 12), st.just(2)),
-               elements=st.floats(-10.0, 10.0, allow_nan=False)),
-        # small integer lattices: duplicates, collinear hulls, tied areas
-        arrays(float, st.tuples(st.integers(3, 12), st.just(2)),
-               elements=st.integers(-3, 3).map(float))))
+    @given(pts=point_clouds)
     def test_point_clouds(self, pts):
         want, got = both_searches(pts)
         assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(pts=point_clouds, pad=st.integers(1, 8))
+    def test_padding_with_first_point_changes_nothing(self, pts, pad):
+        # PSBasis pads every vertex's split points to one length this way
+        padded = np.concatenate([pts, np.repeat(pts[:1], pad, axis=0)])
+        search = (min_area_control_triangle,)
+        assert both_searches(padded, search) == both_searches(pts, search)
 
 
 # Reference: the per-set monotone chain that the stacked convex_hull

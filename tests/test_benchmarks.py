@@ -1,11 +1,15 @@
 """Exact solutions, body forces, error metric, and benchmark specs."""
 
 import gc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import psmpm
 import psmpm.benchmarks as bm
 from psmpm.mesh import ps_refine
 from psmpm.mpm_core import MassMode, MaterialModel
@@ -376,3 +380,16 @@ class TestShortRuns:
         assert len(result.traced_sigma_xx) == result.n_steps
         assert np.all(np.isfinite(result.traced_sigma_xx))
         assert result.traced_rms > 0.0
+
+
+def test_builtin_specs_do_not_import_cli_io():
+    # layering: the benchmarks take their meshes from mesh, not from cli_io
+    code = ("import sys; import psmpm.benchmarks as bm; "
+            "bm.mms_plate_spec('ps', 0.5, 4); bm.vibrating_bar_spec(); "
+            "bm.soil_column_spec('partial'); "
+            "print('psmpm.cli_io' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(psmpm.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -2,13 +2,14 @@
 
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from psmpm import cli_io
 from psmpm.benchmarks import build_system
-from psmpm.cli_io import (OutputFrame, cli, config_to_spec, dump_config,
+from psmpm.cli_io import (_columns, cli, config_to_spec, dump_config,
                           generate_mesh, load_config, parse_config,
                           read_particle_csv, write_mesh_file,
                           write_particle_csv, write_vtk)
@@ -107,6 +108,12 @@ class TestGenerateMesh:
             with pytest.raises(ValidationError, match="needs x0 < x1"):
                 generate_mesh(kind, 0.25, domain, ny=4)
 
+    def test_jittered_mesh_takes_no_ny(self):
+        # rows 0.05 apart under a 0.25 h jitter reached y = -0.0047
+        with pytest.raises(ValidationError, match="structured meshes only"):
+            generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=1,
+                          ny=20)
+
     def test_jittered_deterministic(self):
         a = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=3)
         b = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=3)
@@ -133,8 +140,7 @@ class TestGenerateMesh:
 
 
 def zero_frame(n):
-    parts = Particles(np.zeros((n, 2)), np.ones(n), 1.0)
-    return OutputFrame.from_particles(0, 0.0, parts)
+    return Particles(np.zeros((n, 2)), np.ones(n), 1.0)
 
 
 class TestParticleFiles:
@@ -157,30 +163,29 @@ class TestParticleFiles:
         parts.u = rng.normal(size=(37, 2)) * 1e-9
         parts.v = rng.normal(size=(37, 2)) * 1e4
         parts.sigma = rng.normal(size=(37, 2, 2))
-        frame = OutputFrame.from_particles(3, 0.001, parts)
         path = tmp_path / "p.csv"
-        write_particle_csv(frame, path)
+        write_particle_csv(parts, path)
         ids, cols = read_particle_csv(path)
         assert np.array_equal(ids, np.arange(37))
-        assert np.array_equal(cols, frame.columns())   # bitwise
+        assert np.array_equal(cols, _columns(parts))   # bitwise
 
     def test_writers_match_per_value_reference(self, tmp_path):
         # the one-value-at-a-time writers the row templates replaced
         def ref_csv(frame, path):
-            cols = frame.columns()
+            cols = _columns(frame)
             with open(path, "w") as fh:
                 fh.write("id,x,y,ux,uy,vx,vy,sxx,syy,sxy,V,rho\n")
                 for i in range(len(cols)):
                     fh.write(str(i) + "," + ",".join(f"{v:.17g}"
                                                      for v in cols[i]) + "\n")
 
-        def ref_vtk(frame, path):
-            cols = frame.columns()
+        def ref_vtk(frame, path, step, t):
+            cols = _columns(frame)
             n = len(cols)
             with open(path, "w") as fh:
                 fh.write("# vtk DataFile Version 3.0\n")
-                fh.write(f"psmpm particles step={frame.step} "
-                         f"time={frame.time:.17g}\n")
+                fh.write(f"psmpm particles step={step} "
+                         f"time={t:.17g}\n")
                 fh.write("ASCII\nDATASET POLYDATA\n")
                 fh.write(f"POINTS {n} double\n")
                 for i in range(n):
@@ -204,19 +209,20 @@ class TestParticleFiles:
                                                                   (n, 12))
         values.ravel()[rng.permutation(values.size)[:120]] = np.resize(
             special, 120)
-        frame = OutputFrame(step=7, time=-0.0, x=values[:, 0:2],
-                            u=values[:, 2:4], v=values[:, 4:6],
-                            sigma=values[:, 6:10].reshape(n, 2, 2),
-                            volume=values[:, 10], rho=values[:, 11])
-        for write, ref in ((write_particle_csv, ref_csv), (write_vtk, ref_vtk)):
-            write(frame, tmp_path / "new")
-            ref(frame, tmp_path / "ref")
+        frame = SimpleNamespace(x=values[:, 0:2], u=values[:, 2:4],
+                                v=values[:, 4:6],
+                                sigma=values[:, 6:10].reshape(n, 2, 2),
+                                V=values[:, 10], rho=values[:, 11])
+        for write, ref, extra in ((write_particle_csv, ref_csv, ()),
+                                  (write_vtk, ref_vtk, (7, -0.0))):
+            write(frame, tmp_path / "new", *extra)
+            ref(frame, tmp_path / "ref", *extra)
             assert (tmp_path / "new").read_bytes() == \
                 (tmp_path / "ref").read_bytes()
 
     def test_vtk_structure(self, tmp_path):
         path = tmp_path / "p.vtk"
-        write_vtk(zero_frame(3), path)
+        write_vtk(zero_frame(3), path, 0, 0.0)
         text = path.read_text()
         assert text.startswith("# vtk DataFile Version 3.0")
         assert "DATASET POLYDATA" in text
@@ -233,6 +239,13 @@ benchmark = bar
 dt = 0.005
 t_end = 0.05
 output_every = 5
+"""
+
+# a converge study of 0.1 s: two hat meshes, 4 particles per element
+TINY_STUDY = """[converge]
+h_list = 0.5 0.25
+ppe_list = 4
+basis = hat
 """
 
 CUSTOM_CONFIG = """
@@ -390,6 +403,42 @@ class TestCli:
         with pytest.raises(ValidationError,
                            match=re.escape(f"does not read {where}")):
             config_to_spec(parse_config(text))
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("converge", "[run]\ndt = 5\nh = 0.5\n[material]\nE = 1e6\n",
+         "psmpm converge does not read [run] dt"),
+        ("converge", "[run]\nbenchmark = soil\n" + TINY_STUDY,
+         "psmpm converge does not read [run] benchmark"),
+        ("converge", "[run]\noutput_every = 2\n" + TINY_STUDY,
+         "psmpm converge does not read [run] output_every"),
+        ("converge", TINY_STUDY + "[forces]\ngravity = 0 -1\n",
+         "psmpm converge does not read [forces] gravity"),
+        ("run", "[run]\nbenchmark = soil\nt_end = 0.001\n[converge]\n"
+         "h_list = 0.1\n", "psmpm run does not read [converge] h_list"),
+        ("run", CUSTOM_CONFIG.replace(
+            "[mesh]\n", "[mesh]\npath = /nonexistent/mesh.txt\n"),
+         "mesh kind structured does not read [mesh] path"),
+        ("run", CUSTOM_CONFIG.replace(
+            "kind = structured", "kind = file\npath = /nonexistent/mesh.txt"),
+         "mesh kind file does not read [mesh] h"),
+        ("run", CUSTOM_CONFIG.replace("layout = ppe\nppe = 4", "layout = "
+                                      "lattice\nnx = 4\nny = 4\nppe = 7"),
+         "particle layout lattice does not read [particles] ppe"),
+        ("run", CUSTOM_CONFIG.replace("ppe = 4", "ppe = 4\nny = 4"),
+         "particle layout ppe does not read [particles] ny"),
+        ("run", CUSTOM_CONFIG.replace("kind = structured",
+                                      "kind = jittered\nny = 2"),
+         "ny is for structured meshes only"),
+    ], ids=["converge_dt", "converge_soil", "converge_output_every",
+            "converge_forces", "run_converge", "structured_path", "file_h",
+            "lattice_ppe", "ppe_ny", "jittered_ny"])
+    def test_key_the_command_does_not_use_is_an_error(
+            self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli([command, str(cfg), "--output-dir", str(tmp_path / "out"),
+                    "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("name", ["mms", "bar", "soil"])
     def test_run_wide_keys_reach_every_builtin(self, name):

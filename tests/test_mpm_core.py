@@ -354,6 +354,15 @@ class TestMassProperty:
 
 
 class TestCellOperator:
+    @pytest.mark.parametrize("family", ["hat", "ps"])
+    def test_gradient_tables_are_the_basis_tables(self, family):
+        # built once, by the basis; the assembler holds the same arrays
+        basis = (square_ps_basis() if family == "ps"
+                 else hat_basis(unit_square_mesh()))
+        asm = GridAssembler(basis)
+        assert asm.grad_ops is basis.grad_ops
+        assert asm.cell_dofs is basis.cell_dofs
+
     def test_mass_pattern_is_built_once(self):
         # every mass matrix of an assembler sits on its one int32 pattern:
         # the union of the element blocks, with a slot on every diagonal
