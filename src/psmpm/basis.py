@@ -401,16 +401,26 @@ class BasisSet:
         return dofs[0], vals[0], grads[0]
 
     def constraint_rows(self, constraints):
-        """Homogeneous constraint rows grouped by field component.
+        """Homogeneous constraint rows grouped by field component, in
+        constraint order; ``_vertex_rows`` gives each constraint's rows.
 
         Returns ``{component: [(dof_ids, coefficients), ...]}``.
-        """
-        raise NotImplementedError
 
-    def _check_boundary_vertex(self, vertex):
-        if vertex not in set(self.tri.boundary_nodes.tolist()):
-            raise InteriorVertexConstrained(
-                f"vertex {vertex} is not on the boundary")
+        Raises:
+            InteriorVertexConstrained: for a vertex off the boundary.
+        """
+        boundary = set(self.tri.boundary_nodes.tolist())
+        rows = {0: [], 1: []}
+        for c in constraints:
+            if c.vertex not in boundary:
+                raise InteriorVertexConstrained(
+                    f"vertex {c.vertex} is not on the boundary")
+            rows[c.component] += self._vertex_rows(c)
+        return rows
+
+    def _vertex_rows(self, c: DirichletConstraint):
+        """The ``(dof_ids, coefficients)`` rows of one constraint."""
+        raise NotImplementedError
 
 
 class HatBasis(BasisSet):
@@ -438,12 +448,8 @@ class HatBasis(BasisSet):
     def gradient_weights(self, eta):
         return np.ones((1, eta.shape[1]))
 
-    def constraint_rows(self, constraints):
-        rows = {0: [], 1: []}
-        for c in constraints:
-            self._check_boundary_vertex(c.vertex)
-            rows[c.component].append((np.array([c.vertex]), np.array([1.0])))
-        return rows
+    def _vertex_rows(self, c):
+        return [(np.array([c.vertex]), np.array([1.0]))]
 
 
 class PSBasis(BasisSet):
@@ -556,25 +562,19 @@ class PSBasis(BasisSet):
     def gradient_weights(self, eta):
         return eta
 
-    def constraint_rows(self, constraints):
-        rows = {0: [], 1: []}
-        for c in constraints:
-            self._check_boundary_vertex(c.vertex)
-            if c.tangent is None:
-                raise UnsupportedBoundaryTangent(
-                    f"vertex {c.vertex}: spline constraints need a tangent")
-            tx, ty = c.tangent
-            if not np.isclose(np.hypot(tx, ty), 1.0, atol=1e-12):
-                raise UnsupportedBoundaryTangent("tangent must be unit length")
-            if not (np.isclose(abs(tx), 1.0) and np.isclose(ty, 0.0)) and \
-               not (np.isclose(abs(ty), 1.0) and np.isclose(tx, 0.0)):
-                raise UnsupportedBoundaryTangent(
-                    f"tangent {c.tangent} is not axis-aligned")
-            dofs = np.arange(3 * c.vertex, 3 * c.vertex + 3)
-            trip = self.triplets[c.vertex]
-            rows[c.component].append((dofs, trip[:, 0].copy()))
-            rows[c.component].append((dofs, trip[:, 1] * tx + trip[:, 2] * ty))
-        return rows
+    def _vertex_rows(self, c):
+        """A value row and a tangential-derivative row; the tangent must be
+        an axis-aligned unit vector."""
+        if c.tangent is None or not np.isclose(
+                np.sort(np.abs(c.tangent)), (0.0, 1.0)).all():
+            raise UnsupportedBoundaryTangent(
+                f"vertex {c.vertex}: spline constraints need an axis-aligned "
+                f"unit tangent, got {c.tangent}")
+        tx, ty = c.tangent
+        dofs = np.arange(3 * c.vertex, 3 * c.vertex + 3)
+        trip = self.triplets[c.vertex]
+        return [(dofs, trip[:, 0].copy()),
+                (dofs, trip[:, 1] * tx + trip[:, 2] * ty)]
 
 
 def hat_basis(tri: Triangulation) -> HatBasis:

@@ -36,11 +36,11 @@ class MmsParams:
 
     @property
     def omega(self):
-        return np.sqrt(self.E / self.rho0) * np.pi
+        return self.material.wave_speed(self.rho0) * np.pi
 
     @property
     def period(self):
-        return 2.0 / np.sqrt(self.E / self.rho0)
+        return 2.0 / self.material.wave_speed(self.rho0)
 
     @property
     def material(self):
@@ -218,18 +218,19 @@ def build_system(spec: BenchmarkSpec):
 
 # Vibrating bar: element columns and rows, time step and run length.
 BAR_NX, BAR_NY, BAR_DT, BAR_T_END = 20, 4, 5e-3, 2.5
-# Soil column: element rows under the empty top row, time step, run length.
+# Soil column: element rows under the empty top row, time step, run length;
+# density, Young's modulus, gravity and column height.
 SOIL_ROWS, SOIL_DT, SOIL_T_END = 16, 5e-4, 2.5
+SOIL_RHO, SOIL_E, SOIL_G, SOIL_H = 1e3, 1e5, 9.81, 1.0
 
 
-def vibrating_bar_spec(basis_kind="ps",
-                       mass_mode=MassMode.CONSISTENT) -> BenchmarkSpec:
+def vibrating_bar_spec(basis_kind="ps", mass_mode=None) -> BenchmarkSpec:
     """Thin bar, both ends fixed, initial axial velocity 0.1*sin(pi x / L).
 
     Parameters: rho = 25, E = 50, nu = 0, L = 1, W = 2, on 20 x 4 element
-    columns and rows, dt = 5e-3 and t_end = 2.5.  The top and bottom edges
-    pin the transverse component only (free slip), so the motion stays
-    one-dimensional.
+    columns and rows, dt = 5e-3 and t_end = 2.5; the mass mode is
+    consistent unless given.  The top and bottom edges pin the transverse
+    component only (free slip), so the motion stays one-dimensional.
     """
     length, width, v0 = 1.0, 2.0, 0.1
     tri = generate_mesh("structured", length / BAR_NX,
@@ -242,7 +243,8 @@ def vibrating_bar_spec(basis_kind="ps",
 
     return BenchmarkSpec(
         name="bar", tri=tri, basis_kind=basis_kind, material=material,
-        rho0=25.0, dt=BAR_DT, t_end=BAR_T_END, mass_mode=mass_mode,
+        rho0=25.0, dt=BAR_DT, t_end=BAR_T_END,
+        mass_mode=MassMode.parse(mass_mode or MassMode.CONSISTENT),
         layout=ParticleLayout(kind="lattice", nx=4 * BAR_NX, ny=4 * BAR_NY,
                               domain=(0.0, 0.0, length, width)),
         fixed_sides={"left": (0, 1), "right": (0, 1),
@@ -251,9 +253,10 @@ def vibrating_bar_spec(basis_kind="ps",
         h_typical=0.025)
 
 
-def soil_column_spec(mass_mode, basis_kind="ps") -> BenchmarkSpec:
-    """Column under self-weight: rho = 1e3, E = 1e5, nu = 0, g = -9.81, on
-    16 element rows, dt = 5e-4 and t_end = 2.5.
+def soil_column_spec(mass_mode=None, basis_kind="ps") -> BenchmarkSpec:
+    """Column under self-weight (``SOIL_RHO``, ``SOIL_E``, nu = 0, gravity
+    ``-SOIL_G``, height ``SOIL_H``) on 16 element rows, dt = 5e-4 and
+    t_end = 2.5; the mass mode is partial lumping unless given.
 
     The mesh extends one extra row of initially empty elements above the
     column so the topmost basis functions are always candidates for
@@ -264,30 +267,26 @@ def soil_column_spec(mass_mode, basis_kind="ps") -> BenchmarkSpec:
     ``MpmSystem.step``, while the reduced diagonal ratio stays below 1e2
     and no column element has drained.
     """
-    width, height, n_rows = 0.1, 1.0, SOIL_ROWS
+    width, height, n_rows = 0.1, SOIL_H, SOIL_ROWS
     hy = height / n_rows
     tri = generate_mesh("structured", width,
                         (0.0, 0.0, width, height + hy), ny=n_rows + 1)
-    material = MaterialModel("linear-elastic", E=1e5, nu=0.0)
+    material = MaterialModel("linear-elastic", E=SOIL_E, nu=0.0)
     return BenchmarkSpec(
         name="soil", tri=tri, basis_kind=basis_kind, material=material,
-        rho0=1e3, dt=SOIL_DT, t_end=SOIL_T_END,
-        mass_mode=MassMode.parse(mass_mode),
+        rho0=SOIL_RHO, dt=SOIL_DT, t_end=SOIL_T_END,
+        mass_mode=MassMode.parse(mass_mode or MassMode.PARTIAL),
         layout=ParticleLayout(kind="lattice", nx=16, ny=3 * n_rows,
                               domain=(0.0, 0.0, width, height)),
         fixed_sides={"bottom": (0, 1), "left": (0,), "right": (0,)},
-        body_force=constant_force((0.0, -9.81)),
+        body_force=constant_force((0.0, -SOIL_G)),
         h_typical=hy)
 
 
-def soil_static_displacement(y, rho=1e3, g=9.81, E=1e5, H=1.0):
-    """Small-strain static settlement of a column fixed at y = 0."""
-    return -(rho * g / E) * (H * y - 0.5 * y ** 2)
-
-
-def soil_static_stress(y, rho=1e3, g=9.81, H=1.0):
-    """Static vertical stress profile: linear from -rho*g*H to zero."""
-    return -rho * g * np.maximum(H - y, 0.0)
+def soil_static_stress(y):
+    """Static vertical stress profile of the soil column at height ``y``:
+    linear from ``-SOIL_RHO SOIL_G SOIL_H`` at the bottom to zero."""
+    return -SOIL_RHO * SOIL_G * np.maximum(SOIL_H - y, 0.0)
 
 
 def mms_family_defaults(basis_kind):
@@ -318,8 +317,7 @@ def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None,
     rounded so an integer number of steps covers the run.  Unspecified
     ``courant``/``mass_mode`` fall back to the family defaults."""
     default_mode, default_courant = mms_family_defaults(basis_kind)
-    if mass_mode is None:
-        mass_mode = default_mode
+    mass_mode = MassMode.parse(mass_mode or default_mode)
     if courant is None:
         courant = default_courant
     tri = generate_mesh("jittered", h, (0.0, 0.0, 1.0, 1.0), seed=seed)
@@ -329,9 +327,8 @@ def mms_plate_spec(basis_kind, h, ppe, seed=7, courant=None,
         h_typ = refinement.mean_sub_edge_length()
     else:
         h_typ = tri.mean_edge_length()
-    wave = np.sqrt(MMS.E / MMS.rho0)
     t_end = MMS.period
-    dt = courant * h_typ / wave
+    dt = courant * h_typ / MMS.material.wave_speed(MMS.rho0)
     n_steps = max(1, int(round(t_end / dt)))
     dt = t_end / n_steps
 

@@ -61,9 +61,8 @@ def _key(section, parse, default=None, key=None, allowed=None, bounds=None,
 class RunConfig:
     """Validated run parameters; None means "use the benchmark default".
 
-    Each field declares its config key once; ``parse_config``,
-    ``_validate_config`` and ``dump_config`` read the declarations in
-    field order.
+    Each field declares its config key once; ``parse_config`` and
+    ``_validate_config`` read the declarations in field order.
     """
 
     benchmark: str = _key("run", str, "custom",
@@ -94,10 +93,11 @@ class RunConfig:
     particles_ny: int | None = _key("particles", int, bounds=_ABOVE_ZERO)
     particles_ppe: int | None = _key("particles", int, bounds=_ABOVE_ZERO)
     gravity: tuple | None = _key("forces", _tuple_of(float), length=2)
-    converge_h: tuple | None = _key("converge", _tuple_of(float), least=1,
-                                    key="h_list", bounds=_ABOVE_ZERO)
-    converge_ppe: tuple | None = _key("converge", _tuple_of(int), least=1,
-                                      key="ppe_list", bounds=_ABOVE_ZERO)
+    converge_h: tuple = _key("converge", _tuple_of(float),
+                             (0.25, 0.125, 0.0625), key="h_list",
+                             bounds=_ABOVE_ZERO, least=2)
+    converge_ppe: tuple = _key("converge", _tuple_of(int), (64, 256),
+                               key="ppe_list", bounds=_ABOVE_ZERO, least=1)
     converge_basis: tuple | None = _key("converge", _tuple_of(str),
                                         allowed=BASES, least=1)
     converge_courant: float | None = _key("converge", float,
@@ -168,24 +168,6 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
-def dump_config(cfg: RunConfig) -> str:
-    """Serialize a config; parse_config(dump_config(c)) == c."""
-    by_section = {}
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if value == f.default:
-            continue
-        section, key = _where(f)
-        text = " ".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                        for v in (value if isinstance(value, tuple)
-                                  else (value,)))
-        by_section.setdefault(section, []).append(f"{key} = {text}")
-    out = []
-    for section, lines in by_section.items():
-        out += [f"[{section}]", *lines, ""]
-    return "\n".join(out)
-
-
 def _check_read(cfg: RunConfig, command):
     """Raise for the first set key, in field order, that ``psmpm <command>``
     does not read.  ``who`` is falsy for a key that is read, else the
@@ -218,25 +200,21 @@ def _check_read(cfg: RunConfig, command):
 def config_to_spec(cfg: RunConfig) -> benchmarks.BenchmarkSpec:
     """Turn a config into a runnable benchmark specification.
 
-    An unset mass mode resolves to the benchmark's default: the family
-    default for the manufactured plate, consistent for the bar, partial
-    lumping for the soil column, consistent for custom runs.  A set key
+    An unset mass mode is passed on as None, which each spec builder
+    resolves to its own default (consistent for custom runs).  A set key
     that ``psmpm run`` does not read is an error (see ``_check_read``).
     """
     _check_read(cfg, "run")
-    mode = MassMode.parse(cfg.mass_mode) if cfg.mass_mode else None
     if cfg.benchmark == "mms":
         spec = benchmarks.mms_plate_spec(cfg.basis, cfg.h or 0.125,
                                          cfg.ppe or 64, seed=cfg.seed,
-                                         mass_mode=mode)
+                                         mass_mode=cfg.mass_mode)
     elif cfg.benchmark == "bar":
-        spec = benchmarks.vibrating_bar_spec(
-            basis_kind=cfg.basis, mass_mode=mode or MassMode.CONSISTENT)
+        spec = benchmarks.vibrating_bar_spec(cfg.basis, cfg.mass_mode)
     elif cfg.benchmark == "soil":
-        spec = benchmarks.soil_column_spec(mode or MassMode.PARTIAL,
-                                           basis_kind=cfg.basis)
+        spec = benchmarks.soil_column_spec(cfg.mass_mode, cfg.basis)
     else:
-        spec = _custom_spec(cfg, mode or MassMode.CONSISTENT)
+        spec = _custom_spec(cfg)
     if cfg.dt is not None:
         spec.dt = cfg.dt
     if cfg.t_end is not None:
@@ -244,7 +222,7 @@ def config_to_spec(cfg: RunConfig) -> benchmarks.BenchmarkSpec:
     return spec
 
 
-def _custom_spec(cfg: RunConfig, mode: MassMode) -> benchmarks.BenchmarkSpec:
+def _custom_spec(cfg: RunConfig) -> benchmarks.BenchmarkSpec:
     for required in ("mesh_kind", "material_model", "material_E",
                      "material_nu", "material_rho", "dt", "t_end",
                      "particles_layout"):
@@ -273,7 +251,8 @@ def _custom_spec(cfg: RunConfig, mode: MassMode) -> benchmarks.BenchmarkSpec:
 
     return benchmarks.BenchmarkSpec(
         name="custom", tri=tri, basis_kind=cfg.basis, material=material,
-        rho0=cfg.material_rho, dt=cfg.dt, t_end=cfg.t_end, mass_mode=mode,
+        rho0=cfg.material_rho, dt=cfg.dt, t_end=cfg.t_end,
+        mass_mode=MassMode.parse(cfg.mass_mode or MassMode.CONSISTENT),
         layout=layout, h_typical=tri.mean_edge_length(),
         body_force=(None if cfg.gravity is None
                     else benchmarks.constant_force(cfg.gravity)))
@@ -298,26 +277,6 @@ def write_particle_csv(particles, path):
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.write("".join([row % (i, *r) for i, r in enumerate(cols.tolist())]))
-
-
-def read_particle_csv(path):
-    """Parse a particle CSV back into (ids, columns) arrays."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ParseError(f"unexpected CSV header {header!r}", line=1)
-        ids = []
-        rows = []
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 12:
-                raise ParseError("expected 12 columns", line=ln)
-            ids.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    return np.asarray(ids, dtype=int), np.asarray(rows, dtype=float)
 
 
 def write_vtk(particles, path, step, t):
@@ -494,10 +453,7 @@ def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
     cfg = _apply_flags(cfg, args)
     _check_read(cfg, "converge")
-    h_list = cfg.converge_h or (0.25, 0.125, 0.0625)
-    ppe_list = cfg.converge_ppe or (16, 64, 256)
     families = cfg.converge_basis or (cfg.basis,)
-    mode = MassMode.parse(cfg.mass_mode) if cfg.mass_mode else None
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     report = benchmarks.ErrorReport()
@@ -505,15 +461,15 @@ def _cmd_converge(args) -> int:
         if not args.quiet:
             print(f"running basis={b}", file=sys.stderr)
         report.extend(benchmarks.convergence_study(
-            b, h_list, ppe_list, seed=cfg.seed,
-            courant=cfg.converge_courant, mass_mode=mode))
+            b, cfg.converge_h, cfg.converge_ppe, seed=cfg.seed,
+            courant=cfg.converge_courant, mass_mode=cfg.mass_mode))
 
     csv_path = os.path.join(cfg.output_dir, "convergence.csv")
     with open(csv_path, "w") as fh:
         fh.write(report.to_csv())
+    ppe = max(cfg.converge_ppe)
     for b in families:
-        slope = report.slope_over_h(b, max(ppe_list))
-        print(f"basis={b} ppe={max(ppe_list)} slope_h={slope:.3f}")
+        print(f"basis={b} ppe={ppe} slope_h={report.slope_over_h(b, ppe):.3f}")
     if not args.quiet:
         print(f"wrote {csv_path}")
     return 0
@@ -590,7 +546,10 @@ def main():
 
 
 __all__ = [
-    "RunConfig", "parse_config", "load_config", "dump_config",
-    "config_to_spec", "generate_mesh", "write_particle_csv",
-    "read_particle_csv", "write_vtk", "write_mesh_file", "cli", "main",
+    "RunConfig", "parse_config", "load_config", "config_to_spec",
+    "generate_mesh", "write_particle_csv", "write_vtk", "write_mesh_file",
+    "cli", "main",
 ]
+
+if __name__ == "__main__":
+    main()

@@ -128,9 +128,11 @@ class Triangulation:
                 f"node {int(np.argmin(finite))} has a non-finite coordinate")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise MeshDegenerate("elements must be an (n, 3) array")
-        if self.elements.size and (self.elements.min() < 0
-                                   or self.elements.max() >= len(self.nodes)):
-            raise MeshDegenerate("element references a missing node")
+        bad = (self.elements < 0) | (self.elements >= len(self.nodes))
+        if bad.any():
+            e, k = np.argwhere(bad)[0]
+            raise MeshDegenerate(f"element {e} references missing node "
+                                 f"{self.elements[e, k]}")
         if orient:
             v = self.nodes[self.elements]
             flip = cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]) < 0
@@ -533,10 +535,10 @@ def read_mesh_file(path) -> Triangulation:
     """Parse the text mesh format written by :func:`write_mesh_file`.
 
     Node and element indices must run 0..n-1, each once, else ParseError
-    names the first repeated or missing one; an element naming a missing
-    node raises MeshDegenerate.  The Triangulation constructor rejects
-    non-finite coordinates, then silently reorders elements given clockwise
-    to CCW and rejects genuinely degenerate ones.
+    names the first repeated or missing one.  The Triangulation constructor
+    rejects non-finite coordinates and elements naming a missing node
+    (MeshDegenerate), then silently reorders elements given clockwise to
+    CCW and rejects genuinely degenerate ones.
     """
     rows = {"nodes": {}, "elements": {}}
     section = None
@@ -572,13 +574,7 @@ def read_mesh_file(path) -> Triangulation:
                              f"must run 0..{len(table) - 1}")
     node_arr, elem_arr = (np.array([t[i] for i in range(len(t))])
                           for t in rows.values())
-    bad = (elem_arr < 0) | (elem_arr >= len(node_arr))
-    if bad.any():
-        e, k = np.argwhere(bad)[0]
-        raise MeshDegenerate(
-            f"element {e} references missing node {elem_arr[e, k]}")
     return Triangulation(node_arr, elem_arr, orient=True)
-
 
 
 def _lattice_counts(h, extent, what):

@@ -40,6 +40,7 @@ import scipy.sparse.linalg as spla
 from .errors import (NonPositiveJacobian, ParticleLeftDomain,
                      ParticleOutsideMesh, PsmpmError, SolverDiverged,
                      ValidationError)
+from .mesh import _ragged_arange
 
 # Grid dofs with lumped mass below this fraction of the mean particle mass
 # are excluded from solves (their coefficients are set to zero).
@@ -316,11 +317,12 @@ class MassOperator:
 
     ``lumped`` holds the row sums (summed from ``data`` in consistent mode,
     from the moments ``sum m N_i`` otherwise) and ``data`` the effective
-    operator on the fixed ``pattern`` of its mode (``matrix`` builds it as
-    a CSR matrix): ``diag(lumped)`` in lumped mode, the consistent matrix
-    in consistent mode and, in partial mode, the consistent matrix with the
-    rows flagged by ``marked`` replaced by ``lumped[i] * e_i``.  Every mode
-    keeps every row sum and hence the total mass.  One step uses it.
+    operator on the fixed ``pattern`` of its mode (``pattern.matrix(data)``
+    is it as a CSR matrix): ``diag(lumped)`` in lumped mode, the consistent
+    matrix in consistent mode and, in partial mode, the consistent matrix
+    with the rows flagged by ``marked`` replaced by ``lumped[i] * e_i``.
+    Every mode keeps every row sum and hence the total mass.  One step uses
+    it.
     """
 
     def __init__(self, mode, lumped, data, pattern: SparsePattern,
@@ -330,10 +332,6 @@ class MassOperator:
         self.data = data
         self.pattern = pattern
         self.marked = marked
-
-    @property
-    def matrix(self):
-        return self.pattern.matrix(self.data)
 
 
 # One step's view of the located particles: element and cell ids (n,),
@@ -527,8 +525,7 @@ class GridSolver:
         nl = np.diff(p.indptr)[cols]
         count = nk * nl
         slot = np.repeat(np.arange(len(rows)), count)
-        pair = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
-                                                  count)
+        pair = _ragged_arange(count)
         ik = p.indptr[rows][slot] + pair // nl[slot]
         jl = p.indptr[cols][slot] + pair % nl[slot]
         keys, entry = np.unique(

@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +11,9 @@ import pytest
 
 from psmpm import cli_io
 from psmpm.benchmarks import build_system
-from psmpm.cli_io import (_columns, cli, config_to_spec, dump_config,
+from psmpm.cli_io import (CSV_HEADER, _columns, cli, config_to_spec,
                           generate_mesh, load_config, parse_config,
-                          read_particle_csv, write_mesh_file,
-                          write_particle_csv, write_vtk)
+                          write_mesh_file, write_particle_csv, write_vtk)
 from psmpm.errors import ParseError, SolverDiverged, ValidationError
 from psmpm.mpm_core import Particles
 
@@ -45,31 +46,6 @@ class TestConfig:
         with pytest.raises(ParseError) as err:
             parse_config("[run]\ndt = fast\n")
         assert err.value.line == 2
-
-    def test_round_trip(self):
-        text = """
-# comment
-[run]
-benchmark = soil
-basis = ps
-mass_mode = partial
-dt = 0.0005
-t_end = 2.5
-seed = 42
-output_every = 25
-
-[material]
-E = 100000.0
-nu = 0.0
-
-[converge]
-h_list = 0.25 0.125
-ppe_list = 16 64
-basis = hat ps
-"""
-        cfg = parse_config(text)
-        again = parse_config(dump_config(cfg))
-        assert again == cfg
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("\n# header\n[run]\nseed = 7   # trailing\n\n")
@@ -143,6 +119,17 @@ def zero_frame(n):
     return Particles(np.zeros((n, 2)), np.ones(n), 1.0)
 
 
+def read_frame(path):
+    """A particle CSV frame as (ids, columns), after checking its header;
+    every field is parsed with ``float`` (ids with ``int``)."""
+    with open(path) as fh:
+        header, *lines = fh.read().splitlines()
+    assert header == CSV_HEADER
+    rows = [line.split(",") for line in lines]
+    return (np.array([int(r[0]) for r in rows]),
+            np.array([[float(v) for v in r[1:]] for r in rows]))
+
+
 class TestParticleFiles:
     def test_empty_csv_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -165,7 +152,7 @@ class TestParticleFiles:
         parts.sigma = rng.normal(size=(37, 2, 2))
         path = tmp_path / "p.csv"
         write_particle_csv(parts, path)
-        ids, cols = read_particle_csv(path)
+        ids, cols = read_frame(path)
         assert np.array_equal(ids, np.arange(37))
         assert np.array_equal(cols, _columns(parts))   # bitwise
 
@@ -348,9 +335,9 @@ class TestCli:
          "[particles] ppe"),
         ("converge", "[run]\nbasis = hat\n[converge]\nh_list = 0.5 -0.25\n"
          "ppe_list = 4\n", "[converge] h_list"),
-        ("converge", "[run]\nbasis = hat\n[converge]\nh_list = 0.5\n"
+        ("converge", "[run]\nbasis = hat\n[converge]\nh_list = 0.5 0.25\n"
          "ppe_list = 4 0\n", "[converge] ppe_list"),
-        ("converge", "[run]\nbasis = hat\n[converge]\nh_list = 0.5\n"
+        ("converge", "[run]\nbasis = hat\n[converge]\nh_list = 0.5 0.25\n"
          "ppe_list = 4\ncourant = -1\n", "[converge] courant"),
     ], ids=["run_h", "run_ppe", "mesh_ny", "particles_nx", "particles_ny",
             "particles_ppe", "h_list", "ppe_list", "courant"])
@@ -377,17 +364,47 @@ class TestCli:
         assert err.startswith("error: domain (") and err.count("\n") == 1
         assert err.endswith(") needs x0 < x1 and y0 < y1\n")
 
-    @pytest.mark.parametrize("key", ["h_list", "ppe_list", "basis"])
-    def test_empty_converge_list_is_an_error(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, least", [("h_list", 2), ("ppe_list", 1),
+                                            ("basis", 1)],
+                             ids=["h_list", "ppe_list", "basis"])
+    def test_empty_converge_list_is_an_error(self, tmp_path, capsys, key,
+                                             least):
         # an empty list used to fall back to the default list silently
         with pytest.raises(ValidationError, match=re.escape(
-                f"[converge] {key}: got 0 values, expected at least 1")):
+                f"[converge] {key}: got 0 values, expected at least {least}")):
             parse_config(f"[converge]\n{key} =\n")
         cfg = tmp_path / "empty.cfg"
         cfg.write_text(f"[run]\nbasis = hat\n[converge]\n{key} =\n")
         assert cli(["converge", str(cfg), "--output-dir",
                     str(tmp_path / "out"), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith(f"error: [converge] {key}: ")
+
+    def test_one_h_value_is_an_error_before_the_study(self, tmp_path, capsys):
+        # a one-entry h_list used to run every cell, write convergence.csv
+        # and only then fail at the slope fit
+        cfg = tmp_path / "one_h.cfg"
+        cfg.write_text("[run]\nbasis = hat\n[converge]\nh_list = 0.5\n"
+                       "ppe_list = 4\n")
+        out = tmp_path / "out"
+        assert cli(["converge", str(cfg), "--output-dir", str(out),
+                    "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: [converge] h_list: got 1 values, expected at least 2\n")
+        assert not (out / "convergence.csv").exists()
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        # `python -m psmpm.cli_io` used to import the module, do nothing
+        # and exit 0
+        cfg = tmp_path / "dt.cfg"
+        cfg.write_text("[run]\ndt = 5\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(cli_io.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "psmpm.cli_io", "converge", str(cfg),
+             "--output-dir", str(tmp_path / "out"), "--quiet"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: psmpm converge does not read [run] dt\n"
 
     @pytest.mark.parametrize("text, where", [
         ("[run]\nbenchmark = soil\n[material]\nE = 1e6\nrho = 5\n"
@@ -414,7 +431,7 @@ class TestCli:
         ("converge", TINY_STUDY + "[forces]\ngravity = 0 -1\n",
          "psmpm converge does not read [forces] gravity"),
         ("run", "[run]\nbenchmark = soil\nt_end = 0.001\n[converge]\n"
-         "h_list = 0.1\n", "psmpm run does not read [converge] h_list"),
+         "h_list = 0.1 0.05\n", "psmpm run does not read [converge] h_list"),
         ("run", CUSTOM_CONFIG.replace(
             "[mesh]\n", "[mesh]\npath = /nonexistent/mesh.txt\n"),
          "mesh kind structured does not read [mesh] path"),
@@ -509,7 +526,7 @@ class TestCli:
         cfg.write_text(BAR_CONFIG)
         out = tmp_path / "out"
         assert cli(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
-        ids, cols = read_particle_csv(out / "frame_000010.csv")
+        ids, cols = read_frame(out / "frame_000010.csv")
         assert len(ids) > 0
         assert np.all(np.isfinite(cols))
 
