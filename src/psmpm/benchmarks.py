@@ -425,12 +425,12 @@ class ErrorReport:
                        and (ppe is None or r.ppe == ppe)
                        and (h is None or abs(r.h - h) < 1e-12)),
                       key=lambda r: (r.h, r.ppe))
-        if len(rows) < 2:
+        x = [r.h if h is None else np.sqrt(r.ppe) for r in rows]
+        if len(set(x)) < 2:
             raise ValidationError("need at least two %s values for a slope"
                                   % ("h" if h is None else "ppe"))
         if any(r.rms <= 0.0 for r in rows):
             return float("nan")
-        x = [r.h if h is None else np.sqrt(r.ppe) for r in rows]
         return float(np.polyfit(np.log(x), np.log([r.rms for r in rows]),
                                 1)[0])
 

@@ -50,7 +50,7 @@ def _key(section, parse, default=None, key=None, allowed=None, bounds=None,
     ``key`` is needed only where the key's name is not the field's name
     less ``<section>_``.  ``allowed`` (a tuple of values) and ``bounds``
     (an open interval) apply to every element of a tuple value; ``length``
-    is a tuple's required length and ``least`` its least.
+    is a tuple's required length and ``least`` its least, entries distinct.
     """
     return field(default=default, metadata=dict(
         section=section, key=key, parse=parse, allowed=allowed,
@@ -63,7 +63,10 @@ class RunConfig:
 
     Each field declares its config key once; ``parse_config`` and
     ``_validate_config`` read the declarations in field order.
+    ``given`` (not a field) names the fields whose keys the file sets.
     """
+
+    given = frozenset()
 
     benchmark: str = _key("run", str, "custom",
                           allowed=("mms", "bar", "soil", "custom"))
@@ -73,7 +76,7 @@ class RunConfig:
     t_end: float | None = _key("run", float, bounds=_ABOVE_ZERO)
     output_dir: str = _key("run", str, "out")
     output_every: int = _key("run", int, 10, bounds=_ABOVE_ZERO)
-    seed: int = _key("run", int, 0)
+    seed: int = _key("run", int, 0, bounds=(-1, float("inf")))
     h: float | None = _key("run", float, bounds=_ABOVE_ZERO)
     ppe: int | None = _key("run", int, bounds=_ABOVE_ZERO)
     material_model: str | None = _key(
@@ -111,7 +114,7 @@ def _where(f):
 
 
 def _validate_config(cfg: RunConfig):
-    """Check every set field against its declared constraint."""
+    """Check every set field against its declaration; floats are finite."""
     for f in fields(RunConfig):
         value, meta = getattr(cfg, f.name), f.metadata
         if value is None:
@@ -123,7 +126,11 @@ def _validate_config(cfg: RunConfig):
         if meta["least"] and len(value) < meta["least"]:
             raise ValidationError(f"{where}: got {len(value)} values, "
                                   f"expected at least {meta['least']}")
+        if meta["least"] and len(set(value)) < len(value):
+            raise ValidationError(f"{where}: an entry is repeated")
         for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not np.isfinite(v):
+                raise ValidationError(f"{where}: must be finite, got {v}")
             if meta["allowed"] and v not in meta["allowed"]:
                 raise ValidationError(
                     f"{where}: {v!r} not one of {'|'.join(meta['allowed'])}")
@@ -137,6 +144,7 @@ def parse_config(text) -> RunConfig:
     """Parse config text; raise ParseError/ValidationError on bad input."""
     keys = {_where(f): f for f in fields(RunConfig)}
     cfg = RunConfig()
+    cfg.given = set()
     section = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -160,6 +168,7 @@ def parse_config(text) -> RunConfig:
             setattr(cfg, f.name, f.metadata["parse"](value.strip()))
         except ValueError as exc:
             raise ParseError(f"bad value for {section}.{key}: {exc}", line=ln)
+        cfg.given.add(f.name)
     return _validate_config(cfg)
 
 
@@ -169,10 +178,13 @@ def load_config(path) -> RunConfig:
 
 
 def _check_read(cfg: RunConfig, command):
-    """Raise for the first set key, in field order, that ``psmpm <command>``
-    does not read.  ``who`` is falsy for a key that is read, else the
-    command, benchmark, mesh kind or particle layout that leaves it unread."""
+    """Raise for the first field, in field order, whose key the file sets
+    (whatever its value) and ``psmpm <command>`` does not read, or that a
+    custom run reads, needs and finds unset.  ``who`` is falsy for a key
+    that is read, else the command, benchmark, mesh kind or particle
+    layout that leaves it unread.  Flags set only keys both commands read."""
     b, kind, layout = cfg.benchmark, cfg.mesh_kind, cfg.particles_layout
+    custom = command == "run" and b == "custom"
     for f in fields(RunConfig):
         section, name = f.metadata["section"], f.name
         if command == "converge":
@@ -193,16 +205,19 @@ def _check_read(cfg: RunConfig, command):
                    and f"particle layout {layout}")
         else:
             who = None
-        if who and getattr(cfg, name) != f.default:
+        if who and name in cfg.given:
             raise ValidationError("%s does not read [%s] %s" % (who, *_where(f)))
+        if (custom and not who and getattr(cfg, name) is None
+                and name not in ("mass_mode", "mesh_ny", "gravity")):
+            raise ValidationError("a custom run needs [%s] %s" % _where(f))
 
 
 def config_to_spec(cfg: RunConfig) -> benchmarks.BenchmarkSpec:
     """Turn a config into a runnable benchmark specification.
 
     An unset mass mode is passed on as None, which each spec builder
-    resolves to its own default (consistent for custom runs).  A set key
-    that ``psmpm run`` does not read is an error (see ``_check_read``).
+    resolves to its own default (consistent for custom runs).  A key
+    ``psmpm run`` does not read, or a custom run lacks, is an error.
     """
     _check_read(cfg, "run")
     if cfg.benchmark == "mms":
@@ -223,37 +238,19 @@ def config_to_spec(cfg: RunConfig) -> benchmarks.BenchmarkSpec:
 
 
 def _custom_spec(cfg: RunConfig) -> benchmarks.BenchmarkSpec:
-    for required in ("mesh_kind", "material_model", "material_E",
-                     "material_nu", "material_rho", "dt", "t_end",
-                     "particles_layout"):
-        if getattr(cfg, required) is None:
-            raise ValidationError(f"custom run: missing {required}")
-    if cfg.mesh_kind == "file":
-        if cfg.mesh_path is None:
-            raise ValidationError("custom run: missing mesh_path")
-        tri = read_mesh_file(cfg.mesh_path)
-    else:
-        if cfg.mesh_h is None or cfg.mesh_domain is None:
-            raise ValidationError("custom run: missing mesh h or domain")
-        tri = generate_mesh(cfg.mesh_kind, cfg.mesh_h, cfg.mesh_domain,
-                            seed=cfg.seed, ny=cfg.mesh_ny)
-    material = MaterialModel(cfg.material_model, cfg.material_E,
-                             cfg.material_nu)
-    if cfg.particles_layout == "lattice":
-        if not cfg.particles_nx or not cfg.particles_ny:
-            raise ValidationError("lattice layout: missing particles nx/ny")
-        layout = ParticleLayout(kind="lattice", nx=cfg.particles_nx,
-                                ny=cfg.particles_ny)
-    else:
-        if not cfg.particles_ppe:
-            raise ValidationError("ppe layout: missing particles ppe")
-        layout = ParticleLayout(kind="ppe", ppe=cfg.particles_ppe)
-
+    """A custom run's spec; ``_check_read`` has found every key it needs."""
+    tri = (read_mesh_file(cfg.mesh_path) if cfg.mesh_kind == "file" else
+           generate_mesh(cfg.mesh_kind, cfg.mesh_h, cfg.mesh_domain,
+                         seed=cfg.seed, ny=cfg.mesh_ny))
     return benchmarks.BenchmarkSpec(
-        name="custom", tri=tri, basis_kind=cfg.basis, material=material,
+        name="custom", tri=tri, basis_kind=cfg.basis,
+        material=MaterialModel(cfg.material_model, cfg.material_E,
+                               cfg.material_nu),
         rho0=cfg.material_rho, dt=cfg.dt, t_end=cfg.t_end,
         mass_mode=MassMode.parse(cfg.mass_mode or MassMode.CONSISTENT),
-        layout=layout, h_typical=tri.mean_edge_length(),
+        layout=ParticleLayout(cfg.particles_layout, cfg.particles_nx,
+                              cfg.particles_ny, cfg.particles_ppe),
+        h_typical=tri.mean_edge_length(),
         body_force=(None if cfg.gravity is None
                     else benchmarks.constant_force(cfg.gravity)))
 
@@ -476,6 +473,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_basis_check(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"--seed must not be negative, got {args.seed}")
     tri = read_mesh_file(args.mesh)
     basis = ps_basis(ps_refine(tri))
     out_dir = args.output_dir or "."

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import psmpm
 import psmpm.benchmarks as bm
+from psmpm.errors import ValidationError
 from psmpm.mesh import ps_refine
 from psmpm.mpm_core import MassMode, MaterialModel
 
@@ -345,6 +346,15 @@ class TestErrorReport:
             report.add(bm.ErrorRow("mms", "hat", h, 64, 1e-4, 2.0 * h ** 2))
         assert_allclose(report.slope_over_h("ps", 64), 3.0, rtol=1e-12)
         assert_allclose(report.slope_over_h("hat", 64), 2.0, rtol=1e-12)
+
+    def test_one_distinct_h_is_no_slope(self):
+        # two rows at the same h used to reach np.polyfit as a RankWarning
+        # and a slope fitted through one point
+        report = bm.ErrorReport()
+        for rms in (1e-3, 2e-3):
+            report.add(bm.ErrorRow("mms", "hat", 0.5, 4, 1e-4, rms))
+        with pytest.raises(ValidationError, match="two h values"):
+            report.slope_over_h("hat", 4)
 
     def test_ppe_slope(self):
         report = bm.ErrorReport()

@@ -1,19 +1,27 @@
 """Config parsing, mesh generation, serialization, CLI behaviour."""
 
+import contextlib
+import io
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psmpm import cli_io
 from psmpm.benchmarks import build_system
-from psmpm.cli_io import (CSV_HEADER, _columns, cli, config_to_spec,
-                          generate_mesh, load_config, parse_config,
-                          write_mesh_file, write_particle_csv, write_vtk)
+from psmpm.cli_io import (CSV_HEADER, RunConfig, _columns, _where, cli,
+                          config_to_spec, generate_mesh, load_config,
+                          parse_config, write_mesh_file, write_particle_csv,
+                          write_vtk)
 from psmpm.errors import ParseError, SolverDiverged, ValidationError
 from psmpm.mpm_core import Particles
 
@@ -350,8 +358,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: {where}: must lie in (0, inf), got ")
 
-    @pytest.mark.parametrize("domain", ["1 1 0 0", "0 1 1 0", "0 0 0 1",
-                                        "0 0 nan 1"])
+    @pytest.mark.parametrize("domain", ["1 1 0 0", "0 1 1 0", "0 0 0 1"])
     def test_swapped_or_empty_domain_is_an_error(self, tmp_path, capsys,
                                                  domain):
         # x1 <= x0 or y1 <= y0 used to reach np.linspace as a raw ValueError
@@ -363,6 +370,77 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: domain (") and err.count("\n") == 1
         assert err.endswith(") needs x0 < x1 and y0 < y1\n")
+
+    @pytest.mark.parametrize("command, text, where, value", [
+        ("run", CUSTOM_CONFIG.replace("0 0 1 1", "0 0 nan 1"),
+         "[mesh] domain", "nan"),
+        # used to raise a raw OverflowError from the lattice count
+        ("run", CUSTOM_CONFIG.replace("0 0 1 1", "0 0 inf 1"),
+         "[mesh] domain", "inf"),
+        # used to end as "particle 0 left the mesh"
+        ("run", CUSTOM_CONFIG.replace("0 -9.81", "nan 0"),
+         "[forces] gravity", "nan"),
+        ("run", CUSTOM_CONFIG.replace("dt = 0.001", "dt = inf"), "[run] dt",
+         "inf"),
+        ("converge", "[run]\nbasis = hat\n[converge]\nh_list = 0.5 -inf\n",
+         "[converge] h_list", "-inf"),
+    ], ids=["domain_nan", "domain_inf", "gravity_nan", "dt_inf", "h_list_inf"])
+    def test_non_finite_value_is_an_error(self, tmp_path, capsys, command,
+                                          text, where, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli([command, str(cfg), "--output-dir", str(tmp_path / "out"),
+                    "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {where}: must be finite, got {value}\n")
+
+    @pytest.mark.parametrize("command, text, flags, message", [
+        ("run", "[run]\nbenchmark = mms\nbasis = hat\nh = 0.5\nppe = 4\n"
+         "t_end = 0.001\nseed = -1\n", [], "[run] seed: must lie in "
+         "(-1, inf), got -1"),
+        ("run", CUSTOM_CONFIG.replace("seed = 3", "seed = -1").replace(
+            "structured", "jittered"), [],
+         "[run] seed: must lie in (-1, inf), got -1"),
+        ("run", CUSTOM_CONFIG, ["--seed", "-2"],
+         "[run] seed: must lie in (-1, inf), got -2"),
+        ("converge", "[run]\nbasis = hat\nseed = -1\n" + TINY_STUDY, [],
+         "[run] seed: must lie in (-1, inf), got -1"),
+        ("basis-check", None, ["--seed", "-1"],
+         "--seed must not be negative, got -1"),
+    ], ids=["mms", "jittered_custom", "run_flag", "converge", "basis_check"])
+    def test_negative_seed_is_an_error(self, tmp_path, capsys, command, text,
+                                       flags, message):
+        # each used to end in numpy's raw "expected non-negative integer"
+        path = tmp_path / "in.txt"
+        if text is None:
+            write_mesh_file(generate_mesh("structured", 0.5, (0, 0, 1, 1)),
+                            path)
+        else:
+            path.write_text(text)
+        assert cli([command, str(path), "--output-dir", str(tmp_path / "out"),
+                    "--quiet", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("kind = structured\n", "", "[mesh] kind"),
+        ("h = 0.5\n", "", "[mesh] h"),
+        ("domain = 0 0 1 1\n", "", "[mesh] domain"),
+        ("dt = 0.001\n", "", "[run] dt"),
+        ("model = linear-elastic\n", "", "[material] model"),
+        ("layout = ppe\n", "", "[particles] layout"),
+        ("ppe = 4\n", "", "[particles] ppe"),
+        ("kind = structured\nh = 0.5\ndomain = 0 0 1 1", "kind = file",
+         "[mesh] path"),
+        ("layout = ppe\nppe = 4", "layout = lattice\nnx = 4", "[particles] ny"),
+    ], ids=["mesh_kind", "mesh_h", "mesh_domain", "dt", "material_model",
+            "particles_layout", "particles_ppe", "file_path", "lattice_ny"])
+    def test_custom_run_names_the_key_it_needs(self, tmp_path, capsys, old,
+                                               new, key):
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(CUSTOM_CONFIG.replace(old, new, 1))
+        assert cli(["run", str(cfg), "--output-dir", str(tmp_path / "out"),
+                    "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: a custom run needs {key}\n"
 
     @pytest.mark.parametrize("key, least", [("h_list", 2), ("ppe_list", 1),
                                             ("basis", 1)],
@@ -378,6 +456,24 @@ class TestCli:
         assert cli(["converge", str(cfg), "--output-dir",
                     str(tmp_path / "out"), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith(f"error: [converge] {key}: ")
+
+    @pytest.mark.parametrize("key, value", [("h_list", "0.5 0.5"),
+                                            ("ppe_list", "4 4"),
+                                            ("basis", "hat hat")],
+                             ids=["h_list", "ppe_list", "basis"])
+    def test_repeated_converge_entry_is_an_error(self, tmp_path, capsys, key,
+                                                 value):
+        # a repeated h used to run the study and then fit a slope through
+        # one point, with numpy's RankWarning
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text("[run]\nbasis = hat\n" + TINY_STUDY.replace(
+            f"{key} = ", f"{key} = {value}\n#"))
+        out = tmp_path / "out"
+        assert cli(["converge", str(cfg), "--output-dir", str(out),
+                    "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [converge] {key}: an entry is repeated\n")
+        assert not (out / "convergence.csv").exists()
 
     def test_one_h_value_is_an_error_before_the_study(self, tmp_path, capsys):
         # a one-entry h_list used to run every cell, write convergence.csv
@@ -432,6 +528,14 @@ class TestCli:
          "psmpm converge does not read [forces] gravity"),
         ("run", "[run]\nbenchmark = soil\nt_end = 0.001\n[converge]\n"
          "h_list = 0.1 0.05\n", "psmpm run does not read [converge] h_list"),
+        # a key given at its default used to pass unreported
+        ("run", "[run]\nbenchmark = soil\nt_end = 0.001\n[converge]\n"
+         "h_list = 0.25 0.125 0.0625\n",
+         "psmpm run does not read [converge] h_list"),
+        ("converge", "[run]\nbenchmark = custom\n" + TINY_STUDY,
+         "psmpm converge does not read [run] benchmark"),
+        ("converge", "[run]\noutput_every = 10\n" + TINY_STUDY,
+         "psmpm converge does not read [run] output_every"),
         ("run", CUSTOM_CONFIG.replace(
             "[mesh]\n", "[mesh]\npath = /nonexistent/mesh.txt\n"),
          "mesh kind structured does not read [mesh] path"),
@@ -447,7 +551,9 @@ class TestCli:
                                       "kind = jittered\nny = 2"),
          "ny is for structured meshes only"),
     ], ids=["converge_dt", "converge_soil", "converge_output_every",
-            "converge_forces", "run_converge", "structured_path", "file_h",
+            "converge_forces", "run_converge", "run_converge_default",
+            "converge_custom_default", "converge_output_every_default",
+            "structured_path", "file_h",
             "lattice_ppe", "ppe_ny", "jittered_ny"])
     def test_key_the_command_does_not_use_is_an_error(
             self, tmp_path, capsys, command, text, message):
@@ -578,3 +684,137 @@ courant = 0.3
                         "--mass-mode", mode, "--quiet"]) == 0
             tables[mode] = (out / "convergence.csv").read_bytes()
         assert tables["lumped"] != tables["consistent"]
+
+
+# ---------------------------------------------------------------------------
+# Every CLI input runs or says why
+
+# Cheap in-bound values of each declared key that has no ``allowed``
+# tuple: with them a run takes at most two steps on a few elements.  The
+# other values the fuzz draws come from the declarations themselves.
+IN_BOUND = {
+    "dt": (5e-4, 0.05), "t_end": (1e-4, 1e-3), "output_dir": ("elsewhere",),
+    "output_every": (1, 10), "seed": (0, 7, 2 ** 40), "h": (0.5, 0.25),
+    "ppe": (1, 4, 16), "material_E": (1.0, 1e3, 1e6),
+    "material_nu": (-0.5, 0.0, 0.49), "material_rho": (1.0, 1e3),
+    "mesh_h": (1.0, 0.5, 0.3), "mesh_ny": (1, 3),
+    "mesh_domain": ((0, 0, 1, 1), (-1, 0, 1, 0.5)),
+    "particles_nx": (1, 3), "particles_ny": (2, 5),
+    "particles_ppe": (1, 2, 4), "gravity": ((0, -9.81), (1, 0)),
+    "converge_h": (0.5, 0.25), "converge_ppe": (1, 4),
+    "converge_courant": (0.3, 1.0),
+}
+
+# mesh files a custom run may name: a good one whose rows are out of index
+# order, then one per defect
+MESH_FILES = {
+    "shuffled": "nodes\n2 0 1\n0 0 0\n3 1 1\n1 1 0\n"
+                "elements\n1 0 3 2\n0 0 1 3\n",
+    "one_based": "nodes\n1 0 0\n2 1 0\n3 0 1\nelements\n1 1 2 3\n",
+    "missing_node": "nodes\n0 0 0\n1 1 0\n2 0 1\nelements\n0 0 1 7\n",
+    "repeated": "nodes\n0 0 0\n0 1 0\n1 0 1\nelements\n0 0 1 1\n",
+    "nan": "nodes\n0 0 0\n1 1 0\n2 0 nan\nelements\n0 0 1 2\n",
+    "collinear": "nodes\n0 0 0\n1 1 0\n2 2 0\nelements\n0 0 1 2\n",
+}
+IN_BOUND["mesh_path"] = tuple(MESH_FILES)
+
+_CUSTOM = dict(benchmark="custom", basis="hat", dt=5e-4, t_end=1e-3,
+               material_model="linear-elastic", material_E=1e3,
+               material_nu=0.0, material_rho=10.0)
+# one runnable config per benchmark, custom mesh kind and command
+BASE_CONFIGS = [
+    ("run", dict(benchmark="mms", basis="hat", h=0.5, ppe=4, t_end=1e-4)),
+    ("run", dict(benchmark="bar", t_end=1e-3)),
+    ("run", dict(benchmark="soil", t_end=1e-3)),
+    ("run", dict(_CUSTOM, mesh_kind="structured", mesh_h=0.5,
+                 mesh_domain=(0, 0, 1, 1), particles_layout="ppe",
+                 particles_ppe=4, gravity=(0, -9.81))),
+    ("run", dict(_CUSTOM, mesh_kind="file", mesh_path="shuffled",
+                 particles_layout="lattice", particles_nx=3,
+                 particles_ny=5)),
+    ("converge", dict(basis="hat", converge_h=(0.5, 0.25),
+                      converge_ppe=(4,))),
+]
+# keys never dropped: their defaults make a run or a study take seconds
+KEEP = ("t_end", "h", "ppe", "converge_h", "converge_ppe")
+FIELDS = {f.name: f for f in fields(RunConfig)}
+
+
+def declared_values(f):
+    """In-bound, on-bound and out-of-bound values of a declared key."""
+    meta = f.metadata
+    if meta["length"]:
+        return st.sampled_from(IN_BOUND[f.name]) | st.lists(
+            st.sampled_from((0.0, -1.0, 1.0, -math.inf, math.inf, math.nan)),
+            min_size=meta["length"] - 1, max_size=meta["length"] + 1)
+    if meta["allowed"]:
+        item = st.sampled_from(meta["allowed"] + ("warp",))
+    elif meta["bounds"]:
+        lo, hi = meta["bounds"]
+        item = st.sampled_from(IN_BOUND[f.name]) | st.sampled_from(
+            (lo, hi, lo - 1, -math.inf, math.nan))
+    else:
+        return st.sampled_from(IN_BOUND[f.name])
+    return st.lists(item, max_size=meta["least"] + 1) if meta["least"] else item
+
+
+@st.composite
+def cli_inputs(draw):
+    """(command, {field: value}, flags): a base config with keys dropped,
+    keys added or replaced, and flags."""
+    command, cfg = draw(st.sampled_from(BASE_CONFIGS))
+    cfg = dict(cfg)
+    for name in draw(st.lists(st.sampled_from(sorted(cfg)), max_size=2)):
+        if name not in KEEP:
+            cfg.pop(name, None)
+    for name in draw(st.lists(st.sampled_from(sorted(FIELDS)), max_size=3)):
+        cfg[name] = draw(declared_values(FIELDS[name]))
+    flags = draw(st.lists(st.sampled_from(
+        (["--seed", "3"], ["--seed", "-2"], ["--basis", "ps"],
+         ["--mass-mode", "lumped"], ["--mass-mode", "partial"])), max_size=2))
+    return command, cfg, [arg for flag in flags for arg in flag]
+
+
+def config_text(cfg, mesh_dir):
+    def text(v):
+        if isinstance(v, (tuple, list)):
+            return " ".join(map(text, v))
+        return repr(v) if isinstance(v, float) else str(v)
+
+    lines = []
+    for name, value in cfg.items():
+        section, key = _where(FIELDS[name])
+        if name == "mesh_path":
+            value = os.path.join(mesh_dir, value)
+        lines += [f"[{section}]", f"{key} = {text(value)}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def mesh_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("meshes")
+    for name, text in MESH_FILES.items():
+        (root / name).write_text(text)
+    return str(root)
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(case=cli_inputs())
+    def test_input_runs_or_says_why(self, mesh_dir, case):
+        """Exit 0, or exit 1 with exactly one ``error:`` line; no other
+        exception and no warning."""
+        command, cfg, flags = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.cfg")
+            with open(path, "w") as fh:
+                fh.write(config_text(cfg, mesh_dir))
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = cli([command, path, "--output-dir",
+                            os.path.join(tmp, "out"), "--quiet", *flags])
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("error: ")]
+        assert (code, len(errors)) in ((0, 0), (1, 1)), err.getvalue()
