@@ -34,10 +34,16 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _min3(eta):
-    """Smallest of the three barycentrics along the last axis; the same
-    value as ``eta.min(axis=-1)``, without the slow short-axis reduction."""
-    return np.minimum(np.minimum(eta[..., 0], eta[..., 1]), eta[..., 2])
+def _bary(inv, cell, x, y):
+    """(3, ...) barycentrics of (x, y) in cells ``cell`` (-1 reads cell 0)
+    of a component-major (3, 3, n) inverse-map table, summed from +0.0 as
+    ``(inv[i, 0] x + inv[i, 2]) + inv[i, 1] y``: einsum's order and bits."""
+    a = np.take(inv, cell, axis=2, mode="clip")
+    eta = a[:, 0] * x
+    eta += a[:, 2]
+    eta += np.multiply(a[:, 1], y, out=a[:, 1])
+    eta += 0.0              # so a sum of -0.0 terms reads +0.0, as einsum's
+    return eta
 
 
 def _ragged_arange(counts):
@@ -225,8 +231,8 @@ class PSRefinement:
         edge_split: (n_e, 3) weight of the *first* vertex of local edge k
             in the edge point, i.e. ``P = t * w_k + (1 - t) * w_{k+1}``.
         sub_coords: (n_e, 6, 3, 2) sub-triangle vertex coordinates.
-        sub_inv: (n_e, 6, 3, 3) inverse of the barycentric 3x3 matrix; row m
-            of ``sub_inv[e, s]`` maps (x, y, 1) to eta_m.
+        sub_inv: (n_e, 6, 3, 3) view of the component-major inverse maps;
+            row m of ``sub_inv[e, s]`` maps (x, y, 1) to eta_m.
     """
 
     def __init__(self, parent, interior_points, edge_points):
@@ -250,7 +256,8 @@ class PSRefinement:
         self.sub_coords = points[:, _SUB_VERTICES]           # (n_e, 6, 3, 2)
         m = np.ones(self.sub_coords.shape[:2] + (3, 3))
         m[..., :2, :] = np.swapaxes(self.sub_coords, -1, -2)
-        self.sub_inv = np.linalg.inv(m)
+        inv = np.linalg.inv(m).transpose(2, 3, 0, 1).copy()  # (3, 3, n_e, 6)
+        self.sub_inv = inv.transpose(2, 3, 0, 1)
 
     def mean_sub_edge_length(self):
         """Average edge length over all sub-triangle edges (with repeats)."""
@@ -324,11 +331,11 @@ class PointLocator:
     points are tested against their row of ``bin_table``: the elements
     whose bounding box overlaps the point's bin, ascending.
     ``edge_neighbor[e, i]`` is the element across the edge opposite vertex
-    i of e, -1 on the boundary.  A point stays in its hint cell when its
-    smallest barycentric there is at least ``quick_margin`` and in the
-    element it walked into when it is at least ``walk_margin``; both come
+    i of e, -1 on the boundary.  ``quick_margin`` and ``walk_margin`` come
     from :func:`_margins`, with R the element's largest sub-triangle radius
-    and the mesh's largest element radius respectively.
+    and the mesh's largest element radius.  The inverse maps ``elem_inv_cm``
+    (3, 3, n_e) and ``cell_inv_cm`` (3, 3, n_cells) are component-major;
+    ``elem_inv`` and ``cell_inv`` are their (n, 3, 3) transposed views.
     """
 
     def __init__(self, tri: Triangulation, refinement: PSRefinement | None = None):
@@ -338,7 +345,8 @@ class PointLocator:
         coords = tri.nodes[tri.elements]                # (n_e, 3, 2)
         m = np.ones((tri.n_elements, 3, 3))
         m[:, :2, :] = coords.transpose(0, 2, 1)
-        self.elem_inv = np.linalg.inv(m)
+        self.elem_inv_cm = np.linalg.inv(m).transpose(1, 2, 0).copy()
+        self.elem_inv = self.elem_inv_cm.transpose(2, 0, 1)
 
         self.lo, self.hi = lo, hi = tri.bbox()
         span = np.maximum(hi - lo, 1e-300)
@@ -383,6 +391,7 @@ class PointLocator:
             centred = subs - subs.mean(axis=2, keepdims=True)
             radius = np.linalg.norm(centred, axis=-1).max(axis=(1, 2))
             self.quick_margin = _margins(subs, radius[:, None]).ravel()
+        self.cell_inv_cm = self.cell_inv.transpose(1, 2, 0)
 
     def cell_of(self, elem, sub):
         """Cell ids of located points: ``6 * elem + sub``, or ``elem``."""
@@ -397,15 +406,14 @@ class PointLocator:
         ij = np.minimum(ij, [self.nx - 1, self.ny - 1])
         return inside, ij[:, 0] * self.ny + ij[:, 1]
 
-    def _first_containing(self, table, rows, ph):
+    def _first_containing(self, table, rows, x, y):
         """First element of each point's candidate row that contains it.
 
-        Point k is tested against ``table[rows[k]]`` (padded with -1) and
-        gets the first containing candidate in table order, or -1.  The
-        candidates go one table column at a time: a point leaves as soon as
-        one holds it or its row runs into the padding, so it costs one
-        gathered 3x3 inverse map per candidate up to its element.  An empty
-        ``rows`` returns at once.
+        Point k, at ``(x[k], y[k])``, gets the first candidate of
+        ``table[rows[k]]`` (padded with -1) that holds it, or -1.  The
+        candidates go one table column at a time, and a point leaves once
+        one holds it or its row runs into the padding; an empty ``rows``
+        returns at once.
         """
         out = np.full(len(rows), -1, dtype=int)
         todo = np.arange(len(rows))
@@ -414,8 +422,8 @@ class PointLocator:
                 break
             cand = column[rows[todo]]
             todo, cand = todo[cand >= 0], cand[cand >= 0]
-            eta = np.einsum('pij,pj->pi', self.elem_inv[cand], ph[todo])
-            good = _min3(eta) >= -LOCATE_TOL
+            eta = _bary(self.elem_inv_cm, cand, x[todo], y[todo])
+            good = eta.min(axis=0) >= -LOCATE_TOL
             out[todo[good]] = cand[good]
             todo = todo[~good]
         return out
@@ -437,86 +445,78 @@ class PointLocator:
         hold walks to the ``edge_neighbor`` across the edge opposite its
         most negative barycentric, which keeps it at ``walk_margin``.  The
         rest go to their bin rows.  A hint element of -1 means no hint.
-        Points are read in C order.
+        Barycentrics come from :func:`_bary`; ``eta`` is a (3, n) array's .T.
 
         Returns (elem, sub, eta): (n,) int, (n,) int, (n, 3) float; ``elem``
         is -1 outside the mesh and ``sub`` -1 without a refinement.
         """
-        pts = np.ascontiguousarray(points, dtype=float)
-        n = len(pts)
-        ph = np.empty((n, 3))
-        ph[:, :2], ph[:, 2] = pts, 1.0
+        pts = np.asarray(points, dtype=float)
+        x, y = pts.T
+        n = len(x)
         if hint is None:
             elem, sub = np.full(n, -1), np.full(n, -1)
-            eta, todo = np.zeros((n, 3)), np.ones(n, dtype=bool)
+            eta, todo = np.zeros((3, n)), np.ones(n, dtype=bool)
         else:
             # points without a hint are run through cell 0 and never kept
             h_elem, h_sub = (np.maximum(np.asarray(a, dtype=int), 0)
                              for a in hint)
             cell = self.cell_of(h_elem, h_sub)
-            eta = np.einsum('pij,pj->pi', self.cell_inv[cell], ph)
+            eta = _bary(self.cell_inv_cm, cell, x, y)
             hinted = np.asarray(hint[0]) >= 0
-            todo = ~((_min3(eta) >= self.quick_margin[cell]) & hinted)
+            todo = ~((eta.min(axis=0) >= self.quick_margin[cell]) & hinted)
             elem = np.where(todo, -1, h_elem)
             sub = np.where(todo, -1, np.asarray(hint[1]))
             miss = np.nonzero(todo & hinted)[0]
-            # for hats the hint test already was the element test
-            t = eta[miss] if self.refinement is None else np.einsum(
-                'pij,pj->pi', self.elem_inv[h_elem[miss]], ph[miss])
-            inside = _min3(t) >= -LOCATE_TOL
+            t = _bary(self.elem_inv_cm, h_elem[miss], x[miss], y[miss])
+            inside = t.min(axis=0) >= -LOCATE_TOL
             elem[miss[inside]] = h_elem[miss[inside]]
-            miss, t = miss[~inside], t[~inside]
-            # walk; w = -1 (boundary) reads the last element's map, dropped
-            w = self.edge_neighbor[h_elem[miss], t.argmin(axis=1)]
-            t = np.einsum('pij,pj->pi', self.elem_inv[w], ph[miss])
-            keep = (w >= 0) & (_min3(t) >= self.walk_margin[w])
+            miss, t = miss[~inside], np.compress(~inside, t, axis=1)
+            # walk; w = -1 (boundary) reads element 0's map, dropped
+            w = self.edge_neighbor[h_elem[miss], t.argmin(axis=0)]
+            t = _bary(self.elem_inv_cm, w, x[miss], y[miss])
+            keep = (w >= 0) & (t.min(axis=0) >= self.walk_margin[w])
             elem[miss[keep]] = w[keep]
-            if self.refinement is None:
-                eta[miss[keep]], todo[miss[keep]] = t[keep], False
 
         pending = np.nonzero(todo & (elem < 0))[0]
         in_box, rows = self._bin_rows(pts[pending])
         pending = pending[in_box]
         elem[pending] = self._first_containing(self.bin_table, rows,
-                                               ph[pending])
+                                               x[pending], y[pending])
 
         found = np.nonzero(todo & (elem >= 0))[0]
         if self.refinement is None:
-            eta[found] = np.einsum('pij,pj->pi', self.elem_inv[elem[found]],
-                                   ph[found])
+            eta.T[found] = _bary(self.elem_inv_cm, elem[found], x[found],
+                                 y[found]).T
         else:
-            sub[found], eta[found] = self.locate_in(elem[found], pts[found])
-        eta[elem < 0] = 0.0
-        return elem, sub, eta
+            sub[found], eta.T[found] = self.locate_in(elem[found], pts[found])
+        eta[:, elem < 0] = 0.0
+        return elem, sub, eta.T
 
     def locate_in(self, elem, points):
         """Sub-triangle of element ``elem[k]`` that holds ``points[k]``.
 
         Each point is tested against all six sub-triangles of its element
-        and gets the first one with every barycentric at least
-        ``-LOCATE_TOL``; a point that no sub-triangle holds within that
-        slack gets the one with the largest smallest barycentric.  Points
-        go in chunks of ``LOCATE_CHUNK``, which bounds the gathered
-        (chunk, 6, 3, 3) inverse maps to a few MB.
+        (one :func:`_bary` call on (6, k) cells) and gets the first one with
+        every barycentric at least ``-LOCATE_TOL``; a point that no
+        sub-triangle holds within that slack gets the one with the largest
+        smallest barycentric.  Points go in chunks of ``LOCATE_CHUNK``,
+        which bounds the gathered (3, 3, 6, chunk) maps to a few MB.
 
         Returns:
-            (sub, eta): (n,) int and (n, 3) float sub-triangle barycentrics.
+            (sub, eta): (n,) int, (n, 3) float (a (3, n) array's .T).
         """
         n = len(elem)
-        sub = np.empty(n, dtype=int)
-        eta = np.empty((n, 3))
+        sub, eta = np.empty(n, dtype=int), np.empty((3, n))
         for lo in range(0, n, LOCATE_CHUNK):
             part = slice(lo, lo + LOCATE_CHUNK)
-            ph = np.column_stack([points[part], np.ones(len(elem[part]))])
-            all_eta = np.einsum('psij,pj->psi',
-                                self.refinement.sub_inv[elem[part]], ph)
-            mins = _min3(all_eta)                          # (k, 6)
+            cell = 6 * np.asarray(elem[part]) + np.arange(6)[:, None]
+            all_eta = _bary(self.cell_inv_cm, cell, *np.asarray(points[part]).T)
+            mins = all_eta.min(axis=0)                       # (6, k)
             inside = mins >= -LOCATE_TOL
-            first = np.where(inside.any(axis=1),
-                             inside.argmax(axis=1), mins.argmax(axis=1))
-            sub[part] = first
-            eta[part] = all_eta[np.arange(len(first)), first]
-        return sub, eta
+            sub[part] = first = np.where(
+                inside.any(axis=0), inside.argmax(axis=0), mins.argmax(axis=0))
+            eta[:, part] = all_eta[:, first, np.arange(len(first))]
+        return sub, eta.T
 
 
 def write_mesh_file(tri: Triangulation, path):

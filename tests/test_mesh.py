@@ -480,16 +480,46 @@ class TestFirstContaining:
             (neighbours, rng.integers(0, tri.n_elements, len(pts)), ph),
         ]
         for table, rows, h_pts in cases:
-            got = loc._first_containing(table, rows, h_pts)
+            got = loc._first_containing(table, rows, h_pts[:, 0],
+                                        h_pts[:, 1])
             want = ref_first_containing(loc, table, rows, h_pts)
             assert got.tobytes() == want.tobytes()
 
     def test_empty_input_returns_at_once(self):
         loc = PointLocator(unit_square_mesh())
-        loc.elem_inv = None          # any inverse-map gather would raise
+        loc.elem_inv_cm = None       # any inverse-map gather would raise
         out = loc._first_containing(loc.bin_table, np.empty(0, dtype=int),
-                                    np.empty((0, 3)))
+                                    np.empty(0), np.empty(0))
         assert out.shape == (0,)
+
+
+class TestBary:
+    """``_bary`` against the einsum that every locate path used before it.
+    Equal bytes pin its summation order, ``(a0 x + a2) + a1 y`` from +0.0,
+    to the installed numpy; the locate digests rest on it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 3000),
+           n_cells=st.integers(1, 4000), six=st.booleans())
+    def test_bytes_equal_einsum(self, seed, n, n_cells, six):
+        rng = np.random.default_rng(seed)
+        # real map entries run from rounding noise (1e-16) to a few hundred
+        # (sub-triangles at h = 1/32), with exact zeros of both signs
+        inv_pm = (rng.choice([-1.0, 1.0], (n_cells, 3, 3))
+                  * 10.0 ** rng.uniform(-16.0, 3.0, (n_cells, 3, 3)))
+        inv_pm[rng.random(inv_pm.shape) < 0.05] = 0.0
+        inv_pm[rng.random(inv_pm.shape) < 0.05] = -0.0
+        x, y = rng.uniform(-0.25, 1.25, (2, n))
+        for z in (x, y):
+            z[rng.random(n) < 0.05] = rng.choice([0.0, -0.0, 1.0])
+        cell = rng.integers(0, n_cells, (6, n) if six else n)
+        got = mesh._bary(np.ascontiguousarray(inv_pm.transpose(1, 2, 0)),
+                         cell, x, y)
+        ph = np.column_stack([x, y, np.ones(n)])
+        want = np.einsum('pij,pj->pi', inv_pm[cell.ravel()],
+                         np.broadcast_to(ph, cell.shape + (3,)).reshape(-1, 3))
+        assert got.shape == (3,) + cell.shape
+        assert np.moveaxis(got, 0, -1).tobytes() == want.tobytes()
 
 
 class TestMolecule:

@@ -367,6 +367,31 @@ class TestCellOperator:
         assert asm.grad_ops is basis.grad_ops
         assert asm.cell_dofs is basis.cell_dofs
 
+    @pytest.mark.parametrize("family", ["hat", "ps"])
+    def test_located_reads_the_locator_eta_without_a_copy(self, family):
+        # locate_many's (n, 3) eta is the transpose of a C-ordered (3, n)
+        # array, the layout of the transfers' rows, hinted or not
+        basis = (square_ps_basis() if family == "ps"
+                 else hat_basis(unit_square_mesh()))
+        asm, locator = GridAssembler(basis), basis.locator
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(40, 2))
+        first = locator.locate_many(pts)
+        for loc in (first, locator.locate_many(0.99 * pts, hint=first[:2])):
+            assert [a.shape for a in loc] == [(40,), (40,), (40, 3)]
+            assert np.shares_memory(asm.located(*loc).eta, loc[2])
+        # one C-ordered table per map, which _bary takes without a copy
+        tables = [locator.elem_inv_cm, locator.cell_inv_cm]
+        assert all(t.flags.c_contiguous for t in tables)
+        assert np.shares_memory(locator.elem_inv, tables[0])
+        assert np.shares_memory(locator.cell_inv, tables[1])
+        if family == "ps":
+            assert np.shares_memory(basis.ref.sub_inv, tables[1])
+            sub, eta = locator.locate_in(first[0], pts)
+            assert sub.shape == (40,) and eta.shape == (40, 3)
+        dofs, vals, grads = basis.eval_at(pts[0])
+        k = basis.element_dofs.shape[1]
+        assert (dofs.shape, vals.shape, grads.shape) == ((k,), (k,), (k, 2))
+
     def test_mass_pattern_is_built_once(self):
         # every mass matrix of an assembler sits on its one int32 pattern:
         # the union of the element blocks, with a slot on every diagonal
