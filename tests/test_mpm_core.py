@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from psmpm import mpm_core
@@ -869,6 +869,7 @@ class TestMomentumLedger:
     @settings(max_examples=20, deadline=None)
     @given(kind=st.sampled_from(["hat", "ps"]), mesh_seed=st.integers(0, 7),
            subset_seed=st.integers(0, 2 ** 32 - 1))
+    @example(kind="hat", mesh_seed=5, subset_seed=2 ** 32 - 1)
     def test_partial_moves_momentum_by_the_column_sum_defect(
             self, kind, mesh_seed, subset_seed):
         basis = (cached_hat_basis if kind == "hat" else cached_ps_basis)(
@@ -878,8 +879,21 @@ class TestMomentumLedger:
                 basis, subset_seed, MassMode.PARTIAL):
             assert np.all(np.abs(d_p - predicted) <= bound)
             drift = max(drift, float(np.max(np.abs(predicted) / bound)))
-        # the defect is physics of the mode, far above rounding
-        assert drift > 1e3
+        # A replaced row i and a kept row j that share a particle-filled
+        # element put M_ij into one column sum but not the other: the
+        # defect is physics of the mode, far above rounding.  Where every
+        # filled element has only replaced rows (the example above),
+        # M_eff is diag(lumped) and the defect is exactly zero.
+        kept, _ = element_subset(basis, np.random.default_rng(subset_seed),
+                                 0.3)
+        dofs = basis.element_dofs
+        marked = np.zeros(basis.n_bf, dtype=bool)
+        marked[dofs[~kept]] = True
+        filled = marked[dofs[kept]]
+        if np.any(filled != filled[:, :1]):
+            assert drift > 1e3
+        else:
+            assert drift == 0.0
 
 
 class TestReducedPattern:
