@@ -467,21 +467,23 @@ class PointLocator:
             elem = np.where(todo, -1, h_elem)
             sub = np.where(todo, -1, np.asarray(hint[1]))
             miss = np.nonzero(todo & hinted)[0]
-            t = _bary(self.elem_inv_cm, h_elem[miss], x[miss], y[miss])
-            inside = t.min(axis=0) >= -LOCATE_TOL
-            elem[miss[inside]] = h_elem[miss[inside]]
-            miss, t = miss[~inside], np.compress(~inside, t, axis=1)
-            # walk; w = -1 (boundary) reads element 0's map, dropped
-            w = self.edge_neighbor[h_elem[miss], t.argmin(axis=0)]
-            t = _bary(self.elem_inv_cm, w, x[miss], y[miss])
-            keep = (w >= 0) & (t.min(axis=0) >= self.walk_margin[w])
-            elem[miss[keep]] = w[keep]
+            if len(miss):   # empty stages are skipped: per-call overhead
+                t = _bary(self.elem_inv_cm, h_elem[miss], x[miss], y[miss])
+                inside = t.min(axis=0) >= -LOCATE_TOL
+                elem[miss[inside]] = h_elem[miss[inside]]
+                miss, t = miss[~inside], np.compress(~inside, t, axis=1)
+            if len(miss):   # walk; a boundary w = -1 reads element 0, dropped
+                w = self.edge_neighbor[h_elem[miss], t.argmin(axis=0)]
+                t = _bary(self.elem_inv_cm, w, x[miss], y[miss])
+                keep = (w >= 0) & (t.min(axis=0) >= self.walk_margin[w])
+                elem[miss[keep]] = w[keep]
 
         pending = np.nonzero(todo & (elem < 0))[0]
-        in_box, rows = self._bin_rows(pts[pending])
-        pending = pending[in_box]
-        elem[pending] = self._first_containing(self.bin_table, rows,
-                                               x[pending], y[pending])
+        if len(pending):
+            in_box, rows = self._bin_rows(pts[pending])
+            pending = pending[in_box]
+            elem[pending] = self._first_containing(self.bin_table, rows,
+                                                   x[pending], y[pending])
 
         found = np.nonzero(todo & (elem >= 0))[0]
         if self.refinement is None:
@@ -586,13 +588,19 @@ def _lattice_counts(h, extent, what):
 
 
 def generate_mesh(kind, h, domain, seed=0, ny=None) -> Triangulation:
-    """Builtin mesh generators over a rectangle.
+    """Builtin mesh generators over a rectangle: an h-lattice of cells
+    (n00, n10, n11, n01), two triangles per cell in lattice order.
 
-    ``structured`` splits an h-lattice of cells into right triangles
-    (``ny`` overrides the row count for anisotropic cells).  ``jittered``
-    perturbs the interior lattice nodes by uniform noise of amplitude
-    0.25 h (seeded) and Delaunay-triangulates; boundary nodes stay put.
-    ``ny`` is for structured meshes only: jittered rows must be h apart.
+    ``structured`` cuts every cell along n00-n11 (``ny`` overrides the row
+    count for anisotropic cells; jittered rows must be h apart).
+    ``jittered`` moves the interior nodes by seeded uniform noise of
+    amplitude 0.25 h and cuts a cell along n10-n01 instead where n01 lies
+    strictly inside the circle through n00, n10, n11 (lifted 3x3 in-circle
+    determinant); an exact tie keeps n00-n11.  Every interior edge then
+    passes the in-circle test, so by Lawson's lemma no circumcircle holds
+    a node.  Either cut is valid, as each cell stays convex: a corner and
+    the opposite diagonal, h/sqrt 2 apart, each move at most h/(2 sqrt 2)
+    toward the other, so they meet only at extreme jitters (probability 0).
     """
     x0, y0, x1, y1 = domain
     if not (x0 < x1 and y0 < y1):
@@ -606,26 +614,27 @@ def generate_mesh(kind, h, domain, seed=0, ny=None) -> Triangulation:
     ys = np.linspace(y0, y1, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    if kind not in ("structured", "jittered"):
+        raise ValidationError(f"unknown mesh kind {kind!r}")
 
-    if kind == "structured":
-        # two triangles per cell (i, j), whose lower-left node is n00
-        n00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
-        n10, n11, n01 = n00 + ny + 1, n00 + ny + 2, n00 + 1
-        elements = np.column_stack([n00, n10, n11, n00, n11, n01])
-        return Triangulation(nodes, elements.reshape(-1, 3))
-
+    # two triangles per cell (i, j), whose lower-left node is n00
+    n00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    n10, n11, n01 = n00 + ny + 1, n00 + ny + 2, n00 + 1
+    flip = np.zeros(len(n00), dtype=bool)
     if kind == "jittered":
-        from scipy.spatial import Delaunay
         rng = np.random.default_rng(seed)
         interior = ((nodes[:, 0] > x0) & (nodes[:, 0] < x1)
                     & (nodes[:, 1] > y0) & (nodes[:, 1] < y1))
         jitter = rng.uniform(-0.25 * h, 0.25 * h, size=(int(interior.sum()), 2))
-        nodes = nodes.copy()
         nodes[interior] += jitter
-        tri = Triangulation(nodes, Delaunay(nodes).simplices, orient=True)
-        if tri.areas.min() < 1e-3 * h * h:
-            raise MeshDegenerate(
-                f"jittered mesh contains an element of area {tri.areas.min():.3e}")
-        return tri
-
-    raise ValidationError(f"unknown mesh kind {kind!r}")
+        u, v, w = (nodes[n] - nodes[n01] for n in (n00, n10, n11))
+        flip = sum((a * a).sum(axis=1) * cross2(b, c)
+                   for a, b, c in ((u, v, w), (v, w, u), (w, u, v))) > 0
+    elements = np.where(flip[:, None],
+                        np.column_stack([n00, n10, n01, n10, n11, n01]),
+                        np.column_stack([n00, n10, n11, n00, n11, n01]))
+    tri = Triangulation(nodes, elements.reshape(-1, 3), orient=True)
+    if kind == "jittered" and tri.areas.min() < 1e-3 * h * h:
+        raise MeshDegenerate(
+            f"jittered mesh contains an element of area {tri.areas.min():.3e}")
+    return tri

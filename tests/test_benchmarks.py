@@ -402,3 +402,16 @@ def test_builtin_specs_do_not_import_cli_io():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_hat_plate_setup_does_not_import_scipy_spatial():
+    # the jittered mesh is cut by in-circle tests, not by scipy's qhull,
+    # whose import took about 0.1 s of every plate's setup
+    code = ("import sys; import psmpm.benchmarks as bm; "
+            "bm.build_system(bm.mms_plate_spec('hat', 1 / 16, 256, seed=1)); "
+            "print('scipy.spatial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(psmpm.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

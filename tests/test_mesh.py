@@ -704,6 +704,43 @@ class TestTriangulationInvariants:
         assert n_boundary == len(tri.boundary_nodes)
 
 
+def incircle(a, b, c, d):
+    """Stacked in-circle determinants, > 0 where d lies strictly inside the
+    circle through the counter-clockwise a, b, c (LAPACK's det)."""
+    rows = np.stack([a - d, b - d, c - d], axis=-2)
+    lifted = (rows ** 2).sum(axis=-1, keepdims=True)
+    return np.linalg.det(np.concatenate([rows, lifted], axis=-1))
+
+
+class TestJitteredMesh:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           h=st.sampled_from([1 / 4, 1 / 8, 1 / 16, 1 / 32]))
+    def test_is_scipys_delaunay_triangulation(self, seed, h):
+        from scipy.spatial import Delaunay
+        tri = generate_mesh("jittered", h, (0.0, 0.0, 1.0, 1.0), seed=seed)
+        # every interior edge is locally Delaunay: the second element's
+        # vertex off the edge is not inside the first element's circumcircle
+        pairs = tri.edge_elements[tri.edge_elements[:, 1] >= 0]
+        first, second = tri.elements[pairs[:, 0]], tri.elements[pairs[:, 1]]
+        off_edge = (second[:, :, None] != first[:, None, :]).all(axis=2)
+        det = incircle(*tri.nodes[first].transpose(1, 0, 2),
+                       tri.nodes[second[off_edge]])
+        assert det.max() <= 0.0
+        got = set(map(tuple, np.sort(tri.elements, axis=1).tolist()))
+        want = np.sort(Delaunay(tri.nodes).simplices, axis=1)
+        assert got == set(map(tuple, want.tolist()))
+
+    def test_exact_tie_keeps_the_structured_diagonal(self):
+        # h = 1 on a 2 x 1 domain leaves no interior node to jitter, so the
+        # corners of each square cell are exactly cocircular
+        domain = (0.0, 0.0, 2.0, 1.0)
+        tri = generate_mesh("jittered", 1.0, domain, seed=1)
+        assert incircle(*tri.nodes[[0, 2, 3, 1]]) == 0.0   # cell 0's corners
+        structured = generate_mesh("structured", 1.0, domain)
+        assert tri.elements.tobytes() == structured.elements.tobytes()
+
+
 def test_mesh_file_round_trip(tmp_path):
     tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=11)
     path = tmp_path / "mesh.txt"
