@@ -5,8 +5,8 @@ hats), where every active function is an extraction table times the
 Bernstein polynomials of the cell barycentrics and its gradient is linear
 in the basis's gradient weights.  Particle-to-grid transfers are per-cell
 moments over the cell's particles (``sum m B_k B_l``, ``sum V sigma w``,
-``sum m b B_k``, ``sum m v B_k``, and ``sum m B_k`` outside consistent
-mode) contracted with the cell's tables; grid-to-particle gathers read
+``sum m b B_k``, ``sum m v B_k``, and ``sum m B_k`` in lumped mode)
+contracted with the cell's tables; grid-to-particle gathers read
 per-cell coefficients.  The step reads and writes the particles'
 deformation gradient and stress component-major, one row per component.
 
@@ -21,10 +21,10 @@ particle-free element in its support are replaced by their lumped
 diagonal, which preserves every row sum (hence the total mass).  Each
 mode is one effective sparse matrix on a pattern fixed at setup: the union
 of the element mass blocks (consistent and partial) or the diagonal
-(lumped).  Every grid solve takes one path: one ``GridSolver`` per field
-component (see there) maps the step's matrix to its constraint-reduced
-``P^T M P``, factorises it once with a sparse LU, and reuses that factor
-for the acceleration and the velocity-projection solves.
+(lumped).  Every grid solve takes one path: one ``GridSolver`` for both
+velocity components (see there) maps the step's matrix to the reduced,
+block-diagonal ``P^T diag(M, M) P``, factorises it once with a sparse LU,
+and reuses that factor for the acceleration and velocity-projection solves.
 """
 
 from __future__ import annotations
@@ -312,26 +312,15 @@ class SparsePattern:
                                shape=(self.n, self.n))
 
 
-class MassOperator:
-    """Assembled grid mass in one of the three modes.
-
-    ``lumped`` holds the row sums (summed from ``data`` in consistent mode,
-    from the moments ``sum m N_i`` otherwise) and ``data`` the effective
-    operator on the fixed ``pattern`` of its mode (``pattern.matrix(data)``
-    is it as a CSR matrix): ``diag(lumped)`` in lumped mode, the consistent
-    matrix in consistent mode and, in partial mode, the consistent matrix
-    with the rows flagged by ``marked`` replaced by ``lumped[i] * e_i``.
-    Every mode keeps every row sum and hence the total mass.  One step uses
-    it.
-    """
-
-    def __init__(self, mode, lumped, data, pattern: SparsePattern,
-                 marked=None):
-        self.mode = mode
-        self.lumped = lumped
-        self.data = data
-        self.pattern = pattern
-        self.marked = marked
+# Assembled grid mass in one of the three modes: ``lumped`` holds the row
+# sums (moments ``sum m N_i`` in lumped mode, else summed from the matrix)
+# and ``data`` the effective operator on the fixed ``pattern`` of its mode
+# (``pattern.matrix(data)`` is it as CSR): ``diag(lumped)`` in lumped mode,
+# the consistent matrix in consistent mode and, in partial mode, the
+# consistent matrix with the rows flagged by ``marked`` replaced by
+# ``lumped[i] * e_i``.  Every mode keeps every row sum, hence the total mass.
+MassOperator = namedtuple("MassOperator", "mode lumped data pattern marked",
+                          defaults=(None,))
 
 
 # One step's view of the located particles: element and cell ids (n,),
@@ -408,11 +397,10 @@ class GridAssembler:
 
     def mass(self, pts: CellPoints, masses, mode: MassMode) -> MassOperator:
         pattern = self.mass_pattern(mode)
-        if mode is not MassMode.CONSISTENT:
+        if mode is MassMode.LUMPED:
             b = np.stack([self._moment(pts, masses, r) for r in pts.bern], -1)
             lumped = self._to_dofs(self.ords @ b[..., None])[:, 0]
-            if mode is MassMode.LUMPED:
-                return MassOperator(mode, lumped, lumped, pattern)
+            return MassOperator(mode, lumped, lumped, pattern)
         mb, k_b = masses * pts.bern, self.n_bern
         s = np.empty((self.n_cells, k_b, k_b))
         for k in range(k_b):
@@ -422,8 +410,8 @@ class GridAssembler:
         blocks = blocks.reshape((len(self.slots), -1) + blocks.shape[1:])
         data = np.bincount(self.slots.ravel(), blocks.sum(axis=1).ravel(),
                            minlength=len(pattern.indices))
+        lumped = np.bincount(pattern.major, data, minlength=self.n_bf)
         if mode is MassMode.CONSISTENT:
-            lumped = np.bincount(pattern.major, data, minlength=self.n_bf)
             return MassOperator(mode, lumped, data, pattern)
         empty = np.bincount(pts.elem, minlength=len(self.slots)) == 0
         marked = np.zeros(self.n_bf, dtype=bool)
@@ -504,38 +492,43 @@ class ConstraintReduction:
 
 
 class GridSolver:
-    """The reduced system ``A = P^T M P`` of one field component.
+    """The reduced system ``A = P^T diag(M, ..., M) P`` of stacked components.
 
-    ``P`` is the component's constraint prolongation and ``M`` any mass
-    operator on ``mass_pattern``.  Every entry of ``A`` is a fixed
-    combination ``sum P_ki P_lj M_kl`` of the stored entries of ``M``, so
-    ``A.data = R @ M.data`` on ``pattern``, whose keys are column-major:
-    ``A`` comes out in the CSC order the sparse LU takes.  A system builds
-    one solver per component; each step factorises it once.
+    ``M`` is any mass operator on ``mass_pattern`` (n x n) and ``P`` the
+    constraint prolongation of ``P.shape[0] // n`` stacked field components:
+    dof ``c n + i`` is dof ``i`` of component ``c``.  Every entry of ``A`` is
+    a fixed combination ``sum P_ki P_lj M_kl`` of the stored entries of
+    ``M``, so ``A.data = R @ M.data`` on ``pattern``, whose keys are
+    column-major: ``A`` comes out in the CSC order the sparse LU takes.
+    Constraint blocks never mix components, so ``A`` is block diagonal and
+    ``component`` labels each reduced unknown with its component.  A system
+    builds one solver; each step factorises it once.
     """
 
     def __init__(self, mass_pattern: SparsePattern,
                  reduction: ConstraintReduction):
         self.reduction = reduction
-        p = reduction.P
-        n_red = p.shape[1]
-        rows, cols = mass_pattern.major, mass_pattern.indices
+        p, n, nnz = reduction.P, mass_pattern.n, len(mass_pattern.indices)
+        self.n_comp = p.shape[0] // n
+        shift = np.repeat(np.arange(self.n_comp) * n, nnz)
+        rows = np.tile(mass_pattern.major, self.n_comp) + shift
+        cols = np.tile(mass_pattern.indices, self.n_comp) + shift
         # every (P row k entry, P row l entry) pair of every slot (k, l)
-        nk = np.diff(p.indptr)[rows]
         nl = np.diff(p.indptr)[cols]
-        count = nk * nl
+        count = np.diff(p.indptr)[rows] * nl
         slot = np.repeat(np.arange(len(rows)), count)
         pair = _ragged_arange(count)
         ik = p.indptr[rows][slot] + pair // nl[slot]
         jl = p.indptr[cols][slot] + pair % nl[slot]
         keys, entry = np.unique(
-            p.indices[jl].astype(np.int64) * n_red + p.indices[ik],
+            p.indices[jl].astype(np.int64) * p.shape[1] + p.indices[ik],
             return_inverse=True)
-        self.pattern = SparsePattern(n_red, keys, csc=True)
-        self.R = sp.csr_matrix((p.data[ik] * p.data[jl], (entry, slot)),
-                               shape=(len(keys), len(rows)))
+        self.pattern = SparsePattern(p.shape[1], keys, csc=True)
+        self.R = sp.csr_matrix((p.data[ik] * p.data[jl], (entry, slot % nnz)),
+                               shape=(len(keys), nnz))
+        self.component = reduction.PT.indices[reduction.PT.indptr[:-1]] // n
 
-    def factorise(self, mass_op: MassOperator, tol, context):
+    def factorise(self, mass_op: MassOperator, tol):
         """``(active, A, lu)``: the unknowns whose diagonal exceeds ``tol``,
         ``A`` with the others turned into identity rows and columns, and
         the LU factor of ``A + FACTOR_SHIFT * diag(A)`` (None when no
@@ -543,7 +536,7 @@ class GridSolver:
 
         Raises:
             SolverDiverged: when the diagonal ratio of the consistent rows
-                of ``A`` exceeds ``ILL_CONDITION_RATIO``.
+                of ``A`` (all components) exceeds ``ILL_CONDITION_RATIO``.
         """
         pattern = self.pattern
         data = self.R @ mass_op.data
@@ -554,15 +547,14 @@ class GridSolver:
             if mass_op.marked is not None:
                 # reduced unknowns on unmarked dofs (constraint blocks and
                 # marks are both per vertex, so no unknown straddles the two)
-                checked = active & (
-                    self.reduction.abs_PT @ mass_op.marked == 0)
+                checked = active & (self.reduction.abs_PT @ np.tile(
+                    mass_op.marked, self.n_comp) == 0)
             dsub = diag[checked]
             if dsub.size and dsub.max() > ILL_CONDITION_RATIO * dsub.min():
                 raise SolverDiverged(
                     f"consistent mass matrix is ill-conditioned "
-                    f"(diagonal ratio {dsub.max() / dsub.min():.1e} in "
-                    f"{context or 'solve'}); a basis function has (almost) "
-                    "no particle support")
+                    f"(diagonal ratio {dsub.max() / dsub.min():.1e}); a "
+                    "basis function has (almost) no particle support")
         lu = None
         if active.any():
             inactive = ~active
@@ -575,7 +567,7 @@ class GridSolver:
 
 
 def solve_grid(solver: GridSolver, factor, rhs, context=""):
-    """Solve the grid system M c = rhs with ``solver.factorise(M, ...)``.
+    """Solve M c = rhs, components stacked, with ``solver.factorise(M, ...)``.
 
     ``M`` is the mass operator's effective matrix in every mode, so partial
     mode solves exactly the row-replaced operator of the partial-lumping
@@ -587,8 +579,8 @@ def solve_grid(solver: GridSolver, factor, rhs, context=""):
     satisfies the reduction's (homogeneous) constraint rows.
 
     Raises:
-        SolverDiverged: when the residual ``|A x - b|`` exceeds
-            ``RESIDUAL_RTOL * |b|``.
+        SolverDiverged: when a component's residual ``|A x - b|`` exceeds
+            ``RESIDUAL_RTOL * |b|``; the message names those components.
     """
     active, a, lu = factor
     if lu is None:
@@ -598,13 +590,15 @@ def solve_grid(solver: GridSolver, factor, rhs, context=""):
     b[~active] = 0.0
     y = lu.solve(b)
     y += lu.solve(b - a @ y)
-    resid = np.linalg.norm(b - a @ y)
-    if resid > RESIDUAL_RTOL * np.linalg.norm(b):
+    resid, norm = (np.sqrt(np.bincount(solver.component, v * v))
+                   for v in (b - a @ y, b))
+    bad = np.nonzero(resid > RESIDUAL_RTOL * norm)[0]
+    if bad.size:
         raise SolverDiverged(
-            f"solve residual {resid / np.linalg.norm(b):.1e} exceeds "
+            f"solve residual {(resid[bad] / norm[bad]).max():.1e} exceeds "
             f"{RESIDUAL_RTOL:.0e} of the right-hand side in "
-            f"{context or 'solve'}; the mass matrix is singular along "
-            "the right-hand side")
+            f"{context or 'solve'}{bad.tolist()}; the mass matrix is "
+            "singular along the right-hand side")
     return reduction.P @ y
 
 
@@ -627,8 +621,9 @@ class MpmSystem:
     ``body_force`` is a callable ``(reference_coords, t) -> (n, 2)`` or
     None; manufactured-solution forcing uses the reference coordinates.
     ``constraints`` pin field values (and, for splines, tangential
-    derivatives) to zero; ``solvers`` holds one ``GridSolver`` per velocity
-    component.  ``run`` is the time loop; ``step`` runs its phases in place.
+    derivatives) to zero; ``solver`` is the ``GridSolver`` of both velocity
+    components, stacked.  ``run`` is the time loop; ``step`` runs its
+    phases in place.
     """
 
     def __init__(self, basis, material: MaterialModel, dt,
@@ -641,20 +636,20 @@ class MpmSystem:
         self.body_force = body_force
         self.assembler = GridAssembler(basis)
 
-        rows = basis.constraint_rows(constraints)
-        pattern = self.assembler.mass_pattern(self.mass_mode)
-        self.solvers = [GridSolver(pattern,
-                                   ConstraintReduction(basis.n_bf, rows[k]))
-                        for k in (0, 1)]
+        n, rows = basis.n_bf, basis.constraint_rows(constraints)
+        self.solver = GridSolver(
+            self.assembler.mass_pattern(self.mass_mode),
+            ConstraintReduction(2 * n, rows[0] + [(dofs + n, c)
+                                                  for dofs, c in rows[1]]))
 
     def step(self, particles: Particles, t=0.0):
         """Advance one time step from time ``t``; mutates ``particles``.
         Phases: relocate, factorise, accelerate, project momentum, deform,
         move."""
         pts = self._relocate(particles, t)
-        factors = self._factorise(pts, particles)
-        self._accelerate(pts, factors, particles, t)
-        v_hat = self._solve(factors, self.assembler.momentum(pts, particles),
+        factor = self._factorise(pts, particles)
+        self._accelerate(pts, factor, particles, t)
+        v_hat = self._solve(factor, self.assembler.momentum(pts, particles),
                             "velocity")           # project momentum
         self._deform(pts, v_hat, particles, t)
         self._move(pts, v_hat, particles, t)
@@ -670,26 +665,24 @@ class MpmSystem:
         return self.assembler.located(*particles.loc)
 
     def _factorise(self, pts, particles):
-        """Assemble the mass operator; factorise it once per component."""
+        """Assemble the mass operator and factorise it."""
         mass_op = self.assembler.mass(pts, particles.m, self.mass_mode)
         tol = ZERO_MASS_REL_TOL * float(particles.m.mean())
-        return [solver.factorise(mass_op, tol, f"component {k}")
-                for k, solver in enumerate(self.solvers)]
+        return self.solver.factorise(mass_op, tol)
 
-    def _solve(self, factors, rhs, name):
-        """Grid coefficients (n_bf, 2) of ``rhs``, one component each."""
-        return np.column_stack([
-            solve_grid(solver, factor, rhs[:, k], f"{name}[{k}]")
-            for k, (solver, factor) in enumerate(zip(self.solvers, factors))])
+    def _solve(self, factor, rhs, name):
+        """Grid coefficients (n_bf, 2) of ``rhs`` (n_bf, 2) in one solve."""
+        return solve_grid(self.solver, factor, rhs.T.ravel(),
+                          name).reshape(2, -1).T
 
-    def _accelerate(self, pts, factors, particles, t):
+    def _accelerate(self, pts, factor, particles, t):
         """Kick the particle velocities by the grid acceleration of the body
         and internal forces.  Outside lumped mode a kick above
         ``VELOCITY_BLOWUP_FACTOR`` wave speeds raises ``SolverDiverged``."""
         body = None if self.body_force is None else np.asarray(
             self.body_force(particles.x0, t), dtype=float)
         f_int, f_body = self.assembler.forces(pts, particles, body=body)
-        a_hat = self._solve(factors, f_body - f_int, "acceleration")
+        a_hat = self._solve(factor, f_body - f_int, "acceleration")
         dv = self.dt * self.assembler.values(pts, a_hat)
         if self.mass_mode is not MassMode.LUMPED:
             wave = self.material.wave_speed(float(particles.rho.mean()))
