@@ -5,10 +5,10 @@ derives edge/incidence tables on construction.  :func:`ps_refine` splits
 every element into six sub-triangles around its incenter, which is the
 geometric substrate for the C1 quadratic spline basis.  A
 :class:`PointLocator` answers "which element / sub-triangle contains this
-point" queries.  A uniform background bin grid serves un-hinted queries;
-a moving point tries its previous cell and element, then one walk across
-an edge, and only then its bin.  :func:`generate_mesh` builds the
-structured and jittered rectangle meshes.
+point" queries.  A uniform background bin grid serves un-hinted queries,
+probed nearest element first; a moving point tries its previous cell and
+element, then one walk across an edge, and only then its bin.
+:func:`generate_mesh` builds the structured and jittered rectangle meshes.
 
 All constructed objects are immutable in practice: nothing mutates them
 after ``__init__``, so they are safe to share across threads.
@@ -327,9 +327,10 @@ class PointLocator:
     """Point location down to the sub-triangle, for moving points.
 
     For an unrefined triangulation pass ``refinement=None``; queries then
-    report only the element and its barycentric coordinates.  Un-hinted
-    points are tested against their row of ``bin_table``: the elements
-    whose bounding box overlaps the point's bin, ascending.
+    report only the element and its barycentric coordinates.  Bins are a
+    third of the mean element diameter on a side.  Row b of ``bin_table``
+    lists the elements whose bounding box overlaps bin b, ascending, and
+    ``probe_table`` the same, nearest centroid to the bin centre first.
     ``edge_neighbor[e, i]`` is the element across the edge opposite vertex
     i of e, -1 on the boundary.  ``quick_margin`` and ``walk_margin`` come
     from :func:`_margins`, with R the element's largest sub-triangle radius
@@ -352,7 +353,7 @@ class PointLocator:
         span = np.maximum(hi - lo, 1e-300)
         diam = np.linalg.norm(
             coords - np.roll(coords, 1, axis=1), axis=2).max(axis=1)
-        cell = float(np.mean(diam))
+        cell = float(np.mean(diam)) / 3.0
         self.nx = max(1, int(np.ceil(span[0] / cell)))
         self.ny = max(1, int(np.ceil(span[1] / cell)))
         self.cell = np.array([span[0] / self.nx, span[1] / self.ny])
@@ -373,6 +374,13 @@ class PointLocator:
         fill = np.bincount(key, minlength=self.nx * self.ny)
         self.bin_table = np.full((len(fill), fill.max(initial=0)), -1)
         self.bin_table[key[order], _ragged_arange(fill)] = owner[order]
+        # the same rows, nearest element centroid to the bin centre first
+        mid = coords.mean(axis=1)[self.bin_table] - lo  # (n_bins, width, 2)
+        d2 = sum((mid[..., a] - ((i + 0.5) * self.cell[a])[:, None]) ** 2
+                 for a, i in enumerate(divmod(np.arange(len(fill)), self.ny)))
+        d2[self.bin_table < 0] = np.inf
+        near = d2.argsort(axis=1, kind="stable")
+        self.probe_table = np.take_along_axis(self.bin_table, near, axis=1)
 
         pair = tri.edge_elements[tri.element_edges[:, [1, 2, 0]]]
         own = pair[..., 0] == np.arange(tri.n_elements)[:, None]
@@ -397,14 +405,16 @@ class PointLocator:
         """Cell ids of located points: ``6 * elem + sub``, or ``elem``."""
         return elem if self.refinement is None else 6 * elem + sub
 
-    def _bin_rows(self, pts):
-        """Which points lie in the mesh's bounding box, and their bin-table
-        rows.  Points on the top or right side of the box go to the last
-        bin row or column."""
-        inside = np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
-        ij = np.floor((pts[inside] - self.lo) / self.cell).astype(int)
-        ij = np.minimum(ij, [self.nx - 1, self.ny - 1])
-        return inside, ij[:, 0] * self.ny + ij[:, 1]
+    def _bin_rows(self, x, y):
+        """Which points ``(x[k], y[k])`` lie in the mesh's bounding box, and
+        the bin rows of those, ``floor((x - lo) / cell)`` per coordinate; the
+        box's top and right sides go to the last bin row or column."""
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+        ix, iy = (np.minimum(np.floor((c[inside] - c0) / w).astype(int), n - 1)
+                  for c, c0, w, n in ((x, x0, self.cell[0], self.nx),
+                                      (y, y0, self.cell[1], self.ny)))
+        return inside, ix * self.ny + iy
 
     def _first_containing(self, table, rows, x, y):
         """First element of each point's candidate row that contains it.
@@ -428,13 +438,40 @@ class PointLocator:
             todo = todo[~good]
         return out
 
+    def _probe(self, rows, x, y):
+        """Element (or -1) and (3, k) barycentrics of each point: the first
+        in its ``probe_table`` row to hold it at ``walk_margin``, which
+        :func:`_margins` makes the only holder to ``LOCATE_TOL``, else the
+        ascending scan :meth:`_first_containing`."""
+        elem, eta = np.full(len(rows), -1), np.zeros((3, len(rows)))
+        todo = np.arange(len(rows))
+        for column in self.probe_table.T:
+            if not len(todo):
+                break
+            cand = column[rows[todo]]
+            todo, cand = todo[cand >= 0], cand[cand >= 0]
+            t = _bary(self.elem_inv_cm, cand, x[todo], y[todo])
+            least = t.min(axis=0)
+            keep = least >= self.walk_margin[cand]
+            hit = todo[keep]
+            elem[hit], eta[:, hit] = cand[keep], np.compress(keep, t, axis=1)
+            todo = todo[least < -LOCATE_TOL]    # held below the margin: scan
+        rest = np.nonzero(elem < 0)[0]
+        if len(rest):
+            elem[rest] = self._first_containing(self.bin_table, rows[rest],
+                                                x[rest], y[rest])
+            rest = rest[elem[rest] >= 0]
+            eta[:, rest] = _bary(self.elem_inv_cm, elem[rest], x[rest],
+                                 y[rest])
+        return elem, eta
+
     def locate_many(self, points, hint=None):
         """Vectorised location of many points.
 
-        Without a hint each point is tested against its bin's row of
-        ``bin_table`` and gets the first element of the ascending row that
-        holds it (:meth:`_first_containing`), so ties on shared edges go to
-        the lowest element; its sub-triangle comes from :meth:`locate_in`.
+        Without a hint each point gets the first element of its bin's
+        ascending ``bin_table`` row that holds it, so ties on shared edges
+        go to the lowest element (found by :meth:`_probe`); its sub-triangle
+        comes from :meth:`locate_in`.
 
         With a hint ``(elem, sub)`` from a previous call, a point gets the
         hint element and ``locate_in``'s answer there when the hint element
@@ -445,7 +482,8 @@ class PointLocator:
         hold walks to the ``edge_neighbor`` across the edge opposite its
         most negative barycentric, which keeps it at ``walk_margin``.  The
         rest go to their bin rows.  A hint element of -1 means no hint.
-        Barycentrics come from :func:`_bary`; ``eta`` is a (3, n) array's .T.
+        Barycentrics come from :func:`_bary`, without a refinement from the
+        test that found the element; ``eta`` is a (3, n) array's .T.
 
         Returns (elem, sub, eta): (n,) int, (n,) int, (n, 3) float; ``elem``
         is -1 outside the mesh and ``sub`` -1 without a refinement.
@@ -476,20 +514,17 @@ class PointLocator:
                 w = self.edge_neighbor[h_elem[miss], t.argmin(axis=0)]
                 t = _bary(self.elem_inv_cm, w, x[miss], y[miss])
                 keep = (w >= 0) & (t.min(axis=0) >= self.walk_margin[w])
-                elem[miss[keep]] = w[keep]
+                elem[miss[keep]], eta[:, miss[keep]] = w[keep], t[:, keep]
 
         pending = np.nonzero(todo & (elem < 0))[0]
         if len(pending):
-            in_box, rows = self._bin_rows(pts[pending])
+            in_box, rows = self._bin_rows(x[pending], y[pending])
             pending = pending[in_box]
-            elem[pending] = self._first_containing(self.bin_table, rows,
-                                                   x[pending], y[pending])
+            elem[pending], eta[:, pending] = self._probe(rows, x[pending],
+                                                         y[pending])
 
-        found = np.nonzero(todo & (elem >= 0))[0]
-        if self.refinement is None:
-            eta.T[found] = _bary(self.elem_inv_cm, elem[found], x[found],
-                                 y[found]).T
-        else:
+        if self.refinement is not None:
+            found = np.nonzero(todo & (elem >= 0))[0]
             sub[found], eta.T[found] = self.locate_in(elem[found], pts[found])
         eta[:, elem < 0] = 0.0
         return elem, sub, eta.T

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from psmpm import mesh
+from psmpm.benchmarks import mms_plate_spec
 from psmpm.cli_io import generate_mesh, write_mesh_file
 from psmpm.errors import (DegenerateTriangle, MeshDegenerate, ParseError,
                           PsmpmError, RefinementFailed)
 from psmpm.mesh import (PointLocator, Triangulation, barycentric_coordinates,
                         cross2, incenter, ps_refine, read_mesh_file)
+from psmpm.mpm_core import init_particles
 
 
 def unit_square_mesh():
@@ -466,7 +468,7 @@ class TestFirstContaining:
         pts = np.concatenate([tri.nodes, 0.5 * (a + b), t * a + (1.0 - t) * b,
                               rng.uniform(-0.25, 1.25, size=(300, 2))])
         ph = np.column_stack([pts, np.ones(len(pts))])
-        in_box, bins = loc._bin_rows(pts)
+        in_box, bins = loc._bin_rows(pts[:, 0], pts[:, 1])
         home = loc.locate_many(pts)[0]
         inside = home >= 0
         assert np.any(inside) and not np.all(inside)
@@ -491,6 +493,84 @@ class TestFirstContaining:
         out = loc._first_containing(loc.bin_table, np.empty(0, dtype=int),
                                     np.empty(0), np.empty(0))
         assert out.shape == (0,)
+
+
+def ascending_scan(loc, pts):
+    """The un-hinted rule by the ascending scan alone: the first element of
+    each point's ``bin_table`` row that holds it, then its element
+    barycentrics (``_bary``) or its sub-triangle (``locate_in``)."""
+    n = len(pts)
+    elem, sub, eta = np.full(n, -1), np.full(n, -1), np.zeros((n, 3))
+    in_box, rows = loc._bin_rows(pts[:, 0], pts[:, 1])
+    ph = np.column_stack([pts, np.ones(n)])[in_box]
+    elem[in_box] = ref_first_containing(loc, loc.bin_table, rows, ph)
+    found = np.nonzero(elem >= 0)[0]
+    if loc.refinement is None:
+        eta[found] = mesh._bary(loc.elem_inv_cm, elem[found], *pts[found].T).T
+    else:
+        sub[found], eta[found] = loc.locate_in(elem[found], pts[found])
+    return elem, sub, eta
+
+
+class TestProbe:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           h=st.sampled_from([0.25, 0.125, 0.0625]),
+           kind=st.sampled_from(["jittered", "structured"]),
+           refined=st.booleans(), lattice=st.integers(5, 70))
+    def test_unhinted_equals_ascending_scan_bitwise(self, seed, h, kind,
+                                                    refined, lattice):
+        # nodes and edge points lie in two or more elements, and a lattice
+        # through the box hits structured nodes and edges whenever its
+        # spacing divides h; probes that hold such points below the walk
+        # margin must leave them to the scan
+        tri = generate_mesh(kind, h, (0.0, 0.0, 1.0, 1.0), seed=seed)
+        ref = ps_refine(tri) if refined else None
+        loc = PointLocator(tri, ref)
+        rng = np.random.default_rng(seed)
+        a = tri.nodes[tri.edges[:, 0]]
+        b = tri.nodes[tri.edges[:, 1]]
+        t = rng.random((len(a), 1))
+        ticks = np.linspace(0.0, 1.0, lattice)
+        grid = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+        side = rng.random(50)
+        outside = np.concatenate([
+            rng.uniform(-0.25, 1.25, size=(200, 2)),
+            np.column_stack([side, np.full(50, -1e-13)]),
+            np.column_stack([np.full(50, 1.0 + 1e-13), side])])
+        pts = np.concatenate([tri.nodes, 0.5 * (a + b),
+                              t * a + (1.0 - t) * b, grid, outside])
+        got = loc.locate_many(pts)
+        want = ascending_scan(loc, pts)
+        assert np.any(want[0] < 0) and np.any(want[0] >= 0)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("kind", ["hat", "ps"])
+    def test_plate_seeding_evaluates_few_elements_per_point(self, kind):
+        # element-table barycentrics (_bary on elem_inv_cm) of one
+        # un-hinted locate of the plate's lattice particles: 6.16 per point
+        # (hats) and 5.16 (splines) for the ascending scan of 13 x 13 bins
+        spec = mms_plate_spec(kind, 1 / 16, 256, seed=1)
+        loc = PointLocator(spec.tri, spec.refinement)
+        bary, evaluated = mesh._bary, []
+
+        def counting(inv, cell, x, y):
+            if inv is loc.elem_inv_cm:
+                evaluated.append(np.size(cell))
+            return bary(inv, cell, x, y)
+
+        with mock.patch.object(mesh, "_bary", counting):
+            particles = init_particles(loc, spec.layout, spec.rho0)
+        assert particles.n == 362 ** 2
+        assert sum(evaluated) <= 1.6 * particles.n
+
+    def test_empty_input_returns_at_once(self):
+        loc = PointLocator(unit_square_mesh())
+        loc.elem_inv_cm = None       # any inverse-map gather would raise
+        elem, eta = loc._probe(np.empty(0, dtype=int), np.empty(0),
+                               np.empty(0))
+        assert elem.shape == (0,) and eta.shape == (3, 0)
 
 
 class TestBary:
