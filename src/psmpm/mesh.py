@@ -37,11 +37,14 @@ def cross2(a, b):
 def _bary(inv, cell, x, y):
     """(3, ...) barycentrics of (x, y) in cells ``cell`` (-1 reads cell 0)
     of a component-major (3, 3, n) inverse-map table, summed from +0.0 as
-    ``(inv[i, 0] x + inv[i, 2]) + inv[i, 1] y``: einsum's order and bits."""
-    a = np.take(inv, cell, axis=2, mode="clip")
-    eta = a[:, 0] * x
-    eta += a[:, 2]
-    eta += np.multiply(a[:, 1], y, out=a[:, 1])
+    ``(inv[i, 0] x + inv[i, 2]) + inv[i, 1] y``: einsum's order and bits,
+    each row from one clipped (3, ...) ``take`` into a reused buffer."""
+    eta, a = (np.empty((3,) + np.shape(cell)) for _ in range(2))
+    for row, e in zip(inv, eta):
+        np.take(row, cell, axis=1, out=a, mode="clip")
+        np.multiply(a[0], x, out=e)
+        e += a[2]
+        e += np.multiply(a[1], y, out=a[1])
     eta += 0.0              # so a sum of -0.0 terms reads +0.0, as einsum's
     return eta
 
@@ -328,7 +331,7 @@ class PointLocator:
 
     For an unrefined triangulation pass ``refinement=None``; queries then
     report only the element and its barycentric coordinates.  Bins are a
-    third of the mean element diameter on a side.  Row b of ``bin_table``
+    third of the mean element extent on each axis.  Row b of ``bin_table``
     lists the elements whose bounding box overlaps bin b, ascending, and
     ``probe_table`` the same, nearest centroid to the bin centre first.
     ``edge_neighbor[e, i]`` is the element across the edge opposite vertex
@@ -351,18 +354,14 @@ class PointLocator:
 
         self.lo, self.hi = lo, hi = tri.bbox()
         span = np.maximum(hi - lo, 1e-300)
-        diam = np.linalg.norm(
-            coords - np.roll(coords, 1, axis=1), axis=2).max(axis=1)
-        cell = float(np.mean(diam)) / 3.0
-        self.nx = max(1, int(np.ceil(span[0] / cell)))
-        self.ny = max(1, int(np.ceil(span[1] / cell)))
-        self.cell = np.array([span[0] / self.nx, span[1] / self.ny])
+        box = coords.min(axis=1), coords.max(axis=1)    # element boxes
+        cell = np.mean(box[1] - box[0], axis=0) / 3
+        self.nx, self.ny = np.maximum(np.ceil(span / cell), 1).astype(int)
+        self.cell = span / (self.nx, self.ny)
 
         # bin -> elements whose bounding box overlaps it, ascending
-        bmin = np.floor((coords.min(axis=1) - lo) / self.cell).astype(int)
-        bmax = np.floor((coords.max(axis=1) - lo) / self.cell).astype(int)
-        bmin = np.clip(bmin, 0, [self.nx - 1, self.ny - 1])
-        bmax = np.clip(bmax, 0, [self.nx - 1, self.ny - 1])
+        bmin, bmax = (np.clip(np.floor((c - lo) / self.cell).astype(int), 0,
+                              [self.nx - 1, self.ny - 1]) for c in box)
         span_y = bmax[:, 1] - bmin[:, 1] + 1
         counts = (bmax[:, 0] - bmin[:, 0] + 1) * span_y
         owner = np.repeat(np.arange(tri.n_elements), counts)
@@ -416,14 +415,17 @@ class PointLocator:
                                       (y, y0, self.cell[1], self.ny)))
         return inside, ix * self.ny + iy
 
-    def _first_containing(self, table, rows, x, y):
+    def _first_containing(self, table, rows, x, y, margin=None, eta=None):
         """First element of each point's candidate row that contains it.
 
-        Point k, at ``(x[k], y[k])``, gets the first candidate of
-        ``table[rows[k]]`` (padded with -1) that holds it, or -1.  The
-        candidates go one table column at a time, and a point leaves once
-        one holds it or its row runs into the padding; an empty ``rows``
-        returns at once.
+        Point k, at ``(x[k], y[k])``, gets the first candidate c of
+        ``table[rows[k]]`` (padded with -1) whose smallest barycentric
+        reaches ``margin[c]`` (``-LOCATE_TOL`` when None), or -1; with a
+        margin, a candidate that holds it below the margin also leaves it
+        at -1.  The candidates go one table column at a time, and a point
+        leaves once one holds it or its row runs into the padding; an empty
+        ``rows`` returns at once.  ``eta`` (3, k), if given, receives the
+        barycentrics of each point's element.
         """
         out = np.full(len(rows), -1, dtype=int)
         todo = np.arange(len(rows))
@@ -432,37 +434,31 @@ class PointLocator:
                 break
             cand = column[rows[todo]]
             todo, cand = todo[cand >= 0], cand[cand >= 0]
-            eta = _bary(self.elem_inv_cm, cand, x[todo], y[todo])
-            good = eta.min(axis=0) >= -LOCATE_TOL
-            out[todo[good]] = cand[good]
-            todo = todo[~good]
+            t = _bary(self.elem_inv_cm, cand, x[todo], y[todo])
+            least = t.min(axis=0)
+            keep = least >= (-LOCATE_TOL if margin is None else margin[cand])
+            out[todo[keep]] = cand[keep]
+            if eta is not None:
+                eta[:, todo[keep]] = np.compress(keep, t, axis=1)
+            todo = todo[least < -LOCATE_TOL]
         return out
 
     def _probe(self, rows, x, y):
         """Element (or -1) and (3, k) barycentrics of each point: the first
         in its ``probe_table`` row to hold it at ``walk_margin``, which
         :func:`_margins` makes the only holder to ``LOCATE_TOL``, else the
-        ascending scan :meth:`_first_containing`."""
-        elem, eta = np.full(len(rows), -1), np.zeros((3, len(rows)))
-        todo = np.arange(len(rows))
-        for column in self.probe_table.T:
-            if not len(todo):
-                break
-            cand = column[rows[todo]]
-            todo, cand = todo[cand >= 0], cand[cand >= 0]
-            t = _bary(self.elem_inv_cm, cand, x[todo], y[todo])
-            least = t.min(axis=0)
-            keep = least >= self.walk_margin[cand]
-            hit = todo[keep]
-            elem[hit], eta[:, hit] = cand[keep], np.compress(keep, t, axis=1)
-            todo = todo[least < -LOCATE_TOL]    # held below the margin: scan
+        ascending scan of ``bin_table``.  With a refinement the barycentrics
+        are None: :meth:`locate_in` computes the cell's."""
+        eta = None if self.refinement else np.zeros((3, len(rows)))
+        elem = self._first_containing(self.probe_table, rows, x, y,
+                                      self.walk_margin, eta)
         rest = np.nonzero(elem < 0)[0]
         if len(rest):
+            t = None if eta is None else np.zeros((3, len(rest)))
             elem[rest] = self._first_containing(self.bin_table, rows[rest],
-                                                x[rest], y[rest])
-            rest = rest[elem[rest] >= 0]
-            eta[:, rest] = _bary(self.elem_inv_cm, elem[rest], x[rest],
-                                 y[rest])
+                                                x[rest], y[rest], eta=t)
+            if t is not None:
+                eta[:, rest] = t
         return elem, eta
 
     def locate_many(self, points, hint=None):
@@ -514,14 +510,17 @@ class PointLocator:
                 w = self.edge_neighbor[h_elem[miss], t.argmin(axis=0)]
                 t = _bary(self.elem_inv_cm, w, x[miss], y[miss])
                 keep = (w >= 0) & (t.min(axis=0) >= self.walk_margin[w])
-                elem[miss[keep]], eta[:, miss[keep]] = w[keep], t[:, keep]
+                elem[miss[keep]] = w[keep]
+                if self.refinement is None:
+                    eta[:, miss[keep]] = t[:, keep]
 
         pending = np.nonzero(todo & (elem < 0))[0]
         if len(pending):
             in_box, rows = self._bin_rows(x[pending], y[pending])
             pending = pending[in_box]
-            elem[pending], eta[:, pending] = self._probe(rows, x[pending],
-                                                         y[pending])
+            elem[pending], t = self._probe(rows, x[pending], y[pending])
+            if t is not None:
+                eta[:, pending] = t
 
         if self.refinement is not None:
             found = np.nonzero(todo & (elem >= 0))[0]
@@ -537,7 +536,7 @@ class PointLocator:
         every barycentric at least ``-LOCATE_TOL``; a point that no
         sub-triangle holds within that slack gets the one with the largest
         smallest barycentric.  Points go in chunks of ``LOCATE_CHUNK``,
-        which bounds the gathered (3, 3, 6, chunk) maps to a few MB.
+        which bounds the (3, 6, chunk) barycentrics to a few MB.
 
         Returns:
             (sub, eta): (n,) int, (n, 3) float (a (3, n) array's .T).

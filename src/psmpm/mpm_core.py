@@ -125,28 +125,37 @@ class MaterialModel:
     def wave_speed(self, rho):
         return np.sqrt(self.E / rho)
 
-    def stress(self, D, J):
-        """Cauchy stress for component-major deformation gradients (2, 2, n).
-
-        Written per component: linear-elastic ``lam tr(e) I + 2 mu e`` with
-        ``e = (D + D^T)/2 - I``, neo-Hookean
-        ``lam ln(J)/J I + mu/J (D D^T - I)``.
-        """
+    def stress(self, D, J, out=None):
+        """Cauchy stress for component-major deformation gradients (2, 2, n)
+        in ``out`` (fresh when None; not overlapping D or J), per component:
+        linear-elastic ``lam tr(e) I + 2 mu e`` with ``e = (D + D^T)/2 - I``,
+        neo-Hookean ``lam ln(J)/J I + mu/J (D D^T - I)``.  The rows of
+        ``out`` hold the partial terms, with one scratch row."""
         (a, b), (c, d) = D
-        sigma = np.empty_like(D)
+        sigma = np.empty_like(D) if out is None else out
+        (sxx, sxy), (syx, syy) = sigma
+        row = np.empty_like(J)          # lam tr(e), or lam ln(J) / J
         if self.kind == "linear-elastic":
-            exx, eyy = a - 1.0, d - 1.0
-            lam_tr = self.lam * (exx + eyy)
-            two_mu = 2.0 * self.mu
-            sigma[0, 0] = lam_tr + two_mu * exx
-            sigma[1, 1] = lam_tr + two_mu * eyy
-            sigma[0, 1] = sigma[1, 0] = two_mu * (0.5 * (b + c))
-            return sigma
-        vol = self.lam * np.log(J) / J
-        shear = self.mu / J
-        sigma[0, 0] = vol + shear * (a * a + b * b - 1.0)
-        sigma[1, 1] = vol + shear * (c * c + d * d - 1.0)
-        sigma[0, 1] = sigma[1, 0] = shear * (a * c + b * d)
+            np.add(np.subtract(a, 1.0, out=sxx), np.subtract(d, 1.0, out=syy),
+                   out=row)
+            row *= self.lam
+            np.multiply(np.add(b, c, out=sxy), 0.5, out=sxy)
+            scale = 2.0 * self.mu
+        else:
+            for s, (p, q) in ((sxx, (a, b)), (syy, (c, d))):
+                np.add(np.multiply(p, p, out=s), np.multiply(q, q, out=sxy),
+                       out=s)
+                s -= 1.0
+            np.add(np.multiply(a, c, out=sxy), np.multiply(b, d, out=syx),
+                   out=sxy)
+            np.multiply(np.log(J, out=row), self.lam, out=row)
+            row /= J
+            scale = np.divide(self.mu, J, out=syx)
+        for s in (sxx, syy, sxy):
+            s *= scale
+        sxx += row
+        syy += row
+        np.copyto(syx, sxy)
         return sigma
 
 
@@ -164,6 +173,7 @@ class Particles:
     density evolve through the deformation-gradient determinant so that
     m = V * rho holds at all times.  ``D`` and ``sigma`` are (n, 2, 2)
     views of the step's component-major ``D_cm`` and ``sigma_cm`` (2, 2, n).
+    A step updates the state arrays in place: copy one to keep its value.
     """
 
     D, sigma = _component_major("D_cm"), _component_major("sigma_cm")
@@ -401,11 +411,12 @@ class GridAssembler:
             b = np.stack([self._moment(pts, masses, r) for r in pts.bern], -1)
             lumped = self._to_dofs(self.ords @ b[..., None])[:, 0]
             return MassOperator(mode, lumped, lumped, pattern)
-        mb, k_b = masses * pts.bern, self.n_bern
+        k_b, mb = self.n_bern, np.empty_like(masses)    # one row of m B
         s = np.empty((self.n_cells, k_b, k_b))
         for k in range(k_b):
+            np.multiply(masses, pts.bern[k], out=mb)
             for l in range(k, k_b):
-                s[:, k, l] = s[:, l, k] = self._moment(pts, mb[k], pts.bern[l])
+                s[:, k, l] = s[:, l, k] = self._moment(pts, mb, pts.bern[l])
         blocks = self.ords @ s @ self.ords.transpose(0, 2, 1)
         blocks = blocks.reshape((len(self.slots), -1) + blocks.shape[1:])
         data = np.bincount(self.slots.ravel(), blocks.sum(axis=1).ravel(),
@@ -602,17 +613,22 @@ def solve_grid(solver: GridSolver, factor, rhs, context=""):
     return reduction.P @ y
 
 
-def deformation_update(D, dt, exx, eyy, exy):
+def deformation_update(D, dt, exx, eyy, exy, out=None):
     """``(I + dt eps) D`` and its determinant for component-major deformation
-    gradients (2, 2, n) and symmetric strain rates given per component."""
+    gradients (2, 2, n) and per-component strain rates, into ``out = (D_new,
+    J)`` (fresh when None); ``D_new`` may be ``D``, with a (2, n) scratch."""
+    D_new, J = (np.empty_like(D), np.empty_like(exx)) if out is None else out
     axx, ayy, axy = 1.0 + dt * exx, 1.0 + dt * eyy, dt * exy
-    (dxx, dxy), (dyx, dyy) = D
-    out = np.empty_like(D)
-    out[0, 0] = nxx = axx * dxx + axy * dyx
-    out[0, 1] = nxy = axx * dxy + axy * dyy
-    out[1, 0] = nyx = axy * dxx + ayy * dyx
-    out[1, 1] = nyy = axy * dxy + ayy * dyy
-    return out, nxx * nyy - nxy * nyx
+    p, q = np.empty((2,) + np.shape(exx))
+    for (dx, dy), (nx, ny) in zip(D.swapaxes(0, 1), D_new.swapaxes(0, 1)):
+        np.multiply(axy, dy, out=p)
+        np.multiply(ayy, dy, out=q)
+        np.add(np.multiply(axy, dx, out=ny), q, out=ny)   # ny may be dy
+        np.add(np.multiply(axx, dx, out=nx), p, out=nx)
+    (nxx, nxy), (nyx, nyy) = D_new
+    np.subtract(np.multiply(nxx, nyy, out=J), np.multiply(nxy, nyx, out=p),
+                out=J)
+    return D_new, J
 
 
 class MpmSystem:
@@ -643,16 +659,20 @@ class MpmSystem:
                                                   for dofs, c in rows[1]]))
 
     def step(self, particles: Particles, t=0.0):
-        """Advance one time step from time ``t``; mutates ``particles``.
-        Phases: relocate, factorise, accelerate, project momentum, deform,
-        move."""
+        """Advance one time step from time ``t``.  Phases: relocate,
+        factorise, accelerate, project momentum, deform, move.  The state is
+        updated in place (only ``loc`` is replaced): copy arrays to keep
+        them.  Besides it a step holds its cell view (8 rows of n floats for
+        splines, 2 for hats) and at most 9 rows of temporaries."""
         pts = self._relocate(particles, t)
         factor = self._factorise(pts, particles)
         self._accelerate(pts, factor, particles, t)
         v_hat = self._solve(factor, self.assembler.momentum(pts, particles),
                             "velocity")           # project momentum
         self._deform(pts, v_hat, particles, t)
-        self._move(pts, v_hat, particles, t)
+        vel = self.assembler.values(pts, v_hat)
+        del pts, factor                   # the hinted locate needs neither
+        self._move(vel, particles, t)
 
     def _relocate(self, particles, t):
         """Cell view of the particles at the location the last step cached
@@ -697,37 +717,37 @@ class MpmSystem:
         particles.v += dv
 
     def _deform(self, pts, v_hat, particles, t):
-        """Check the strain increment (outside lumped mode), then update D,
-        J, sigma, V and rho from the projected velocity ``v_hat``.  Its
-        gradient temporaries are freed on return, before ``_move``."""
+        """Check the strain increment (outside lumped mode; a failure writes
+        nothing), then update D and J and, unless a J <= 0 raises, sigma, V
+        and rho in place from the projected velocity ``v_hat``."""
         grad = self.assembler.gradients(pts, v_hat)   # d v_a / d x_b
-        exx, eyy = grad[0, 0], grad[1, 1]
-        exy = 0.5 * (grad[0, 1] + grad[1, 0])
+        (exx, exy), (scratch, eyy) = grad     # rates and the check's scratch
+        np.multiply(np.add(exy, scratch, out=exy), 0.5, out=exy)
         if self.mass_mode is not MassMode.LUMPED:
-            increment = self.dt * float(np.maximum(
-                np.maximum(np.abs(exx), np.abs(eyy)), np.abs(exy)).max())
+            increment = self.dt * float(np.max(
+                [np.abs(e, out=scratch).max() for e in (exx, eyy, exy)]))
             if increment > STRAIN_INCREMENT_LIMIT:
                 raise SolverDiverged(
                     f"strain-increment check at t={t:.6g}: the velocity "
                     f"projection gave a one-step strain increment of "
                     f"{increment:.3g}, above the threshold "
                     f"{STRAIN_INCREMENT_LIMIT:g}")
-        particles.D_cm, particles.J = deformation_update(
-            particles.D_cm, self.dt, exx, eyy, exy)
-        if np.any(particles.J <= 0.0):
-            bad = int(np.argmin(particles.J))
+        p = particles
+        deformation_update(p.D_cm, self.dt, exx, eyy, exy, out=(p.D_cm, p.J))
+        if np.any(p.J <= 0.0):
+            bad = int(np.argmin(p.J))
             raise NonPositiveJacobian(
-                f"particle {bad}: det(D) = {particles.J[bad]:.3e} at t={t:.6g}")
-        particles.sigma_cm = self.material.stress(particles.D_cm, particles.J)
-        particles.V = particles.J * particles.V0
-        particles.rho = particles.m / particles.V
+                f"particle {bad}: det(D) = {p.J[bad]:.3e} at t={t:.6g}")
+        self.material.stress(p.D_cm, p.J, out=p.sigma_cm)
+        np.multiply(p.J, p.V0, out=p.V)
+        np.divide(p.m, p.V, out=p.rho)
 
-    def _move(self, pts, v_hat, particles, t):
-        """Move the particles with ``v_hat`` and locate them with their old
-        location as hint."""
-        vel = self.assembler.values(pts, v_hat)
-        particles.x = particles.x + self.dt * vel
-        particles.u = particles.u + self.dt * vel
+    def _move(self, vel, particles, t):
+        """Move the particles by ``dt vel`` (``vel`` is overwritten) and
+        locate them with their old location as hint."""
+        vel *= self.dt
+        particles.x += vel
+        particles.u += vel
         particles.loc = locate_all(
             self.basis.locator, particles.x, ParticleLeftDomain,
             f"particle {{}} left the mesh at t={t + self.dt:.6g} "
@@ -735,8 +755,9 @@ class MpmSystem:
 
     def run(self, particles: Particles, n_steps, on_step=None):
         """The time loop: ``n_steps`` steps from t = 0, each followed by
-        ``on_step(i, t, particles)`` (t: end of step).  A ``PsmpmError`` from
-        step i leaves with ``step = i + 1`` and ``t = i * dt`` set on it."""
+        ``on_step(i, t, particles)`` (t: end of step; the arrays are live,
+        so copy any kept).  A ``PsmpmError`` from step i leaves with
+        ``step = i + 1`` and ``t = i * dt`` set on it."""
         for i in range(n_steps):
             try:
                 self.step(particles, i * self.dt)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from psmpm import mesh
-from psmpm.benchmarks import mms_plate_spec
+from psmpm.benchmarks import mms_plate_spec, vibrating_bar_spec
 from psmpm.cli_io import generate_mesh, write_mesh_file
 from psmpm.errors import (DegenerateTriangle, MeshDegenerate, ParseError,
                           PsmpmError, RefinementFailed)
@@ -512,6 +512,22 @@ def ascending_scan(loc, pts):
     return elem, sub, eta
 
 
+def seed_counting_elements(spec):
+    """Particles of ``spec`` seeded by one un-hinted locate, and how many
+    element-table barycentrics (``_bary`` on ``elem_inv_cm``) it took."""
+    loc = PointLocator(spec.tri, spec.refinement)
+    bary, evaluated = mesh._bary, []
+
+    def counting(inv, cell, x, y):
+        if inv is loc.elem_inv_cm:
+            evaluated.append(np.size(cell))
+        return bary(inv, cell, x, y)
+
+    with mock.patch.object(mesh, "_bary", counting):
+        particles = init_particles(loc, spec.layout, spec.rho0)
+    return particles, sum(evaluated)
+
+
 class TestProbe:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 16),
@@ -552,18 +568,39 @@ class TestProbe:
         # un-hinted locate of the plate's lattice particles: 6.16 per point
         # (hats) and 5.16 (splines) for the ascending scan of 13 x 13 bins
         spec = mms_plate_spec(kind, 1 / 16, 256, seed=1)
-        loc = PointLocator(spec.tri, spec.refinement)
-        bary, evaluated = mesh._bary, []
-
-        def counting(inv, cell, x, y):
-            if inv is loc.elem_inv_cm:
-                evaluated.append(np.size(cell))
-            return bary(inv, cell, x, y)
-
-        with mock.patch.object(mesh, "_bary", counting):
-            particles = init_particles(loc, spec.layout, spec.rho0)
+        particles, evaluated = seed_counting_elements(spec)
         assert particles.n == 362 ** 2
-        assert sum(evaluated) <= 1.6 * particles.n
+        assert evaluated <= 1.6 * particles.n
+
+    def test_bar_seeding_evaluates_few_elements_per_point(self):
+        # the bar's 0.05 x 0.5 elements: square bins a third of the mean
+        # diameter held rows of up to 20 elements, and the probe evaluated
+        # 4.57 per point; bins sized per axis hold 8
+        particles, evaluated = seed_counting_elements(vibrating_bar_spec())
+        assert particles.n == 1280
+        assert evaluated <= 2.0 * particles.n
+
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_long_elements_locate_as_the_ascending_scan(self, refined):
+        # bins of unequal sides change no answer: the bar mesh's nodes, edge
+        # points and a lattice through it, bit for bit
+        tri = vibrating_bar_spec().tri
+        loc = PointLocator(tri, ps_refine(tri) if refined else None)
+        assert loc.nx > 4 * loc.ny
+        a, b = tri.nodes[tri.edges].transpose(1, 0, 2)
+        ticks = np.stack(np.meshgrid(np.linspace(-0.1, 1.1, 61),
+                                     np.linspace(-0.1, 2.1, 45)), axis=-1)
+        pts = np.concatenate([tri.nodes, 0.5 * (a + b), 0.3 * a + 0.7 * b,
+                              ticks.reshape(-1, 2)])
+        for g, w in zip(loc.locate_many(pts), ascending_scan(loc, pts)):
+            assert g.tobytes() == w.tobytes()
+
+    def test_refined_probe_leaves_barycentrics_to_locate_in(self):
+        spec = mms_plate_spec("ps", 0.25, 16, seed=1)
+        loc = PointLocator(spec.tri, spec.refinement)
+        pts = spec.tri.nodes.mean(axis=0, keepdims=True)
+        elem, eta = loc._probe(loc._bin_rows(*pts.T)[1], *pts.T)
+        assert elem[0] >= 0 and eta is None
 
     def test_empty_input_returns_at_once(self):
         loc = PointLocator(unit_square_mesh())

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from psmpm import mpm_core
+from psmpm import mesh, mpm_core
 from psmpm.basis import HatBasis, hat_basis, ps_basis
 from psmpm.benchmarks import (build_system, mms_plate_spec,
                               rectangle_constraints, soil_column_spec)
@@ -130,7 +131,65 @@ def near_identity(seed, n=400, size=0.1):
     return D[J > 0], J[J > 0]
 
 
+# Reference: the allocating kernels that the ``out=`` forms replaced, one
+# fresh array per term.
+def alloc_stress(mat, D, J):
+    (a, b), (c, d) = D
+    sigma = np.empty_like(D)
+    if mat.kind == "linear-elastic":
+        exx, eyy = a - 1.0, d - 1.0
+        lam_tr = mat.lam * (exx + eyy)
+        two_mu = 2.0 * mat.mu
+        sigma[0, 0] = lam_tr + two_mu * exx
+        sigma[1, 1] = lam_tr + two_mu * eyy
+        sigma[0, 1] = sigma[1, 0] = two_mu * (0.5 * (b + c))
+        return sigma
+    vol = mat.lam * np.log(J) / J
+    shear = mat.mu / J
+    sigma[0, 0] = vol + shear * (a * a + b * b - 1.0)
+    sigma[1, 1] = vol + shear * (c * c + d * d - 1.0)
+    sigma[0, 1] = sigma[1, 0] = shear * (a * c + b * d)
+    return sigma
+
+
+def alloc_deformation_update(D, dt, exx, eyy, exy):
+    axx, ayy, axy = 1.0 + dt * exx, 1.0 + dt * eyy, dt * exy
+    (dxx, dxy), (dyx, dyy) = D
+    out = np.empty_like(D)
+    out[0, 0] = nxx = axx * dxx + axy * dyx
+    out[0, 1] = nxy = axx * dxy + axy * dyy
+    out[1, 0] = nyx = axy * dxx + ayy * dyx
+    out[1, 1] = nyy = axy * dxy + ayy * dyy
+    return out, nxx * nyy - nxy * nyx
+
+
 class TestKernelsMatchReference:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dt=st.floats(1e-6, 1e-2),
+           kind=st.sampled_from(["linear-elastic", "neo-hookean"]),
+           E=st.floats(1.0, 1e9), nu=st.floats(-0.9, 0.49))
+    def test_out_forms_equal_allocating_kernels(self, seed, dt, kind, E, nu):
+        # the step writes D and J over the old D, and sigma into its own
+        # storage; fresh outputs and in-place ones give the references' bytes
+        mat = MaterialModel(kind, E=E, nu=nu)
+        D = np.ascontiguousarray(near_identity(seed)[0].transpose(1, 2, 0))
+        g = np.random.default_rng(seed + 1).normal(size=D.shape)
+        exx, eyy, exy = g[0, 0], g[1, 1], 0.5 * (g[0, 1] + g[1, 0])
+        want_D, want_J = alloc_deformation_update(D, dt, exx, eyy, exy)
+        want_sigma = alloc_stress(mat, want_D, want_J)
+        fresh = deformation_update(D, dt, exx, eyy, exy)
+        D_in, J_in = D.copy(), np.full(D.shape[2], np.nan)
+        in_place = deformation_update(D_in, dt, exx, eyy, exy,
+                                      out=(D_in, J_in))
+        assert in_place[0] is D_in and in_place[1] is J_in
+        sigma = np.full_like(D, np.nan)
+        assert mat.stress(want_D, want_J, out=sigma) is sigma
+        for got_D, got_J in (fresh, in_place):
+            assert got_D.tobytes() == want_D.tobytes()
+            assert got_J.tobytes() == want_J.tobytes()
+        for got in (sigma, mat.stress(want_D, want_J)):
+            assert got.tobytes() == want_sigma.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            kind=st.sampled_from(["linear-elastic", "neo-hookean"]),
@@ -1056,6 +1115,15 @@ class TestConstraintReduction:
             assert abs(np.dot(coeffs[1], c[1:4])) < 1e-12
 
 
+# The particle arrays a step updates in place.
+STEP_STATE = ("x", "u", "v", "D_cm", "J", "sigma_cm", "V", "rho")
+
+
+def step_state(parts):
+    """The arrays a step writes: ``STEP_STATE`` and the location ``loc``."""
+    return [getattr(parts, k) for k in STEP_STATE] + list(parts.loc)
+
+
 class TestStepContracts:
     def make_system(self, mode=MassMode.CONSISTENT, basis=None):
         basis = basis or square_ps_basis(seed=16)
@@ -1216,6 +1284,32 @@ class TestStepContracts:
         with pytest.raises((NonPositiveJacobian, ParticleLeftDomain)):
             system.step(parts, 0.0)
 
+    def test_nonpositive_jacobian_leaves_stress_volume_density(self):
+        # D and J are written before the check; sigma, V and rho are not
+        basis = square_ps_basis(seed=19)
+        mat = MaterialModel("linear-elastic", E=1.0, nu=0.0)
+        system = MpmSystem(basis, mat, dt=1.0, mass_mode=MassMode.LUMPED)
+        parts = init_particles(basis.locator,
+                               ParticleLayout(kind="ppe", ppe=4), rho0=1.0)
+        parts.v[:, 0] = -2.0 * (parts.x[:, 0] - 0.5)
+        before = {k: getattr(parts, k).copy() for k in STEP_STATE}
+        with pytest.raises(NonPositiveJacobian):
+            system.step(parts, 0.0)
+        assert (parts.J <= 0.0).any()
+        for k in ("D_cm", "J"):
+            assert not np.array_equal(getattr(parts, k), before[k]), k
+        for k in ("x", "u", "sigma_cm", "V", "rho"):
+            assert getattr(parts, k).tobytes() == before[k].tobytes(), k
+
+    def test_strain_increment_failure_writes_no_deformation(self):
+        system, parts = self.make_system()
+        parts.v[:, 0] = 600.0 * (parts.x[:, 0] - 0.5)
+        before = {k: getattr(parts, k).copy() for k in STEP_STATE}
+        with pytest.raises(SolverDiverged, match="strain-increment"):
+            system.step(parts, 0.5)
+        for k in ("x", "u", "D_cm", "J", "sigma_cm", "V", "rho"):
+            assert getattr(parts, k).tobytes() == before[k].tobytes(), k
+
     def test_velocity_kick_check_reports_value_threshold_and_time(self):
         system, parts = self.make_system()
         # a uniform body force is reproduced exactly: every kick is dt * 1e6
@@ -1313,3 +1407,96 @@ class TestStepContracts:
         system = MpmSystem(basis, mat, dt=1e-2, mass_mode=MassMode.LUMPED)
         with pytest.raises(ParticleLeftDomain):
             system.step(parts, 0.0)
+
+
+def gathering_bary(inv, cell, x, y):
+    """``mesh._bary`` as it was: one (3, 3, ...) gather of the whole map."""
+    a = np.take(inv, cell, axis=2, mode="clip")
+    eta = a[:, 0] * x
+    eta += a[:, 2]
+    eta += np.multiply(a[:, 1], y, out=a[:, 1])
+    eta += 0.0
+    return eta
+
+
+def traced_step(kind):
+    """(particles, traced peak, traced memory left) of the third step of the
+    h = 1/8, 256 ppe plate; the arrays that exist before it are untraced,
+    so the two counts are what the step allocates."""
+    system, parts = build_system(mms_plate_spec(kind, 1 / 8, 256, seed=1))
+    system.run(parts, 2)
+    tracemalloc.start()
+    try:
+        system.step(parts, 2 * system.dt)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return parts, peak, kept
+
+
+class TestStepWorkingSet:
+    """What one step holds, counted in particle rows of n floats.
+
+    The particle state is updated in place, so a step's allocations are its
+    temporaries and the new ``loc``.  The peak is the deform phase, which
+    holds the step's cell view (``CellPoints``), the velocity gradient, the
+    rows of ``I + dt eps`` and the scratch pair of ``deformation_update``;
+    the manufactured forcing, evaluated while the cell view is held, peaks
+    at nine rows of its own too.  Grid-sized arrays (mass operator, reduced
+    matrix, coefficients) come to 0.3 rows at this size.
+    """
+
+    CELL_VIEW = {"ps": {"cell ids": 1, "Bernstein values": 6, "work": 1},
+                 "hat": {"gradient weights (ones)": 1, "work": 1}}
+    DEFORM = {"velocity gradient": 4, "I + dt eps": 3, "scratch pair": 2}
+    GRID = 0.5
+    LOC = {"elem": 1, "sub": 1, "eta": 3}
+
+    def bound(self, kind):
+        return (sum(self.CELL_VIEW[kind].values())
+                + sum(self.DEFORM.values()) + self.GRID)
+
+    @pytest.mark.parametrize("kind", ["hat", "ps"])
+    def test_peak_and_kept_rows(self, kind):
+        parts, peak, kept = traced_step(kind)
+        row = 8 * parts.n
+        assert parts.n == 181 ** 2
+        assert peak <= self.bound(kind) * row
+        # the new loc, plus a few kB of Python objects
+        assert sum(self.LOC.values()) * row <= kept
+        assert kept <= (sum(self.LOC.values()) + 0.05) * row
+
+    def test_whole_map_gather_breaks_the_bound(self, monkeypatch):
+        # the hinted locate's (3, 3, n) gather of the inverse maps alone
+        # outgrows the bound on the hat plate, where the cell view is small
+        monkeypatch.setattr(mesh, "_bary", gathering_bary)
+        parts, peak, _ = traced_step("hat")
+        assert peak > self.bound("hat") * 8 * parts.n
+
+    @pytest.mark.parametrize("kind", ["hat", "ps"])
+    def test_state_arrays_are_updated_in_place(self, kind):
+        system, parts = build_system(mms_plate_spec(kind, 0.25, 16, seed=2))
+        arrays = [getattr(parts, k) for k in STEP_STATE]
+        loc = parts.loc
+        system.run(parts, 3)
+        for k, a in zip(STEP_STATE, arrays):
+            assert getattr(parts, k) is a, k
+        assert parts.loc is not loc
+
+    @pytest.mark.parametrize("kind", ["hat", "ps"])
+    def test_alternating_particle_sets_share_a_system(self, kind):
+        # nothing of one particle set stays with the system: two sets of
+        # different sizes stepped in turn on one system give the bytes of
+        # each stepped on its own
+        specs = [mms_plate_spec(kind, 0.25, ppe, seed=2) for ppe in (16, 36)]
+        shared, first = build_system(specs[0])
+        second = build_system(specs[1])[1]
+        for i in range(3):
+            for parts in (first, second):
+                shared.step(parts, i * shared.dt)
+        for spec, parts in zip(specs, (first, second)):
+            system, alone = build_system(spec)
+            system.run(alone, 3)
+            assert alone.n == parts.n
+            for got, want in zip(step_state(parts), step_state(alone)):
+                assert got.tobytes() == want.tobytes()
