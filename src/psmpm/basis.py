@@ -306,30 +306,26 @@ def compute_triplets(corners, v):
     return t
 
 
-def ps_points(ref: PSRefinement, vertex: int):
-    """Split points of a vertex: itself plus midpoints of incident split edges.
+def split_points(ref: PSRefinement):
+    """``(stack, counts)``: the (n_v, m, 2) split points of every vertex,
+    padded with copies of the vertex, and their (n_v,) counts.
 
-    The incident split edges are the spokes to the interior points of the
-    surrounding elements and the vertex-side halves of the incident mesh
-    edges, in the order of ``vertex_elements`` and ``vertex_edges``.
-    Duplicates (if any) are removed with a mesh-scale tolerance, keeping
-    the first of each cluster.
+    Row v holds vertex v, then the midpoints of its incident split edges:
+    the spokes to its elements' interior points and the vertex-side halves
+    of its mesh edges, in ascending element and then edge id order.
     """
     tri = ref.parent
-    v = tri.nodes[vertex]
-    pts = np.concatenate([
-        v[None, :],
-        0.5 * (v + ref.interior_points[tri.vertex_elements[vertex]]),
-        0.5 * (v + ref.edge_points[tri.vertex_edges[vertex]])])
-    scale = max(np.ptp(pts, axis=0).max(), 1e-300)
-    d = pts[:, None, :] - pts[None, :, :]
-    close = np.triu(np.hypot(d[..., 0], d[..., 1]) <= 1e-12 * scale, 1)
-    keep = np.ones(len(pts), dtype=bool)
-    # pairs come row by row, so keep[i] is final before row i is read
-    for i, j in zip(*np.nonzero(close)):
-        if keep[i]:
-            keep[j] = False
-    return pts[keep]
+    # a stable sort by vertex keeps element slots, then edge slots, ascending
+    owner = np.concatenate([tri.elements.ravel(), tri.edges.ravel()])
+    far = np.concatenate([np.repeat(ref.interior_points, 3, axis=0),
+                          np.repeat(ref.edge_points, 2, axis=0)])
+    order = np.argsort(owner, kind="stable")
+    vtx = owner[order]
+    counts = 1 + np.bincount(owner, minlength=tri.n_nodes)
+    stack = np.repeat(tri.nodes[:, None], counts.max(), axis=1)
+    stack[vtx, 1 + _ragged_arange(counts - 1)] = 0.5 * (tri.nodes[vtx]
+                                                        + far[order])
+    return stack, counts
 
 
 class BasisSet:
@@ -457,11 +453,11 @@ class PSBasis(BasisSet):
 
     Three functions per vertex (dof ``3 * vertex + q``), each supported on
     the vertex's molecule.  The vertices' control triangles come from one
-    :func:`min_area_control_triangle` call on the stack of all their point
-    sets, padded to one length with copies of each set's first point
-    (``control_corners``, (n_v, 3, 2)), and their triplets from one
-    stacked :func:`compute_triplets` solve; both equal a per-vertex loop to
-    the bit.  Per element the nine active functions are stored as 19
+    :func:`min_area_control_triangle` call on the :func:`split_points`
+    stack, padded with copies of each vertex (``control_corners``,
+    (n_v, 3, 2)), and their triplets from one stacked
+    :func:`compute_triplets` solve; both equal a per-vertex loop to the
+    bit.  Per element the nine active functions are stored as 19
     Bezier ordinates over the canonical position layout, and per
     sub-triangle as the (9, 6) table ``sub_ordinates`` of its 6 ordinates,
     the extraction table of cell ``6 * e + s``.
@@ -476,13 +472,10 @@ class PSBasis(BasisSet):
         self.n_bf = 3 * tri.n_nodes
         self.locator = PointLocator(tri, refinement=ref)
 
-        # one search over all point sets, each padded to the largest count
-        # with copies of its first point, which change no hull or winner
-        pts = [ps_points(ref, v) for v in range(tri.n_nodes)]
-        most = max(len(p) for p in pts)
-        self.control_corners = min_area_control_triangle(np.stack(
-            [np.concatenate([p, np.repeat(p[:1], most - len(p), axis=0)])
-             for p in pts]))
+        # one search over every vertex's split points; the padding copies
+        # of the vertex change no hull or winner
+        self.control_corners = min_area_control_triangle(
+            split_points(ref)[0])
         self.triplets = compute_triplets(self.control_corners, tri.nodes)
 
         # dof 3 * vertex + q of corner lv sits in column 3 * lv + q

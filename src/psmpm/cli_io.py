@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import benchmarks
-from .basis import ps_basis, ps_points
+from .basis import ps_basis, split_points
 from .errors import ParseError, PsmpmError, ValidationError
 from .mesh import (barycentric_coordinates, cross2, generate_mesh, ps_refine,
                    read_mesh_file, write_mesh_file)
@@ -346,12 +346,11 @@ def basis_invariant_report(basis, seed=0, n_samples=800):
     recon = np.einsum('pf,pf->p', vals, coeff[dofs])
     report["linear_reproduction"] = float(np.abs(recon - target).max())
 
-    # control triangles contain their split points
-    worst = 0.0
-    for vtx, corners in enumerate(basis.control_corners):
-        bc = barycentric_coordinates(corners, ps_points(basis.ref, vtx))
-        worst = max(worst, float(-bc.min()))
-    report["control_containment"] = worst
+    # control triangles contain their split points (the padding repeats
+    # each vertex, which is one of them)
+    bc = barycentric_coordinates(basis.control_corners[:, None],
+                                 split_points(basis.ref)[0])
+    report["control_containment"] = max(0.0, float(-bc.min()))
     return report
 
 

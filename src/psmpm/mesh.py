@@ -1,7 +1,7 @@
 """Triangulation storage, six-way spline refinement, and point location.
 
 A :class:`Triangulation` stores nodes and counter-clockwise elements and
-derives edge/incidence tables on construction.  :func:`ps_refine` splits
+derives edge tables on construction.  :func:`ps_refine` splits
 every element into six sub-triangles around its incenter, which is the
 geometric substrate for the C1 quadratic spline basis.  A
 :class:`PointLocator` answers "which element / sub-triangle contains this
@@ -55,13 +55,6 @@ def _ragged_arange(counts):
                                                counts)
 
 
-def _group_rows(table, n):
-    """For each value 0..n-1, the ascending row ids of ``table`` holding it."""
-    flat = table.ravel()
-    rows = np.argsort(flat, kind="stable") // table.shape[1]
-    return np.split(rows, np.cumsum(np.bincount(flat, minlength=n))[:-1])
-
-
 def _check_not_degenerate(verts):
     verts = np.asarray(verts, dtype=float)
     v0 = verts[..., 0, :]
@@ -111,7 +104,7 @@ def incenter(tri_vertices):
 
 
 class Triangulation:
-    """Nodes plus CCW triangles, with derived edge and incidence tables.
+    """Nodes plus CCW triangles, with derived edge tables.
     With ``orient``, clockwise elements are reordered instead of rejected.
 
     Attributes:
@@ -122,8 +115,6 @@ class Triangulation:
         edge_elements: (n_edge, 2) adjacent element ids, -1 for boundary.
         element_edges: (n_e, 3) edge id of local edges (0,1), (1,2), (2,0).
         boundary_nodes: ascending ids of the nodes on boundary edges.
-        vertex_elements: per-vertex list of incident element ids, ascending.
-        vertex_edges: per-vertex list of incident edge ids, ascending.
     """
 
     def __init__(self, nodes, elements, orient=False):
@@ -158,7 +149,6 @@ class Triangulation:
                 "elements must be counter-clockwise")
 
         self._build_edges()
-        self._build_incidence()
 
     @property
     def n_nodes(self):
@@ -196,10 +186,6 @@ class Triangulation:
 
         self.boundary_nodes = np.unique(
             self.edges[self.edge_elements[:, 1] == -1])
-
-    def _build_incidence(self):
-        self.vertex_elements = _group_rows(self.elements, self.n_nodes)
-        self.vertex_edges = _group_rows(self.edges, self.n_nodes)
 
     def mean_edge_length(self):
         d = self.nodes[self.edges[:, 0]] - self.nodes[self.edges[:, 1]]

@@ -6,15 +6,16 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from psmpm.basis import (DirichletConstraint, compute_triplets, convex_hull,
-                         hat_basis, min_area_control_triangle, ps_basis,
-                         ps_points)
+from psmpm.basis import (CONTAIN_TOL, DirichletConstraint, compute_triplets,
+                         convex_hull, hat_basis, min_area_control_triangle,
+                         ps_basis, split_points)
 from psmpm.benchmarks import soil_column_spec
-from psmpm.cli_io import generate_mesh
+from psmpm.cli_io import basis_invariant_report, generate_mesh
 from psmpm.errors import (CollinearPoints, InteriorVertexConstrained,
-                          OutsideDomain, SingularControlTriangle,
-                          UnsupportedBoundaryTangent)
-from psmpm.mesh import Triangulation, cross2, ps_refine
+                          OutsideDomain, RefinementFailed,
+                          SingularControlTriangle, UnsupportedBoundaryTangent)
+from psmpm.mesh import (Triangulation, barycentric_coordinates, cross2,
+                        ps_refine)
 from psmpm.mpm_core import ConstraintReduction
 
 
@@ -68,32 +69,61 @@ class TestHatBasis:
         assert_allclose(g[2], [0.0, 1.0], atol=1e-14)
 
 
+# Reference: the per-vertex construction that split_points replaced, with
+# its merge of split points within 1e-12 of their set's extent.  The stack
+# must hold the same points to the bit.
+def ref_ps_points(ref, vertex):
+    tri = ref.parent
+    v = tri.nodes[vertex]
+    mol = np.nonzero((tri.elements == vertex).any(axis=1))[0]
+    edges = np.nonzero((tri.edges == vertex).any(axis=1))[0]
+    pts = np.concatenate([v[None, :],
+                          0.5 * (v + ref.interior_points[mol]),
+                          0.5 * (v + ref.edge_points[edges])])
+    scale = max(np.ptp(pts, axis=0).max(), 1e-300)
+    d = pts[:, None, :] - pts[None, :, :]
+    close = np.triu(np.hypot(d[..., 0], d[..., 1]) <= 1e-12 * scale, 1)
+    keep = np.ones(len(pts), dtype=bool)
+    for i, j in zip(*np.nonzero(close)):
+        if keep[i]:
+            keep[j] = False
+    return pts[keep]
+
+
+def sliver_mesh(height):
+    """The unit square fanned from a node ``height`` above the middle of its
+    bottom side, so that element 0 is a sliver of that height."""
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                      [0.5, height]])
+    return Triangulation(nodes, np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4],
+                                          [3, 0, 4]]))
+
+
 class TestPsPoints:
     def test_single_triangle_count(self):
         tri = Triangulation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                             np.array([[0, 1, 2]]))
-        ref = ps_refine(tri)
-        pts = ps_points(ref, 0)
+        stack, counts = split_points(ps_refine(tri))
         # vertex + 2 half-edge midpoints + 1 spoke midpoint
-        assert len(pts) == 4
-        assert_allclose(pts[0], tri.nodes[0])
+        assert counts.tolist() == [4, 4, 4] and stack.shape == (3, 4, 2)
+        assert_allclose(stack[0, 0], tri.nodes[0])
 
     def test_count_matches_edge_enumeration(self):
         tri = jittered(seed=3)
-        ref = ps_refine(tri)
+        _, counts = split_points(ps_refine(tri))
         for v in range(tri.n_nodes):
-            n_spokes = len(tri.vertex_elements[v])
+            n_spokes = int(np.sum((tri.elements == v).any(axis=1)))
             n_half_edges = int(np.sum((tri.edges == v).any(axis=1)))
-            assert len(ps_points(ref, v)) == 1 + n_spokes + n_half_edges
+            assert counts[v] == 1 + n_spokes + n_half_edges
 
     def test_inside_molecule_hull(self):
         tri = jittered(seed=4)
-        ref = ps_refine(tri)
+        stack, counts = split_points(ps_refine(tri))
         for v in range(tri.n_nodes):
-            mol = tri.vertex_elements[v]
+            mol = np.nonzero((tri.elements == v).any(axis=1))[0]
             hull = convex_hull(tri.nodes[np.unique(tri.elements[mol])])
             m = np.empty((3, 3))
-            for p in ps_points(ref, v):
+            for p in stack[v, :counts[v]]:
                 # every split point is a convex combination of molecule nodes
                 inside = False
                 for i in range(1, len(hull) - 1):
@@ -104,6 +134,47 @@ class TestPsPoints:
                         inside = True
                         break
                 assert inside
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           h=st.sampled_from([0.25, 0.125, 0.0625]),
+           kind=st.sampled_from(["jittered", "structured"]))
+    def test_stack_equals_per_vertex_reference(self, seed, h, kind):
+        tri = generate_mesh(kind, h, (0.0, 0.0, 1.0, 1.0), seed=seed)
+        ref = ps_refine(tri)
+        stack, counts = split_points(ref)
+        assert stack.shape == (tri.n_nodes, counts.max(), 2)
+        for v in range(tri.n_nodes):
+            pts, pad = stack[v, :counts[v]], stack[v, counts[v]:]
+            assert pts.tobytes() == ref_ps_points(ref, v).tobytes()
+            assert pad.tobytes() == np.repeat(tri.nodes[v:v + 1], len(pad),
+                                              axis=0).tobytes()
+            # the premise of dropping the merge: no two points are close
+            d = pts[:, None, :] - pts[None, :, :]
+            apart = np.hypot(d[..., 0], d[..., 1]) + np.diag(np.full(
+                len(pts), np.inf))
+            assert apart.min() > 1e-12 * np.ptp(pts, axis=0).max()
+
+    def test_sliver_keeps_every_split_point(self):
+        # at height 1e-11 no two split points are within 1e-12 of their
+        # set's extent, so the per-vertex merge dropped none
+        ref = ps_refine(sliver_mesh(1e-11))
+        stack, counts = split_points(ref)
+        for v in range(5):
+            assert stack[v, :counts[v]].tobytes() == ref_ps_points(
+                ref, v).tobytes()
+        # at 1e-12 the merge dropped a point of vertices 0, 1 and 4; the
+        # stack keeps them, and the control triangles hold them all
+        ref = ps_refine(sliver_mesh(1e-12))
+        stack, counts = split_points(ref)
+        assert [counts[v] - len(ref_ps_points(ref, v))
+                for v in range(5)] == [1, 1, 0, 0, 1]
+        corners = min_area_control_triangle(stack)
+        eta = barycentric_coordinates(corners[:, None], stack)
+        assert eta.min() >= -CONTAIN_TOL
+        # thinner, the refinement fails before any split point is built
+        with pytest.raises(RefinementFailed):
+            ps_refine(sliver_mesh(1e-13))
 
 
 class TestControlTriangle:
@@ -242,7 +313,7 @@ class TestControlTriangleMatchesReference:
         ref = ps_refine(jittered(h=h, seed=seed))
         picks = np.random.default_rng(seed).permutation(ref.parent.n_nodes)
         for v in picks[:12]:
-            want, got = both_searches(ps_points(ref, v))
+            want, got = both_searches(ref_ps_points(ref, v))
             assert got == want
 
     @settings(max_examples=60, deadline=None)
@@ -254,7 +325,8 @@ class TestControlTriangleMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(pts=point_clouds, pad=st.integers(1, 8))
     def test_padding_with_first_point_changes_nothing(self, pts, pad):
-        # PSBasis pads every vertex's split points to one length this way
+        # split_points pads every vertex's points to one length this way:
+        # with copies of the vertex, which is the first point
         padded = np.concatenate([pts, np.repeat(pts[:1], pad, axis=0)])
         search = (min_area_control_triangle,)
         assert both_searches(padded, search) == both_searches(pts, search)
@@ -297,7 +369,7 @@ class TestConvexHullMatchesReference:
 
     def test_stack_matches_single_sets(self):
         ref = ps_refine(jittered(h=0.125, seed=4))
-        sets = [ps_points(ref, v) for v in range(ref.parent.n_nodes)]
+        sets = [ref_ps_points(ref, v) for v in range(ref.parent.n_nodes)]
         n = np.bincount([len(s) for s in sets]).argmax()
         stack = np.stack([s for s in sets if len(s) == n])
         assert len(stack) > 1
@@ -312,7 +384,7 @@ def ref_control_tables(ref):
     corners = np.empty((tri.n_nodes, 3, 2))
     triplets = np.empty((tri.n_nodes, 3, 3))
     for v in range(tri.n_nodes):
-        corners[v] = ref_min_area_control_triangle(ps_points(ref, v))
+        corners[v] = ref_min_area_control_triangle(ref_ps_points(ref, v))
         triplets[v] = compute_triplets(corners[v], tri.nodes[v])
     return corners, triplets
 
@@ -337,6 +409,21 @@ class TestPSBasisMatchesPerVertexLoop:
 
     def test_soil_column_mesh(self):
         self.check(soil_column_spec("partial").tri)
+
+
+class TestControlContainment:
+    def test_one_solve_equals_per_vertex_loop(self):
+        # basis-check's control_containment on the meshes of acceptance
+        # criterion 1, against the per-vertex loop it replaced
+        for seed in range(5):
+            basis = ps_basis(ps_refine(jittered(h=0.25, seed=seed)))
+            want = 0.0
+            for vtx, corners in enumerate(basis.control_corners):
+                bc = barycentric_coordinates(corners,
+                                             ref_ps_points(basis.ref, vtx))
+                want = max(want, float(-bc.min()))
+            rep = basis_invariant_report(basis, seed=seed, n_samples=50)
+            assert rep["control_containment"] == want
 
 
 # Reference: the per-element loop that the vectorised _build_ordinates
@@ -562,7 +649,7 @@ class TestPsBasis:
         rng = np.random.default_rng(1)
         worst = 0.0
         for vtx in range(tri.n_nodes):
-            for e in tri.vertex_elements[vtx]:
+            for e in np.nonzero((tri.elements == vtx).any(axis=1))[0]:
                 lv = list(tri.elements[e]).index(vtx)
                 far = [tri.nodes[tri.elements[e, (lv + 1) % 3]],
                        tri.nodes[tri.elements[e, (lv + 2) % 3]]]

@@ -23,14 +23,6 @@ def unit_square_mesh():
     return Triangulation(nodes, elements)
 
 
-def fan_mesh(n=6):
-    """Regular n-triangle fan around a central vertex."""
-    ang = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    nodes = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
-    elements = np.array([[0, 1 + i, 1 + (i + 1) % n] for i in range(n)])
-    return Triangulation(nodes, elements)
-
-
 class TestBarycentric:
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -211,7 +203,8 @@ class TestLocate:
 def vertex_neighbour_rows(tri):
     """(n_e, width) table whose row e lists the elements sharing a vertex
     with e, e included, ascending and padded with -1."""
-    rows = [np.unique(np.concatenate([tri.vertex_elements[v] for v in verts]))
+    rows = [np.unique(np.concatenate(
+        [np.nonzero((tri.elements == v).any(axis=1))[0] for v in verts]))
             for verts in tri.elements]
     table = np.full((tri.n_elements, max(map(len, rows))), -1)
     for e, row in enumerate(rows):
@@ -637,24 +630,6 @@ class TestBary:
                          np.broadcast_to(ph, cell.shape + (3,)).reshape(-1, 3))
         assert got.shape == (3,) + cell.shape
         assert np.moveaxis(got, 0, -1).tobytes() == want.tobytes()
-
-
-class TestMolecule:
-    def test_fan_center_has_all_elements(self):
-        tri = fan_mesh(6)
-        assert len(tri.vertex_elements[0]) == 6
-
-    def test_square_corner_single_element(self):
-        tri = unit_square_mesh()
-        assert len(tri.vertex_elements[1]) == 1
-
-    def test_matches_brute_force_incidence(self):
-        tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=9)
-        for v in range(tri.n_nodes):
-            mol = set(tri.vertex_elements[v].tolist())
-            brute = {e for e in range(tri.n_elements)
-                     if v in tri.elements[e]}
-            assert mol == brute
 
 
 # ---------------------------------------------------------------------------
