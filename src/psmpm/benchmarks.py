@@ -105,17 +105,26 @@ def mms_body_force(x0, t):
     """Per-mass body force (..., 2) that makes the manufactured fields exact
     at reference coordinates ``x0`` (..., 2), which it only reads.  Its trig
     is cached as in ``mms_exact``; the ``log J`` and ``1/dxx^2`` terms are
-    formed per call.  The bracket combines the shear and dilatational
-    contributions of the neo-Hookean stress divergence."""
-    ux, uy, dxx, dyy = mms_exact(x0, t)
-    material = MMS.material
-    lam, mu = material.lam, material.mu
-    rho0, e = MMS.rho0, MMS.E
-    const = 4.0 * mu / rho0 - e / rho0
-    log_term = 4.0 * (lam * (np.log(dxx * dyy) - 1.0) - mu)
-    gx = np.pi ** 2 * ux * (const - log_term / (rho0 * dxx ** 2))
-    gy = np.pi ** 2 * uy * (const - log_term / (rho0 * dyy ** 2))
-    return np.stack([gx, gy], axis=-1)
+    formed per call, in place in the four rows ``mms_exact`` returns and one
+    more.  The bracket combines the shear and dilatational contributions of
+    the neo-Hookean stress divergence."""
+    ux, uy, dxx, dyy = map(np.asarray, mms_exact(x0, t))
+    lam, mu, rho0 = MMS.material.lam, MMS.material.mu, MMS.rho0
+    const = 4.0 * mu / rho0 - MMS.E / rho0
+    log_term = np.multiply(dxx, dyy, out=np.empty_like(dxx))
+    np.log(log_term, out=log_term)
+    log_term -= 1.0
+    log_term *= lam
+    log_term -= mu
+    log_term *= 4.0
+    for u, d in ((ux, dxx), (uy, dyy)):
+        np.square(d, out=d)
+        d *= rho0
+        np.subtract(const, np.divide(log_term, d, out=d), out=d)
+        u *= np.pi ** 2
+        u *= d
+    del log_term, dxx, dyy
+    return np.stack([ux, uy], axis=-1)
 
 
 def mms_exact_positions(x0, t):

@@ -3,12 +3,13 @@
 Transfers work per cell (a sub-triangle for splines, an element for
 hats), where every active function is an extraction table times the
 Bernstein polynomials of the cell barycentrics and its gradient is linear
-in the basis's gradient weights.  Particle-to-grid transfers are per-cell
-moments over the cell's particles (``sum m B_k B_l``, ``sum V sigma w``,
-``sum m b B_k``, ``sum m v B_k``, and ``sum m B_k`` in lumped mode)
-contracted with the cell's tables; grid-to-particle gathers read
-per-cell coefficients.  The step reads and writes the particles'
-deformation gradient and stress component-major, one row per component.
+in the basis's gradient weights.  Sparse particle-cell operators of the
+Bernstein values and gradient weights carry them: particle-to-grid
+transfers are their transposes' per-cell moments (``sum m B_k B_l``,
+``sum V sigma w``, ``sum m b B_k``, ``sum m v B_k``, and ``sum m B_k`` in
+lumped mode) contracted with the cell's tables; grid-to-particle values
+and gradients are their products with per-cell coefficients.  The step
+keeps the particles' deformation gradient and stress component-major.
 
 ``MpmSystem.run`` is the time loop.  A step runs the phases relocate, mass
 and factorise, accelerate, project momentum (density-weighted L2), deform
@@ -333,23 +334,28 @@ MassOperator = namedtuple("MassOperator", "mode lumped data pattern marked",
                           defaults=(None,))
 
 
-# One step's view of the located particles: element and cell ids (n,),
-# cell barycentrics (3, n), Bernstein values (K, n), gradient weights (W, n)
-# and an (n,) work buffer.
-CellPoints = namedtuple("CellPoints", "elem cell eta bern weights work")
+OPERATOR_CHUNK = 8192     # particles per batch of Bernstein temporaries
+
+# One step's view of the located particles: element and sub-triangle ids
+# (n,), cell barycentrics (3, n), the value operator ``S`` and ``S.T``.
+CellPoints = namedtuple("CellPoints", "elem sub eta S S_t")
 
 
 class GridAssembler:
-    """Particle-grid transfers through per-cell Bernstein moments.
+    """Particle-grid transfers through sparse particle-cell operators.
 
     On cell c the active functions are ``N = O_c B(eta)`` (``ords``) and
     ``grad N = sum_w weights_w Z_c[:, w]`` (``grad_ops``), with the basis's
     gradient weights: the barycentrics for splines, one row of ones for
     hats, whose gradients are constant per cell.  These tables and the cell
     dofs are the basis's own; the CSR pattern of the element mass blocks
-    (with the slot of every block entry) and the diagonal pattern of lumped
-    mass are built once here.  Moments are summed one row at a time by
-    ``np.bincount`` on the cell ids; particles are never reordered.
+    (with the slot of every block entry), the diagonal pattern of lumped
+    mass and ``scatter``, which sums per-cell dof values per dof, are built
+    once here.  A step's value operator ``S`` (CSR, n x n_cells K) holds
+    particle p's K Bernstein values at columns ``cell_p K + k``, its
+    gradient operator the W gradient weights alike.  Products with their
+    CSC transposes sum each cell moment over ascending particles, products
+    with them each particle over ascending k, from 0.
     """
 
     def __init__(self, basis):
@@ -358,6 +364,9 @@ class GridAssembler:
         self.ords = basis.cell_ordinates
         self.n_cells, _, self.n_bern = self.ords.shape
         self.cell_dofs, self.grad_ops = basis.cell_dofs, basis.grad_ops
+        flat = self.cell_dofs.ravel()
+        self.scatter = sp.csr_matrix((np.ones(flat.size), (
+            flat, np.arange(flat.size))), shape=(n_bf, flat.size))
         ed = basis.element_dofs
         keys, slots = np.unique(ed[:, :, None] * np.int64(n_bf) + ed[:, None],
                                 return_inverse=True)
@@ -370,53 +379,38 @@ class GridAssembler:
 
     def located(self, elem, sub, eta) -> CellPoints:
         eta = np.ascontiguousarray(np.asarray(eta).T)
-        basis = self.basis
-        return CellPoints(elem, basis.locator.cell_of(elem, sub), eta,
-                          basis.bernstein(eta), basis.gradient_weights(eta),
-                          np.empty(len(elem)))
+        bern = np.empty((len(elem), self.n_bern))
+        for lo in range(0, len(elem), OPERATOR_CHUNK):
+            part = slice(lo, lo + OPERATOR_CHUNK)
+            bern[part] = self.basis.bernstein(eta[:, part]).T
+        s = self._operator((elem, sub), bern.T)
+        return CellPoints(elem, sub, eta, s, s.T)
 
-    def _moment(self, pts: CellPoints, a, b):    # per-cell sums of a * b
-        np.multiply(a, b, out=pts.work)
-        return np.bincount(pts.cell, weights=pts.work, minlength=self.n_cells)
-
-    def _to_dofs(self, per_cell):
-        """(n_bf, j) sums of per-cell dof values (n_cells, n_active, j)."""
-        return np.column_stack([
-            np.bincount(self.cell_dofs.ravel(), weights=col.ravel(),
-                        minlength=self.n_bf)
-            for col in np.moveaxis(per_cell, -1, 0)])
+    def _operator(self, loc, rows):
+        """Int32 CSR whose row p holds ``rows[:, p]`` at ``cell_p W + w``."""
+        w, n = rows.shape
+        cols = np.add.outer(w * self.basis.locator.cell_of(*loc[:2]).astype(
+            np.int32), np.arange(w, dtype=np.int32))
+        return sp.csr_matrix((rows.T.ravel(), cols.ravel(),
+                              np.arange(0, n * w + 1, w, dtype=np.int32)),
+                             shape=(n, self.n_cells * w))
 
     def _project(self, pts: CellPoints, m, w):
         """(n_bf, 2) sums ``sum_p N(x_p) m_p w_p``; m is (n,), w (n, 2)."""
-        q = np.array([[self._moment(pts, mwa, b) for b in pts.bern]
-                      for mwa in np.multiply(m, w.T, order="C")])
-        return self._to_dofs(self.ords @ q.transpose(2, 1, 0))
-
-    @staticmethod
-    def _gather(pts: CellPoints, weights, table):
-        """``sum_r weights[r] * table[..., r, cell]`` per particle.  ``take``
-        clips (no id is out of range) so that it writes ``out`` unbuffered."""
-        table, work = np.ascontiguousarray(table), pts.work
-        out = np.zeros(table.shape[:-2] + (len(pts.cell),))
-        for idx in np.ndindex(table.shape[:-2]):
-            for r, w in enumerate(weights):
-                np.take(table[idx + (r,)], pts.cell, out=work, mode="clip")
-                work *= w
-                out[idx] += work
-        return out
+        q = (pts.S_t @ (m[:, None] * w)).reshape(self.n_cells, self.n_bern, 2)
+        return self.scatter @ (self.ords @ q).reshape(-1, 2)
 
     def mass(self, pts: CellPoints, masses, mode: MassMode) -> MassOperator:
-        pattern = self.mass_pattern(mode)
+        pattern, shape = self.mass_pattern(mode), (self.n_cells, self.n_bern)
         if mode is MassMode.LUMPED:
-            b = np.stack([self._moment(pts, masses, r) for r in pts.bern], -1)
-            lumped = self._to_dofs(self.ords @ b[..., None])[:, 0]
+            b = (pts.S_t @ masses).reshape(shape)
+            lumped = self.scatter @ (self.ords @ b[..., None]).ravel()
             return MassOperator(mode, lumped, lumped, pattern)
-        k_b, mb = self.n_bern, np.empty_like(masses)    # one row of m B
+        k_b = self.n_bern
         s = np.empty((self.n_cells, k_b, k_b))
-        for k in range(k_b):
-            np.multiply(masses, pts.bern[k], out=mb)
-            for l in range(k, k_b):
-                s[:, k, l] = s[:, l, k] = self._moment(pts, mb, pts.bern[l])
+        for k, row in enumerate(pts.S.data.reshape(-1, k_b).T):
+            q = (pts.S_t @ (masses * row)).reshape(shape)   # sum m B_k B_l
+            s[:, k, k:] = s[:, k:, k] = q[:, k:]
         blocks = self.ords @ s @ self.ords.transpose(0, 2, 1)
         blocks = blocks.reshape((len(self.slots), -1) + blocks.shape[1:])
         data = np.bincount(self.slots.ravel(), blocks.sum(axis=1).ravel(),
@@ -431,39 +425,36 @@ class GridAssembler:
         data[pattern.diag_slot[marked]] = lumped[marked]
         return MassOperator(mode, lumped, data, pattern, marked)
 
-    def forces(self, pts: CellPoints, particles, body=None):
-        """Internal and body force vectors, each (n_bf, 2).  The internal
-        force takes the moments ``sum V sigma_ab w`` of each cell for the
-        three components of the symmetric sigma and every gradient weight
-        row w."""
-        n_w = len(pts.weights)
-        t = np.empty((self.n_cells, n_w, 2, 2))      # [c, w, b, a]
+    def forces(self, pts: CellPoints, particles, body_force=None, t=0.0):
+        """Internal and body force vectors, each (n_bf, 2): the moments
+        ``sum V sigma_ab w`` of each cell (symmetric sigma, every gradient
+        weight row w), and the body force per unit mass
+        ``body_force(particles.x0, t)`` (none when None) projected first."""
+        f_body = np.zeros((self.n_bf, 2)) if body_force is None else (
+            self._project(pts, particles.m, np.asarray(
+                body_force(particles.x0, t), dtype=float)))
+        g_t = self._operator(pts, self.basis.gradient_weights(pts.eta)).T
+        n_w = g_t.shape[0] // self.n_cells
+        mom = np.empty((self.n_cells, n_w, 2, 2))      # [c, w, b, a]
         for a, b in ((0, 0), (0, 1), (1, 1)):
-            vs = particles.V * particles.sigma_cm[a, b]
-            for w, row in enumerate(pts.weights):
-                t[:, w, a, b] = t[:, w, b, a] = self._moment(pts, vs, row)
-        f_int = self._to_dofs(
-            self.grad_ops @ t.reshape(self.n_cells, 2 * n_w, 2))
-        if body is None:
-            return f_int, np.zeros((self.n_bf, 2))
-        return f_int, self._project(pts, particles.m, body)
+            vs = g_t @ (particles.V * particles.sigma_cm[a, b])
+            mom[:, :, a, b] = mom[:, :, b, a] = vs.reshape(-1, n_w)
+        f_int = self.grad_ops @ mom.reshape(self.n_cells, -1, 2)
+        return self.scatter @ f_int.reshape(-1, 2), f_body
 
     def momentum(self, pts: CellPoints, particles):
         return self._project(pts, particles.m, particles.v)
 
     def values(self, pts: CellPoints, coeffs):
-        """(n, 2) fields ``sum_d N_d coeffs[d]`` at the particles, in C
-        order: positions updated from them locate to the bit as fresh
-        ones."""
+        """(n, 2) fields ``sum_d N_d coeffs[d]`` at the particles (C order)."""
         table = self.ords.transpose(0, 2, 1) @ coeffs[self.cell_dofs]
-        return np.ascontiguousarray(self._gather(pts, pts.bern, table.T).T)
+        return pts.S @ table.reshape(-1, 2)
 
     def gradients(self, pts: CellPoints, coeffs):
         """(2, 2, n) gradients ``d field_a / d x_b`` at the particles."""
         table = self.grad_ops.transpose(0, 2, 1) @ coeffs[self.cell_dofs]
-        return self._gather(pts, pts.weights,
-                            table.reshape(self.n_cells, -1, 2, 2)
-                            .transpose(3, 2, 1, 0))
+        g = self._operator(pts, self.basis.gradient_weights(pts.eta))
+        return (g @ table.reshape(-1, 4)).reshape(-1, 2, 2).transpose(2, 1, 0)
 
 
 class ConstraintReduction:
@@ -662,16 +653,16 @@ class MpmSystem:
         """Advance one time step from time ``t``.  Phases: relocate,
         factorise, accelerate, project momentum, deform, move.  The state is
         updated in place (only ``loc`` is replaced): copy arrays to keep
-        them.  Besides it a step holds its cell view (8 rows of n floats for
-        splines, 2 for hats) and at most 9 rows of temporaries."""
+        them.  Its value operator is freed once the new velocities are
+        read, before the deform phase builds the gradient operator."""
         pts = self._relocate(particles, t)
         factor = self._factorise(pts, particles)
         self._accelerate(pts, factor, particles, t)
         v_hat = self._solve(factor, self.assembler.momentum(pts, particles),
                             "velocity")           # project momentum
-        self._deform(pts, v_hat, particles, t)
         vel = self.assembler.values(pts, v_hat)
-        del pts, factor                   # the hinted locate needs neither
+        pts = pts._replace(S=None, S_t=None)      # freed before deform
+        self._deform(pts, v_hat, particles, t)
         self._move(vel, particles, t)
 
     def _relocate(self, particles, t):
@@ -699,11 +690,11 @@ class MpmSystem:
         """Kick the particle velocities by the grid acceleration of the body
         and internal forces.  Outside lumped mode a kick above
         ``VELOCITY_BLOWUP_FACTOR`` wave speeds raises ``SolverDiverged``."""
-        body = None if self.body_force is None else np.asarray(
-            self.body_force(particles.x0, t), dtype=float)
-        f_int, f_body = self.assembler.forces(pts, particles, body=body)
+        f_int, f_body = self.assembler.forces(pts, particles, self.body_force,
+                                              t)
         a_hat = self._solve(factor, f_body - f_int, "acceleration")
-        dv = self.dt * self.assembler.values(pts, a_hat)
+        dv = self.assembler.values(pts, a_hat)
+        dv *= self.dt
         if self.mass_mode is not MassMode.LUMPED:
             wave = self.material.wave_speed(float(particles.rho.mean()))
             kick = float(np.abs(dv).max())

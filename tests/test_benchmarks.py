@@ -4,6 +4,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,51 @@ class TestCachedFactors:
         assert spatial_calls(bm.mms_body_force, copy) == 4
         assert spatial_calls(bm.mms_body_force, copy) == 4
         assert spatial_calls(bm.mms_body_force, second.x0) == 0
+
+
+def allocating_body_force(x0, t):
+    """``mms_body_force`` as a chain of allocating expressions: the
+    reference for its in-place form, operation for operation."""
+    ux, uy, dxx, dyy = bm.mms_exact(x0, t)
+    material = bm.MMS.material
+    lam, mu = material.lam, material.mu
+    rho0, e = bm.MMS.rho0, bm.MMS.E
+    const = 4.0 * mu / rho0 - e / rho0
+    log_term = 4.0 * (lam * (np.log(dxx * dyy) - 1.0) - mu)
+    gx = np.pi ** 2 * ux * (const - log_term / (rho0 * dxx ** 2))
+    gy = np.pi ** 2 * uy * (const - log_term / (rho0 * dyy ** 2))
+    return np.stack([gx, gy], axis=-1)
+
+
+class TestBodyForceInPlace:
+    TIMES = (0.0, 1e-3, 0.37 * bm.MMS.period, 0.61 * bm.MMS.period)
+
+    def test_equals_allocating_form_bitwise(self):
+        rng = np.random.default_rng(11)
+        cached = rng.uniform(0.0, 1.0, size=(500, 2))
+        cached.flags.writeable = False
+        for x0 in (np.array([0.37, 0.81]), rng.uniform(size=(7, 3, 2)),
+                   rng.uniform(size=(1, 2)), cached):
+            for t in self.TIMES:
+                got = bm.mms_body_force(x0, t)
+                want = allocating_body_force(x0, t)
+                assert got.shape == want.shape == x0.shape
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (x0.shape, t)
+
+    def test_holds_five_rows(self):
+        # ux, uy, dxx, dyy and the log J term, then ux, uy and the (n, 2)
+        # result, with the trig of a read-only x0 cached beforehand
+        x0 = np.random.default_rng(2).uniform(0.0, 1.0, size=(20000, 2))
+        x0.flags.writeable = False
+        bm.mms_body_force(x0, 1e-3)
+        tracemalloc.start()
+        try:
+            bm.mms_body_force(x0, 2e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.05 * 8 * len(x0)
 
 
 def test_factor_slot_released_with_its_particle_set():

@@ -429,7 +429,7 @@ class TestCellOperator:
     @pytest.mark.parametrize("family", ["hat", "ps"])
     def test_located_reads_the_locator_eta_without_a_copy(self, family):
         # locate_many's (n, 3) eta is the transpose of a C-ordered (3, n)
-        # array, the layout of the transfers' rows, hinted or not
+        # array, the rows the Bernstein polynomials read, hinted or not
         basis = (square_ps_basis() if family == "ps"
                  else hat_basis(unit_square_mesh()))
         asm, locator = GridAssembler(basis), basis.locator
@@ -450,6 +450,31 @@ class TestCellOperator:
         dofs, vals, grads = basis.eval_at(pts[0])
         k = basis.element_dofs.shape[1]
         assert (dofs.shape, vals.shape, grads.shape) == ((k,), (k,), (k, 2))
+
+    @pytest.mark.parametrize("family", ["hat", "ps"])
+    def test_value_operator_layout(self, family):
+        # row p holds the K Bernstein values at columns cell_p K + k, in
+        # ascending k, with int32 indices; S_t is the CSC view of its arrays
+        basis = (square_ps_basis() if family == "ps"
+                 else hat_basis(unit_square_mesh()))
+        asm = GridAssembler(basis)
+        pts_xy = np.random.default_rng(8).uniform(0.0, 1.0, size=(50, 2))
+        loc = basis.locator.locate_many(pts_xy)
+        pts = asm.located(*loc)
+        k = asm.n_bern
+        cell = basis.locator.cell_of(loc[0], loc[1])
+        assert isinstance(pts.S, sp.csr_matrix)
+        assert pts.S.shape == (50, asm.n_cells * k)
+        assert pts.S.indices.dtype == pts.S.indptr.dtype == np.int32
+        assert np.array_equal(pts.S.indptr, np.arange(0, 50 * k + 1, k))
+        assert np.array_equal(pts.S.indices.reshape(50, k),
+                              cell[:, None] * k + np.arange(k))
+        assert (pts.S.data.reshape(50, k).tobytes()
+                == basis.bernstein(np.ascontiguousarray(loc[2].T)).T.tobytes())
+        assert isinstance(pts.S_t, sp.csc_matrix)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(pts.S_t, name),
+                                    getattr(pts.S, name))
 
     def test_mass_pattern_is_built_once(self):
         # every mass matrix of an assembler sits on its one int32 pattern:
@@ -589,7 +614,7 @@ class TestTransfersMatchReference:
         asm = GridAssembler(basis)
         pts = asm.located(*parts.loc)
         op = asm.mass(pts, parts.m, mode)
-        f_int, f_body = asm.forces(pts, parts, body=body)
+        f_int, f_body = asm.forces(pts, parts, lambda x0, t: body)
         got = {"lumped": op.lumped,
                "matrix": op.pattern.matrix(op.data).toarray(),
                "f_int": f_int, "f_body": f_body,
@@ -607,33 +632,175 @@ class TestTransfersMatchReference:
             assert np.all(np.abs(value - want[key]) <= bound * mags[key]), key
 
 
-def ref_gather(pts, weights, table):
-    """The gather before the clipped ``take``: one buffered ``take`` per
-    table row into an (n,) work buffer, weighted and added in place."""
-    table, work = np.ascontiguousarray(table), np.empty(len(pts.cell))
-    out = np.zeros(table.shape[:-2] + (len(pts.cell),))
+def ref_gather(cell, weights, table):
+    """``sum_r weights[r] * table[..., r, cell]`` per particle: one ``take``
+    per table row into an (n,) work buffer, weighted and added in place."""
+    table, work = np.ascontiguousarray(table), np.empty(len(cell))
+    out = np.zeros(table.shape[:-2] + (len(cell),))
     for idx in np.ndindex(table.shape[:-2]):
         for r, w in enumerate(weights):
-            np.take(table[idx + (r,)], pts.cell, out=work)
+            np.take(table[idx + (r,)], cell, out=work)
             work *= w
             out[idx] += work
     return out
 
 
+class BincountReference:
+    """The per-cell transfers written with one ``np.bincount`` per moment
+    row and one ``take`` per gathered table row, on the cell tables of an
+    assembler: the sums the sparse operators must reproduce to the bit."""
+
+    def __init__(self, asm, pts):
+        basis = asm.basis
+        self.asm = asm
+        self.cell = basis.locator.cell_of(pts.elem, pts.sub)
+        self.elem = pts.elem
+        self.bern = basis.bernstein(pts.eta)
+        self.weights = basis.gradient_weights(pts.eta)
+
+    def moment(self, a, b):                     # per-cell sums of a * b
+        return np.bincount(self.cell, weights=a * b,
+                           minlength=self.asm.n_cells)
+
+    def to_dofs(self, per_cell):
+        asm = self.asm
+        return np.column_stack([
+            np.bincount(asm.cell_dofs.ravel(), weights=col.ravel(),
+                        minlength=asm.n_bf)
+            for col in np.moveaxis(per_cell, -1, 0)])
+
+    def project(self, m, w):
+        q = np.array([[self.moment(mwa, b) for b in self.bern]
+                      for mwa in np.multiply(m, w.T, order="C")])
+        return self.to_dofs(self.asm.ords @ q.transpose(2, 1, 0))
+
+    def mass(self, masses, mode):
+        asm = self.asm
+        pattern = asm.mass_pattern(mode)
+        if mode is MassMode.LUMPED:
+            b = np.stack([self.moment(masses, r) for r in self.bern], -1)
+            lumped = self.to_dofs(asm.ords @ b[..., None])[:, 0]
+            return lumped, lumped, None
+        k_b = asm.n_bern
+        s = np.empty((asm.n_cells, k_b, k_b))
+        for k in range(k_b):
+            mb = masses * self.bern[k]
+            for l in range(k, k_b):
+                s[:, k, l] = s[:, l, k] = self.moment(mb, self.bern[l])
+        blocks = asm.ords @ s @ asm.ords.transpose(0, 2, 1)
+        blocks = blocks.reshape((len(asm.slots), -1) + blocks.shape[1:])
+        data = np.bincount(asm.slots.ravel(), blocks.sum(axis=1).ravel(),
+                           minlength=len(pattern.indices))
+        lumped = np.bincount(pattern.major, data, minlength=asm.n_bf)
+        if mode is MassMode.CONSISTENT:
+            return lumped, data, None
+        empty = np.bincount(self.elem, minlength=len(asm.slots)) == 0
+        marked = np.zeros(asm.n_bf, dtype=bool)
+        marked[asm.basis.element_dofs[empty]] = True
+        data[marked[pattern.major]] = 0.0
+        data[pattern.diag_slot[marked]] = lumped[marked]
+        return lumped, data, marked
+
+    def forces(self, particles, body):
+        asm, n_w = self.asm, len(self.weights)
+        t = np.empty((asm.n_cells, n_w, 2, 2))
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            vs = particles.V * particles.sigma_cm[a, b]
+            for w, row in enumerate(self.weights):
+                t[:, w, a, b] = t[:, w, b, a] = self.moment(vs, row)
+        f_int = self.to_dofs(asm.grad_ops @ t.reshape(asm.n_cells, 2 * n_w, 2))
+        return f_int, self.project(particles.m, body)
+
+    def values(self, coeffs):
+        table = self.asm.ords.transpose(0, 2, 1) @ coeffs[self.asm.cell_dofs]
+        return np.ascontiguousarray(ref_gather(self.cell, self.bern,
+                                               table.T).T)
+
+    def gradients(self, coeffs):
+        asm = self.asm
+        table = asm.grad_ops.transpose(0, 2, 1) @ coeffs[asm.cell_dofs]
+        return ref_gather(self.cell, self.weights,
+                          table.reshape(asm.n_cells, -1, 2, 2)
+                          .transpose(3, 2, 1, 0))
+
+
 class TestGatherMatchesPerRowReference:
     @pytest.mark.parametrize("kind", ["hat", "ps"])
-    def test_values_and_gradients_bitwise(self, kind, monkeypatch):
+    def test_values_and_gradients_bitwise(self, kind):
         system, parts = build_system(mms_plate_spec(kind, 0.25, 16, seed=3))
         system.run(parts, 1)
         asm = system.assembler
         pts = asm.located(*parts.loc)
-        coeffs = np.random.default_rng(5).normal(size=(2, asm.n_bf, 2))
-        got = [f(pts, c) for c in coeffs for f in (asm.values, asm.gradients)]
-        assert got[0].flags.c_contiguous and got[0].shape == (parts.n, 2)
-        monkeypatch.setattr(GridAssembler, "_gather", staticmethod(ref_gather))
-        want = [f(pts, c) for c in coeffs for f in (asm.values, asm.gradients)]
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        ref = BincountReference(asm, pts)
+        for c in np.random.default_rng(5).normal(size=(2, asm.n_bf, 2)):
+            got, want = asm.values(pts, c), ref.values(c)
+            assert got.flags.c_contiguous and got.shape == (parts.n, 2)
+            assert got.tobytes() == want.tobytes()
+            got, want = asm.gradients(pts, c), ref.gradients(c)
+            assert got.shape == want.shape == (2, 2, parts.n)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def one_cell_points(basis, rng, n):
+    """n points strictly inside one cell (a sub-triangle for splines)."""
+    e = rng.integers(basis.tri.n_elements)
+    if isinstance(basis, HatBasis):
+        corners = basis.tri.nodes[basis.tri.elements[e]]
+    else:
+        corners = basis.ref.sub_coords[e, rng.integers(6)]
+    bary = 0.8 * rng.dirichlet(np.ones(3), size=n) + 0.2 / 3
+    return bary @ corners
+
+
+class TestTransfersEqualBincountReference:
+    @settings(max_examples=40, deadline=None)
+    @given(mesh_kind=st.sampled_from(["jittered", "structured"]),
+           mesh_seed=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["hat", "ps"]),
+           mode=st.sampled_from(list(MassMode)),
+           layout=st.sampled_from(["uniform", "one cell"]),
+           n=st.integers(1, 200))
+    @example(mesh_kind="jittered", mesh_seed=1, seed=2, kind="ps",
+             mode=MassMode.PARTIAL, layout="uniform", n=1)
+    @example(mesh_kind="structured", mesh_seed=0, seed=3, kind="hat",
+             mode=MassMode.CONSISTENT, layout="one cell", n=50)
+    def test_every_transfer_bitwise(self, mesh_kind, mesh_seed, seed, kind,
+                                    mode, layout, n):
+        # cells without particles on every draw with few particles; all
+        # particles in one cell leave every other cell empty
+        tri = generate_mesh(mesh_kind, 0.25, (0.0, 0.0, 1.0, 1.0),
+                            seed=mesh_seed)
+        basis = hat_basis(tri) if kind == "hat" else ps_basis(ps_refine(tri))
+        rng = np.random.default_rng(seed)
+        x = (rng.uniform(0.0, 1.0, size=(n, 2)) if layout == "uniform"
+             else one_cell_points(basis, rng, n))
+        parts = Particles(x, rng.uniform(1e-4, 1e-2, n),
+                          rng.uniform(1.0, 1e3, n))
+        parts.loc = basis.locator.locate_many(parts.x)
+        parts.v = rng.normal(size=(n, 2))
+        sigma = rng.normal(size=(n, 2, 2)) * 1e3
+        parts.sigma = sigma + sigma.transpose(0, 2, 1)
+        body = rng.normal(size=(n, 2))
+        coeffs = rng.normal(size=(2, basis.n_bf, 2))
+
+        asm = GridAssembler(basis)
+        pts = asm.located(*parts.loc)
+        ref = BincountReference(asm, pts)
+        op = asm.mass(pts, parts.m, mode)
+        lumped, data, marked = ref.mass(parts.m, mode)
+        f_int, f_body = asm.forces(pts, parts, lambda x0, t: body)
+        want_int, want_body = ref.forces(parts, body)
+        pairs = [(op.lumped, lumped), (op.data, data), (f_int, want_int),
+                 (f_body, want_body),
+                 (asm.momentum(pts, parts), ref.project(parts.m, parts.v))]
+        for c in coeffs:
+            pairs += [(asm.values(pts, c), ref.values(c)),
+                      (asm.gradients(pts, c), ref.gradients(c))]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert (op.marked is None if marked is None
+                else np.array_equal(op.marked, marked))
 
 
 class TestForces:
@@ -655,7 +822,7 @@ class TestForces:
         asm = GridAssembler(basis)
         pts = located(basis, parts)
         g = np.broadcast_to([0.0, -9.81], (parts.n, 2))
-        _, f_body = asm.forces(pts, parts, body=g)
+        _, f_body = asm.forces(pts, parts, lambda x0, t: g)
         assert_allclose(f_body.sum(axis=0), [0.0, -9.81 * parts.m.sum()],
                         rtol=1e-12, atol=1e-12)
 
@@ -1438,23 +1605,40 @@ class TestStepWorkingSet:
     """What one step holds, counted in particle rows of n floats.
 
     The particle state is updated in place, so a step's allocations are its
-    temporaries and the new ``loc``.  The peak is the deform phase, which
-    holds the step's cell view (``CellPoints``), the velocity gradient, the
-    rows of ``I + dt eps`` and the scratch pair of ``deformation_update``;
-    the manufactured forcing, evaluated while the cell view is held, peaks
-    at nine rows of its own too.  Grid-sized arrays (mass operator, reduced
-    matrix, coefficients) come to 0.3 rows at this size.
+    temporaries and the new ``loc``.  A particle-cell operator with W
+    entries per particle holds W data rows, W/2 rows of int32 column
+    indices and half a row of int32 row pointers.  The value operator
+    (K = 6 Bernstein values for splines, 3 for hats) lives from the
+    relocation until the new velocities are read; the gradient operator
+    (W = 3 gradient weights for splines, 1 for hats) is built for the
+    internal force and again for the velocity gradient, and freed after
+    each; the Bernstein values are filled in chunks of particles.  The
+    step peaks in one of three phases: the internal force (both operators
+    and one row of ``V sigma_ab``), the manufactured forcing (the value
+    operator and the forcing's five rows) or the deform phase (the new
+    velocities, the velocity gradient, the rows of ``I + dt eps`` and the
+    scratch pair of ``deformation_update``).  Grid-sized arrays (moments,
+    mass operator, reduced matrix, coefficients) add under a row for
+    splines at this size and 0.05 rows for hats.
     """
 
-    CELL_VIEW = {"ps": {"cell ids": 1, "Bernstein values": 6, "work": 1},
-                 "hat": {"gradient weights (ones)": 1, "work": 1}}
-    DEFORM = {"velocity gradient": 4, "I + dt eps": 3, "scratch pair": 2}
-    GRID = 0.5
+    OPERATORS = {"ps": (6, 3), "hat": (3, 1)}       # (K, W)
+    STRESS_ROW = 1
+    FORCING = 5
+    DEFORM = {"velocities": 2, "velocity gradient": 4, "I + dt eps": 3,
+              "scratch pair": 2}
+    GRID = {"ps": 1.0, "hat": 0.5}
     LOC = {"elem": 1, "sub": 1, "eta": 3}
 
+    @staticmethod
+    def operator_rows(w):
+        return w + w / 2 + 0.5
+
     def bound(self, kind):
-        return (sum(self.CELL_VIEW[kind].values())
-                + sum(self.DEFORM.values()) + self.GRID)
+        value, gradient = map(self.operator_rows, self.OPERATORS[kind])
+        phases = (value + gradient + self.STRESS_ROW, value + self.FORCING,
+                  sum(self.DEFORM.values()))
+        return max(phases) + self.GRID[kind]
 
     @pytest.mark.parametrize("kind", ["hat", "ps"])
     def test_peak_and_kept_rows(self, kind):
