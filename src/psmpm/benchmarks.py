@@ -274,7 +274,9 @@ def soil_column_spec(mass_mode=None, basis_kind="ps") -> BenchmarkSpec:
     mass matrix the explicit step goes unstable within the first 0.03 s:
     the run stops at the one-step strain-increment check of
     ``MpmSystem.step``, while the reduced diagonal ratio stays below 1e2
-    and no column element has drained.
+    and no column element has drained.  At t = 0 the 768 particles fill
+    32 of the 34 elements, at least 24 in each, but some sub-triangles
+    hold only 2.
     """
     width, height, n_rows = 0.1, SOIL_H, SOIL_ROWS
     hy = height / n_rows

@@ -5,8 +5,8 @@ derives edge tables on construction.  :func:`ps_refine` splits
 every element into six sub-triangles around its incenter, which is the
 geometric substrate for the C1 quadratic spline basis.  A
 :class:`PointLocator` answers "which element / sub-triangle contains this
-point" queries.  A uniform background bin grid serves un-hinted queries,
-probed nearest element first; a moving point tries its previous cell and
+point" queries.  Un-hinted queries scan the elements of their bin in a
+uniform grid, nearest first; a moving point tries its previous cell and
 element, then one walk across an edge, and only then its bin.
 :func:`generate_mesh` builds the structured and jittered rectangle meshes.
 
@@ -317,9 +317,9 @@ class PointLocator:
 
     For an unrefined triangulation pass ``refinement=None``; queries then
     report only the element and its barycentric coordinates.  Bins are a
-    third of the mean element extent on each axis.  Row b of ``bin_table``
-    lists the elements whose bounding box overlaps bin b, ascending, and
-    ``probe_table`` the same, nearest centroid to the bin centre first.
+    third of the mean element extent on each axis.  Row b of ``probe_table``
+    lists the elements whose bounding box overlaps bin b, nearest centroid
+    to the bin centre first (ties ascending), then -1 padding.
     ``edge_neighbor[e, i]`` is the element across the edge opposite vertex
     i of e, -1 on the boundary.  ``quick_margin`` and ``walk_margin`` come
     from :func:`_margins`, with R the element's largest sub-triangle radius
@@ -357,15 +357,15 @@ class PointLocator:
         key = ix * self.ny + iy
         order = np.argsort(key, kind="stable")
         fill = np.bincount(key, minlength=self.nx * self.ny)
-        self.bin_table = np.full((len(fill), fill.max(initial=0)), -1)
-        self.bin_table[key[order], _ragged_arange(fill)] = owner[order]
+        table = np.full((len(fill), fill.max(initial=0)), -1)
+        table[key[order], _ragged_arange(fill)] = owner[order]
         # the same rows, nearest element centroid to the bin centre first
-        mid = coords.mean(axis=1)[self.bin_table] - lo  # (n_bins, width, 2)
+        mid = coords.mean(axis=1)[table] - lo           # (n_bins, width, 2)
         d2 = sum((mid[..., a] - ((i + 0.5) * self.cell[a])[:, None]) ** 2
                  for a, i in enumerate(divmod(np.arange(len(fill)), self.ny)))
-        d2[self.bin_table < 0] = np.inf
+        d2[table < 0] = np.inf
         near = d2.argsort(axis=1, kind="stable")
-        self.probe_table = np.take_along_axis(self.bin_table, near, axis=1)
+        self.probe_table = np.take_along_axis(table, near, axis=1)
 
         pair = tri.edge_elements[tri.element_edges[:, [1, 2, 0]]]
         own = pair[..., 0] == np.arange(tri.n_elements)[:, None]
@@ -401,58 +401,39 @@ class PointLocator:
                                       (y, y0, self.cell[1], self.ny)))
         return inside, ix * self.ny + iy
 
-    def _first_containing(self, table, rows, x, y, margin=None, eta=None):
-        """First element of each point's candidate row that contains it.
-
-        Point k, at ``(x[k], y[k])``, gets the first candidate c of
-        ``table[rows[k]]`` (padded with -1) whose smallest barycentric
-        reaches ``margin[c]`` (``-LOCATE_TOL`` when None), or -1; with a
-        margin, a candidate that holds it below the margin also leaves it
-        at -1.  The candidates go one table column at a time, and a point
-        leaves once one holds it or its row runs into the padding; an empty
-        ``rows`` returns at once.  ``eta`` (3, k), if given, receives the
-        barycentrics of each point's element.
-        """
-        out = np.full(len(rows), -1, dtype=int)
+    def _probe(self, rows, x, y):
+        """Element (or -1) and (3, k) barycentrics of each point, by one scan
+        of its ``probe_table`` row, a column at a time.  A point leaves at
+        the first candidate that holds it at ``walk_margin``, which
+        :func:`_margins` makes its only holder to ``LOCATE_TOL``.  Any other
+        point scans its row to the padding and gets the lowest-index
+        candidate that held it to ``-LOCATE_TOL``, or -1.  Either way that
+        is the first holder in the bin's ascending element order.  With a
+        refinement the barycentrics are None: :meth:`locate_in` computes
+        the cell's."""
+        elem = np.full(len(rows), -1)
+        eta = None if self.refinement else np.zeros((3, len(rows)))
         todo = np.arange(len(rows))
-        for column in table.T:
+        for column in self.probe_table.T:
             if not len(todo):
                 break
             cand = column[rows[todo]]
             todo, cand = todo[cand >= 0], cand[cand >= 0]
             t = _bary(self.elem_inv_cm, cand, x[todo], y[todo])
-            least = t.min(axis=0)
-            keep = least >= (-LOCATE_TOL if margin is None else margin[cand])
-            out[todo[keep]] = cand[keep]
+            least, held = t.min(axis=0), elem[todo]
+            low = (least >= -LOCATE_TOL) & ((held < 0) | (cand < held))
+            elem[todo[low]] = cand[low]
             if eta is not None:
-                eta[:, todo[keep]] = np.compress(keep, t, axis=1)
-            todo = todo[least < -LOCATE_TOL]
-        return out
-
-    def _probe(self, rows, x, y):
-        """Element (or -1) and (3, k) barycentrics of each point: the first
-        in its ``probe_table`` row to hold it at ``walk_margin``, which
-        :func:`_margins` makes the only holder to ``LOCATE_TOL``, else the
-        ascending scan of ``bin_table``.  With a refinement the barycentrics
-        are None: :meth:`locate_in` computes the cell's."""
-        eta = None if self.refinement else np.zeros((3, len(rows)))
-        elem = self._first_containing(self.probe_table, rows, x, y,
-                                      self.walk_margin, eta)
-        rest = np.nonzero(elem < 0)[0]
-        if len(rest):
-            t = None if eta is None else np.zeros((3, len(rest)))
-            elem[rest] = self._first_containing(self.bin_table, rows[rest],
-                                                x[rest], y[rest], eta=t)
-            if t is not None:
-                eta[:, rest] = t
+                eta[:, todo[low]] = np.compress(low, t, axis=1)
+            todo = todo[least < self.walk_margin[cand]]
         return elem, eta
 
     def locate_many(self, points, hint=None):
         """Vectorised location of many points.
 
-        Without a hint each point gets the first element of its bin's
-        ascending ``bin_table`` row that holds it, so ties on shared edges
-        go to the lowest element (found by :meth:`_probe`); its sub-triangle
+        Without a hint each point gets the lowest-index element of its
+        bin's row that holds it, so ties on shared edges go to the lower
+        element (found by :meth:`_probe`'s one scan); its sub-triangle
         comes from :meth:`locate_in`.
 
         With a hint ``(elem, sub)`` from a previous call, a point gets the

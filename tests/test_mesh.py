@@ -430,9 +430,34 @@ class TestLocateProperty:
                 assert got.tobytes() == want[k:k + 1].tobytes()
 
 
-# Reference: the gathered search that the column-wise _first_containing
-# replaced.  Both must pick the same element for every point.
-def ref_first_containing(loc, table, rows, ph):
+def ascending_bin_rows(loc):
+    """(n_bins, width) table whose row ``ix * ny + iy`` lists, ascending and
+    padded with -1, the elements whose bounding box overlaps bin (ix, iy) of
+    the locator's grid (``lo``, ``cell``, ``nx``, ``ny``), one element and
+    one bin at a time."""
+    coords = loc.tri.nodes[loc.tri.elements]
+    top = (loc.nx - 1, loc.ny - 1)
+    first, last = (np.clip(np.floor((c - loc.lo) / loc.cell).astype(int),
+                           0, top)
+                   for c in (coords.min(axis=1), coords.max(axis=1)))
+    rows = [[] for _ in range(loc.nx * loc.ny)]
+    for e, ((x0, y0), (x1, y1)) in enumerate(zip(first, last)):
+        for ix in range(x0, x1 + 1):
+            for iy in range(y0, y1 + 1):
+                rows[ix * loc.ny + iy].append(e)
+    table = np.full((len(rows), max(map(len, rows))), -1)
+    for b, row in enumerate(rows):
+        table[b, :len(row)] = row
+    return table
+
+
+# Reference: the gathered ascending search that the nearest-first scan of
+# _probe must answer.  Both must pick the same element for every point.
+def ref_first_containing(loc, rows, ph):
+    """First element of each point's ascending bin row (``rows[k]``) that
+    holds it to ``LOCATE_TOL``, or -1, and its (n, 3) einsum barycentrics
+    there (zeros for -1)."""
+    table = ascending_bin_rows(loc)
     out = np.full(len(rows), -1, dtype=int)
     for lo in range(0, len(rows), mesh.LOCATE_CHUNK):
         part = slice(lo, lo + mesh.LOCATE_CHUNK)
@@ -443,7 +468,10 @@ def ref_first_containing(loc, table, rows, ph):
         first = good.argmax(axis=1)
         k = np.arange(len(cand))
         out[part] = np.where(good[k, first], cand[k, first], -1)
-    return out
+    eta = np.zeros((len(rows), 3))
+    found = out >= 0
+    eta[found] = np.einsum('pij,pj->pi', loc.elem_inv[out[found]], ph[found])
+    return out, eta
 
 
 class TestFirstContaining:
@@ -451,8 +479,14 @@ class TestFirstContaining:
     @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]),
            kind=st.sampled_from(["jittered", "structured"]))
     def test_matches_gathered_reference(self, seed, h, kind):
+        # _probe's one scan of a probe_table row gives the first holder of
+        # the same row in ascending order, with its barycentrics
         tri = generate_mesh(kind, h, (0.0, 0.0, 1.0, 1.0), seed=seed)
         loc = PointLocator(tri)
+        table = ascending_bin_rows(loc)
+        assert table.shape == loc.probe_table.shape
+        assert np.array_equal(np.sort(table, axis=1),
+                              np.sort(loc.probe_table, axis=1))
         rng = np.random.default_rng(seed)
         a = tri.nodes[tri.edges[:, 0]]
         b = tri.nodes[tri.edges[:, 1]]
@@ -462,45 +496,31 @@ class TestFirstContaining:
                               rng.uniform(-0.25, 1.25, size=(300, 2))])
         ph = np.column_stack([pts, np.ones(len(pts))])
         in_box, bins = loc._bin_rows(pts[:, 0], pts[:, 1])
-        home = loc.locate_many(pts)[0]
-        inside = home >= 0
-        assert np.any(inside) and not np.all(inside)
-        neighbours = vertex_neighbour_rows(tri)
+        assert np.any(in_box) and not np.all(in_box)
         cases = [
-            # each point's own bin row, and the neighbour row of its element
-            (loc.bin_table, bins, ph[in_box]),
-            (neighbours, home[inside], ph[inside]),
+            # each point's own bin row
+            (bins, ph[in_box]),
             # random rows, whose padding differs from row to row
-            (loc.bin_table, rng.integers(0, len(loc.bin_table), len(pts)), ph),
-            (neighbours, rng.integers(0, tri.n_elements, len(pts)), ph),
+            (rng.integers(0, len(table), len(pts)), ph),
         ]
-        for table, rows, h_pts in cases:
-            got = loc._first_containing(table, rows, h_pts[:, 0],
-                                        h_pts[:, 1])
-            want = ref_first_containing(loc, table, rows, h_pts)
-            assert got.tobytes() == want.tobytes()
-
-    def test_empty_input_returns_at_once(self):
-        loc = PointLocator(unit_square_mesh())
-        loc.elem_inv_cm = None       # any inverse-map gather would raise
-        out = loc._first_containing(loc.bin_table, np.empty(0, dtype=int),
-                                    np.empty(0), np.empty(0))
-        assert out.shape == (0,)
+        for rows, h_pts in cases:
+            elem, eta = loc._probe(rows, h_pts[:, 0], h_pts[:, 1])
+            want = ref_first_containing(loc, rows, h_pts)
+            assert elem.tobytes() == want[0].tobytes()
+            assert eta.T.tobytes() == want[1].tobytes()
 
 
 def ascending_scan(loc, pts):
-    """The un-hinted rule by the ascending scan alone: the first element of
-    each point's ``bin_table`` row that holds it, then its element
-    barycentrics (``_bary``) or its sub-triangle (``locate_in``)."""
+    """The un-hinted rule by the gathered ascending search: the first
+    element of each point's ascending bin row that holds it, then its
+    element barycentrics or its sub-triangle (``locate_in``)."""
     n = len(pts)
     elem, sub, eta = np.full(n, -1), np.full(n, -1), np.zeros((n, 3))
     in_box, rows = loc._bin_rows(pts[:, 0], pts[:, 1])
-    ph = np.column_stack([pts, np.ones(n)])[in_box]
-    elem[in_box] = ref_first_containing(loc, loc.bin_table, rows, ph)
-    found = np.nonzero(elem >= 0)[0]
-    if loc.refinement is None:
-        eta[found] = mesh._bary(loc.elem_inv_cm, elem[found], *pts[found].T).T
-    else:
+    ph = np.column_stack([pts, np.ones(n)])
+    elem[in_box], eta[in_box] = ref_first_containing(loc, rows, ph[in_box])
+    if loc.refinement is not None:
+        found = np.nonzero(elem >= 0)[0]
         sub[found], eta[found] = loc.locate_in(elem[found], pts[found])
     return elem, sub, eta
 
@@ -532,7 +552,7 @@ class TestProbe:
         # nodes and edge points lie in two or more elements, and a lattice
         # through the box hits structured nodes and edges whenever its
         # spacing divides h; probes that hold such points below the walk
-        # margin must leave them to the scan
+        # margin must scan on to the lowest holder
         tri = generate_mesh(kind, h, (0.0, 0.0, 1.0, 1.0), seed=seed)
         ref = ps_refine(tri) if refined else None
         loc = PointLocator(tri, ref)
@@ -586,6 +606,34 @@ class TestProbe:
         pts = np.concatenate([tri.nodes, 0.5 * (a + b), 0.3 * a + 0.7 * b,
                               ticks.reshape(-1, 2)])
         for g, w in zip(loc.locate_many(pts), ascending_scan(loc, pts)):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_shared_edge_listed_high_first_goes_to_the_lower_element(
+            self, refined):
+        # midpoints of shared edges whose probe row lists the higher-index
+        # holder first: the scan must go past it to the lower one, and
+        # carry that element's barycentrics (or its sub-triangle)
+        tri = generate_mesh("jittered", 0.25, (0.0, 0.0, 1.0, 1.0), seed=1)
+        loc = PointLocator(tri, ps_refine(tri) if refined else None)
+        inner = tri.edge_elements[:, 1] >= 0
+        mid = tri.nodes[tri.edges[inner]].mean(axis=1)
+        low, high = np.sort(tri.edge_elements[inner], axis=1).T
+        row = loc.probe_table[loc._bin_rows(*mid.T)[1]]
+        at_low, at_high = ((row == e[:, None]).argmax(axis=1)
+                           for e in (low, high))
+        assert np.all(row[np.arange(len(mid)), at_low] == low)
+        assert np.all(row[np.arange(len(mid)), at_high] == high)
+        pick = np.nonzero(at_high < at_low)[0]
+        assert len(pick)
+        pts, low = mid[pick], low[pick]
+        ph = np.column_stack([pts, np.ones(len(pts))])
+        for e in (low, high[pick]):
+            t = np.einsum('pij,pj->pi', loc.elem_inv[e], ph)
+            assert np.all(t.min(axis=1) >= -mesh.LOCATE_TOL)
+        got = loc.locate_many(pts)
+        assert np.array_equal(got[0], low)
+        for g, w in zip(got, ascending_scan(loc, pts)):
             assert g.tobytes() == w.tobytes()
 
     def test_refined_probe_leaves_barycentrics_to_locate_in(self):
