@@ -509,6 +509,17 @@ class TestFirstContaining:
             assert elem.tobytes() == want[0].tobytes()
             assert eta.T.tobytes() == want[1].tobytes()
 
+    def test_empty_input_returns_at_once(self):
+        # with a refinement too: no point, no gather, the reference's answer
+        tri = unit_square_mesh()
+        loc = PointLocator(tri, ps_refine(tri))
+        loc.elem_inv_cm = None       # any inverse-map gather would raise
+        elem, eta = loc._probe(np.empty(0, dtype=int), np.empty(0),
+                               np.empty(0))
+        assert eta is None
+        assert elem.tobytes() == ref_first_containing(
+            loc, np.empty(0, dtype=int), np.empty((0, 3)))[0].tobytes()
+
 
 def ascending_scan(loc, pts):
     """The un-hinted rule by the gathered ascending search: the first
