@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (CollinearPoints, InteriorVertexConstrained, OutsideDomain,
                      SingularControlTriangle, UnsupportedBoundaryTangent)
-from .mesh import (PointLocator, PSRefinement, Triangulation, _ragged_arange,
-                   cross2)
+from .mesh import (_SUB_VERTICES, PointLocator, PSRefinement, Triangulation,
+                   _ragged_arange, barycentric_coordinates, cross2)
 
 # Canonical enumeration of the 19 Bezier-ordinate positions of one refined
 # element with vertices (w0, w1, w2), edge points E01/E12/E20 and interior
@@ -56,6 +56,55 @@ _QUADRATIC_DERIVATIVE = np.zeros((6, 3, 3))
 _QUADRATIC_DERIVATIVE[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = 2.0
 _QUADRATIC_DERIVATIVE[[3, 4, 5], _PAIR_I, _PAIR_J] = 2.0
 _QUADRATIC_DERIVATIVE[[3, 4, 5], _PAIR_J, _PAIR_I] = 2.0
+
+
+def basis_invariant_report(basis):
+    """Worst violation of each spline invariant anywhere in the domain,
+    read off the tables that evaluation uses; dict name -> value.
+
+    Each piece is a quadratic in Bernstein form, bounded by its ordinates,
+    with gradients between those at its corners.  The checks read these
+    per cell and compare them across every interior sub-edge, where a
+    function active on one side only meets 0.
+    """
+    ords, dofs, tri = basis.cell_ordinates, basis.cell_dofs, basis.tri
+    corner_ops = basis.grad_ops.reshape(ords.shape[:2] + (3, 2))
+    # sides by end-point ids; two cells sharing one run it opposite ways
+    ids = np.concatenate([tri.elements, tri.n_nodes + tri.element_edges,
+                          tri.n_nodes + len(tri.edges)
+                          + np.arange(tri.n_elements)[:, None]], axis=1)
+    side_ends = np.array([[0, 1], [1, 2], [2, 0]])
+    ends_id = ids[:, _SUB_VERTICES].reshape(-1, 3)[:, side_ends].reshape(-1, 2)
+    key = ends_id.min(axis=1) * (ids.max() + 1) + ends_id.max(axis=1)
+    order = np.argsort(key, kind="stable")
+    twin = np.nonzero(np.diff(key[order]) == 0)[0]
+    sides = order[twin[:, None] + [0, 1]]
+    cells, ends = sides // 3, side_ends[sides % 3]
+    ends[:, 1] = ends[:, 1, ::-1]
+    # ordinates at both ends and the midpoint, then gradients at both ends
+    at = np.concatenate([ends, 2 + ends.sum(axis=2, keepdims=True)], axis=2)
+    c, slot = cells[..., None, None], np.arange(dofs.shape[1])[:, None]
+    edge = np.concatenate([ords[c, slot, at[:, :, None]], corner_ops[
+        c, slot, ends[:, :, None]].reshape(sides.shape + (-1, 4))], axis=3)
+    # 0/1 matches of side 0's functions to side 1's, so products are exact
+    same = (dofs[cells[:, 0], :, None] == dofs[cells[:, 1], None, :]) * 1.0
+    gap = np.abs(np.concatenate([edge[:, 0] - same @ edge[:, 1], edge[:, 1]
+                                 - same.transpose(0, 2, 1) @ edge[:, 0]]))
+    lin = np.array([-0.75, 1.5])
+    fc = 0.25 + basis.ref.sub_coords.reshape(-1, 3, 2) @ lin
+    recon = np.einsum('cdk,cd->ck', ords,
+                      (0.25 + basis.control_corners @ lin).ravel()[dofs])
+    return {
+        "partition_of_unity": float(np.abs(ords.sum(axis=1) - 1.0).max()),
+        "gradient_sum": float(np.abs(corner_ops.sum(axis=1)).max()),
+        "negativity": max(0.0, float(-ords.min())),
+        "c1_value": float(gap[..., :3].max()),
+        "c1_gradient": float(gap[..., 3:].max()),
+        "linear_reproduction": float(np.abs(recon - 0.5 * (
+            fc[:, [0, 1, 2] + _PAIR_I] + fc[:, [0, 1, 2] + _PAIR_J])).max()),
+        "control_containment": max(0.0, -float(barycentric_coordinates(
+            basis.control_corners[:, None], split_points(basis.ref)[0]).min())),
+    }
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ The config format is flat ``key = value`` text under ``[section]`` headers
   particle frames, a final VTK file, and a summary.
 * ``converge <config>``: run the manufactured-solution convergence study
   and write/print the error table and fitted slopes.
-* ``basis-check <mesh>``: build the spline basis on a mesh file, verify its
-  invariants, and dump control triangles and triplets as CSV.
+* ``basis-check <mesh>``: build the spline basis on a mesh file, bound its
+  invariants exactly, and dump control triangles and triplets as CSV.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import benchmarks
-from .basis import ps_basis, split_points
+from .basis import basis_invariant_report, ps_basis
 from .errors import ParseError, PsmpmError, ValidationError
-from .mesh import (barycentric_coordinates, cross2, generate_mesh, ps_refine,
-                   read_mesh_file, write_mesh_file)
+from .mesh import (cross2, generate_mesh, ps_refine, read_mesh_file,
+                   write_mesh_file)
 from .mpm_core import MassMode, MaterialModel, ParticleLayout
 
 CSV_HEADER = "id,x,y,ux,uy,vx,vy,sxx,syy,sxy,V,rho"
@@ -295,64 +295,7 @@ def write_vtk(particles, path, step, t):
 
 
 # ---------------------------------------------------------------------------
-# Spline-basis invariant battery (used by `basis-check`)
-
-def basis_invariant_report(basis, seed=0, n_samples=800):
-    """Measured invariant violations of a spline basis; dict name -> value."""
-    tri = basis.tri
-    rng = np.random.default_rng(seed)
-    lo, hi = tri.bbox()
-
-    pts = []
-    while len(pts) < n_samples:
-        cand = rng.uniform(lo, hi, size=(2 * n_samples, 2))
-        elem, _, _ = basis.locator.locate_many(cand)
-        pts.extend(cand[elem >= 0][:n_samples - len(pts)].tolist())
-    pts = np.asarray(pts)
-    elem, sub, eta = basis.locator.locate_many(pts)
-    dofs, vals, grads = basis.evaluate_located(elem, sub, eta)
-
-    report = {
-        "partition_of_unity": float(np.abs(vals.sum(axis=1) - 1.0).max()),
-        "gradient_sum": float(np.abs(grads.sum(axis=1)).max()),
-        "negativity": float(max(0.0, -vals.min())),
-    }
-
-    # C1 continuity across interior main edges: five points on each sampled
-    # edge, evaluated in both adjacent elements; the jump of every function
-    # is its value from the first side minus its value from the second
-    interior = np.nonzero(tri.edge_elements[:, 1] >= 0)[0]
-    take = interior if len(interior) <= 40 else rng.choice(
-        interior, size=40, replace=False)
-    pa, pb = tri.nodes[tri.edges[take, 0]], tri.nodes[tri.edges[take, 1]]
-    t = rng.uniform(0.05, 0.95, size=(len(take), 5, 1))
-    p = (pa[:, None] + t * (pb - pa)[:, None]).reshape(-1, 2)
-    elem = np.repeat(tri.edge_elements[take].T, 5, axis=1).ravel()
-    d, v, g = basis.evaluate_located(
-        elem, *basis.locator.locate_in(elem, np.concatenate([p, p])))
-    sample = np.tile(np.arange(len(p)), 2)
-    _, slot = np.unique((sample[:, None] * basis.n_bf + d).ravel(),
-                        return_inverse=True)
-    sign = np.repeat([1.0, -1.0], len(p))[:, None]
-    jump = [np.abs(np.bincount(slot.ravel(), weights=(sign * w).ravel()))
-            .max(initial=0.0) for w in (v, g[..., 0], g[..., 1])]
-    report["c1_value"] = float(jump[0])
-    report["c1_gradient"] = float(max(jump[1:]))
-
-    # linear reproduction from control-point coefficients
-    q = basis.control_corners
-    coeff = (0.25 - 0.75 * q[..., 0] + 1.5 * q[..., 1]).ravel()
-    target = 0.25 - 0.75 * pts[:, 0] + 1.5 * pts[:, 1]
-    recon = np.einsum('pf,pf->p', vals, coeff[dofs])
-    report["linear_reproduction"] = float(np.abs(recon - target).max())
-
-    # control triangles contain their split points (the padding repeats
-    # each vertex, which is one of them)
-    bc = barycentric_coordinates(basis.control_corners[:, None],
-                                 split_points(basis.ref)[0])
-    report["control_containment"] = max(0.0, float(-bc.min()))
-    return report
-
+# Subcommands
 
 _BASIS_CHECK_LIMITS = {
     "partition_of_unity": 1e-10,
@@ -380,9 +323,6 @@ def _dump_basis_tables(basis, out_dir):
                 a, b, g = basis.triplets[vtx, q]
                 fh.write(f"{vtx},{q},{a:.17g},{b:.17g},{g:.17g}\n")
 
-
-# ---------------------------------------------------------------------------
-# Subcommands
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
@@ -472,14 +412,12 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_basis_check(args) -> int:
-    if args.seed < 0:
-        raise ValidationError(f"--seed must not be negative, got {args.seed}")
     tri = read_mesh_file(args.mesh)
     basis = ps_basis(ps_refine(tri))
     out_dir = args.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     _dump_basis_tables(basis, out_dir)
-    report = basis_invariant_report(basis, seed=args.seed)
+    report = basis_invariant_report(basis)
     failed = False
     for name, value in report.items():
         limit = _BASIS_CHECK_LIMITS[name]
@@ -513,11 +451,9 @@ def build_parser():
         p = sub.add_parser(name, help=text)
         p.add_argument(operand)
         p.add_argument("--output-dir", default=None)
-        # basis-check has no config to supply a seed
-        p.add_argument("--seed", type=int,
-                       default=0 if operand == "mesh" else None)
         p.add_argument("--quiet", action="store_true")
         if operand == "config":
+            p.add_argument("--seed", type=int, default=None)
             p.add_argument("--mass-mode", default=None, choices=MASS_MODES)
             p.add_argument("--basis", default=None, choices=BASES)
         p.set_defaults(func=func)

@@ -10,7 +10,8 @@ from psmpm.basis import (CONTAIN_TOL, DirichletConstraint, compute_triplets,
                          convex_hull, hat_basis, min_area_control_triangle,
                          ps_basis, split_points)
 from psmpm.benchmarks import soil_column_spec
-from psmpm.cli_io import basis_invariant_report, generate_mesh
+from psmpm.cli_io import (_BASIS_CHECK_LIMITS, basis_invariant_report,
+                          generate_mesh)
 from psmpm.errors import (CollinearPoints, InteriorVertexConstrained,
                           OutsideDomain, RefinementFailed,
                           SingularControlTriangle, UnsupportedBoundaryTangent)
@@ -422,7 +423,7 @@ class TestControlContainment:
                 bc = barycentric_coordinates(corners,
                                              ref_ps_points(basis.ref, vtx))
                 want = max(want, float(-bc.min()))
-            rep = basis_invariant_report(basis, seed=seed, n_samples=50)
+            rep = basis_invariant_report(basis)
             assert rep["control_containment"] == want
 
 
@@ -545,6 +546,150 @@ class TestSplineInvariantsProperty:
             <= 1e-12 * scale
         recon_g = np.einsum('pfd,pf->pd', grads, coeff[dofs])
         assert np.abs(recon_g - [b, c]).max() <= 1e-12 * scale * gmax
+
+
+EPS = np.finfo(float).eps
+# A value or gradient evaluated below, and the report's own sums, add at
+# most 9 * 6 products of at most 4 rounded factors, so each is off by at
+# most gamma_58 = 58 u / (1 - 58 u) < 30 eps times the sum of its terms'
+# magnitudes (u = eps / 2; Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, sec. 3.1).  Twice that covers evaluation and report.
+ROUNDING = 60 * EPS
+
+
+def f_linear(x):
+    """The linear function of the report's reproduction check; its three
+    terms sum to at most 2.5 in magnitude on the unit square."""
+    return 0.25 - 0.75 * x[..., 0] + 1.5 * x[..., 1]
+
+
+def shared_sub_edges(ref):
+    """Every sub-edge that two cells share, matched by the coordinates of
+    its end points: a list of ``((c, p, q), (c', p', q'))`` with p (p')
+    the corner of the same end point in cell c (c')."""
+    coords = ref.sub_coords.reshape(-1, 3, 2)
+    sides = {}
+    for c in range(len(coords)):
+        for p, q in ((0, 1), (1, 2), (2, 0)):
+            key = frozenset((coords[c, p].tobytes(), coords[c, q].tobytes()))
+            sides.setdefault(key, []).append((c, p, q))
+    assert max(len(s) for s in sides.values()) == 2
+    shared = []
+    for (c0, p0, q0), (c1, p1, q1) in (s for s in sides.values()
+                                       if len(s) == 2):
+        same_end = coords[c0, p0].tobytes() == coords[c1, p1].tobytes()
+        shared.append(((c0, p0, q0), (c1, p1, q1) if same_end
+                       else (c1, q1, p1)))
+    return shared
+
+
+class TestInvariantReport:
+    """``basis_invariant_report`` bounds what evaluation measures anywhere,
+    up to evaluation rounding, and it catches a perturbed table entry."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]))
+    def test_bounds_located_points(self, seed, h):
+        basis = ps_basis(ps_refine(jittered(h=h, seed=seed)))
+        rep = basis_invariant_report(basis)
+        o_max = np.abs(basis.cell_ordinates).max()
+        z_max = np.abs(basis.grad_ops).max()
+        _, elem, sub, eta = located_sample(basis, seed)
+        dofs, vals, grads = basis.evaluate_located(elem, sub, eta)
+        # located barycentrics may leave their cell by rounding: with
+        # s = sum eta and a = sum |eta|, the Bernstein values sum to s^2,
+        # their magnitudes to a^2, and their negative part to (a^2 - s^2)/2
+        s, a = eta.sum(axis=1), np.abs(eta).sum(axis=1)
+        assert np.all(np.abs(vals.sum(axis=1) - 1.0)
+                      <= rep["partition_of_unity"] * a ** 2
+                      + np.abs(s ** 2 - 1.0) + 9 * ROUNDING * o_max * a ** 2)
+        assert np.all(-vals.min(axis=1)
+                      <= rep["negativity"] * a ** 2
+                      + o_max * (a ** 2 - s ** 2) / 2 + ROUNDING * o_max * a ** 2)
+        assert np.all(np.abs(grads.sum(axis=1))
+                      <= (rep["gradient_sum"] + 9 * ROUNDING * z_max)
+                      * a[:, None])
+        # the pieces reproduce f at the position the barycentrics stand
+        # for: s * sum_i eta_i f(corner i), for any eta
+        coeff = f_linear(basis.control_corners).ravel()[dofs]
+        corners = basis.ref.sub_coords.reshape(-1, 3, 2)[
+            basis.locator.cell_of(elem, sub)]
+        target = s * np.einsum('ni,ni->n', eta, f_linear(corners))
+        recon = np.einsum('nd,nd->n', coeff, vals)
+        assert np.all(np.abs(recon - target)
+                      <= (rep["linear_reproduction"] + ROUNDING
+                          * (9 * np.abs(coeff).max() * o_max + 2.5)) * a ** 2)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), h=st.sampled_from([0.25, 0.125]))
+    def test_bounds_sub_edge_jumps(self, seed, h):
+        basis = ps_basis(ps_refine(jittered(h=h, seed=seed)))
+        rep = basis_invariant_report(basis)
+        shared = shared_sub_edges(basis.ref)
+        # random points on random sub-edges, from both sides: at t along
+        # the edge from its end p, eta is 1 - t at p and t at q, exactly
+        rng = np.random.default_rng(seed)
+        pick = rng.choice(len(shared), size=min(300, len(shared)),
+                          replace=False)
+        t = rng.uniform(0.0, 1.0, len(pick))
+        n = np.arange(len(pick))
+        full = []
+        for side in (0, 1):
+            c, p, q = np.array([shared[i][side] for i in pick]).T
+            eta = np.zeros((len(pick), 3))
+            eta[n, p], eta[n, q] = 1.0 - t, t
+            dofs, vals, grads = basis.evaluate_located(c // 6, c % 6, eta)
+            v, g = np.zeros((len(pick), basis.n_bf)), np.zeros(
+                (len(pick), basis.n_bf, 2))
+            v[n[:, None], dofs], g[n[:, None], dofs] = vals, grads
+            full.append((v, g))
+        (v0, g0), (v1, g1) = full
+        o_max = np.abs(basis.cell_ordinates).max()
+        z_max = np.abs(basis.grad_ops).max()
+        assert np.abs(v0 - v1).max() <= rep["c1_value"] + 2 * ROUNDING * o_max
+        assert np.abs(g0 - g1).max() <= rep["c1_gradient"] + 2 * ROUNDING * z_max
+
+    @pytest.mark.parametrize("side, k", [(None, k) for k in range(6)]
+                             + [(0, 3), (1, 3)])
+    def test_perturbed_ordinate_fails(self, side, k):
+        # 1e-8 on ordinate k of one function of one sub-triangle of the
+        # h = 1/16 plate: function 0 of sub-triangle 0 of the element at
+        # the centre, whose edges are all interior; or, in either element
+        # on its first edge, the far vertex's function at that edge's
+        # midpoint ordinate, which only a 0 across the edge meets
+        basis = ps_basis(ps_refine(jittered(h=0.0625, seed=1)))
+        before = basis_invariant_report(basis)
+        e = basis.locator.locate_many(np.array([[0.5, 0.5]]))[0][0]
+        s = d = 0
+        if side is not None:
+            tri = basis.tri
+            edge = tri.element_edges[e, 0]
+            e = tri.edge_elements[edge, side]
+            s = 2 * list(tri.element_edges[e]).index(edge)
+            d = 3 * ((s // 2 + 2) % 3)
+        basis.sub_ordinates[e, s, d, k] += 1e-8
+        basis._build_cell_tables()
+        after = basis_invariant_report(basis)
+        assert after == basis_invariant_report(basis)
+        moved = {name for name in after if after[name] != before[name]}
+        assert {"partition_of_unity", "gradient_sum", "c1_value",
+                "c1_gradient", "linear_reproduction"} <= moved
+        assert all(after[name] > _BASIS_CHECK_LIMITS[name] for name in moved)
+
+    @pytest.mark.parametrize("height", [10.0 ** -i for i in range(2, 13)])
+    def test_sliver_fan_jump_is_rounding(self, height):
+        # A piece's gradient at a corner is 2 sum_l O_l grad eta_l over
+        # the three ordinates next to it.  Ordinates and the rows of the
+        # inverse maps carry at most 8 u = 4 eps of relative rounding
+        # together, so each side of a sub-edge is off by at most
+        # 8 eps max|O| sum_l |grad eta_l|, and the jump by twice that.
+        # The sliver's inverse maps grow like 1/height, and so does the
+        # jump, while the tables stay C1 up to rounding.
+        ref = ps_refine(sliver_mesh(height))
+        basis = ps_basis(ref)
+        grad_eta = np.abs(ref.sub_inv[..., :2]).sum(axis=(-2, -1)).max()
+        bound = 16 * EPS * np.abs(basis.cell_ordinates).max() * grad_eta
+        assert basis_invariant_report(basis)["c1_gradient"] <= bound
 
 
 class TestTriplets:
